@@ -400,19 +400,23 @@ Registration registration;
 }  // namespace
 }  // namespace rum
 
-// Custom main: unless the caller passes their own --benchmark_out, results
-// are mirrored to BENCH_wallclock.json (google-benchmark's JSON schema,
-// with the RO/UO/MO counters attached per benchmark) for machine
-// consumption alongside the console table.
+// Custom main: an unfiltered run without its own --benchmark_out mirrors its
+// results to BENCH_wallclock.json (google-benchmark's JSON schema, with the
+// RO/UO/MO counters attached per benchmark) for machine consumption
+// alongside the console table. A --benchmark_filter run never writes that
+// default path: a partial run must not replace the full baseline.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
+  bool filtered = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) has_out = true;
+    std::string arg(argv[i]);
+    if (arg.rfind("--benchmark_out", 0) == 0) has_out = true;
+    if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
   }
   std::string out_flag = "--benchmark_out=BENCH_wallclock.json";
   std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out) {
+  if (!has_out && !filtered) {
     args.push_back(out_flag.data());
     args.push_back(format_flag.data());
   }

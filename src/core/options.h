@@ -43,18 +43,17 @@ struct Options {
 
   // --------------------------------------------------------------- Storage
   struct Storage {
-    /// Access pages through zero-copy pin/unpin guards instead of
-    /// whole-block Read/Write copies. Both paths produce byte-identical
-    /// RUM accounting (pin_parity_test enforces this); the copy path exists
-    /// as a differential-testing oracle and migration escape hatch.
-    bool pinned_pages = true;
-
     /// Retry policy a RetryingDevice applies to fallible device operations
     /// that fail with kIOError (transient faults in the simulated fault
     /// model; kCorruption is never retried -- a checksum mismatch does not
     /// heal). Retries and the errors that triggered them are charged to the
     /// `retries`/`io_errors` counter pair; failed attempts move no bytes and
-    /// are never charged as traffic.
+    /// are never charged as traffic. An op class whose whole attempt budget
+    /// (> 1 attempts) burns down without the kIOError clearing returns
+    /// kUnavailable (with the total simulated backoff attached) instead of
+    /// the last kIOError: "still retrying" and "dead" are distinguishable
+    /// codes, which is what the request scheduler's deadline/degrade logic
+    /// keys on. Single-attempt (fail-fast) classes keep returning kIOError.
     struct Retry {
       /// Total attempts per operation (1 = fail fast, no retry). The
       /// fallback for any op class without its own override below.
@@ -73,19 +72,11 @@ struct Options {
         size_t max_attempts = 0;
         uint64_t backoff_base_us = 0;
       };
-      OpPolicy read;      ///< Device::Read
-      OpPolicy write;     ///< Device::Write
+      OpPolicy read;      ///< Device::Read (a cache fill from below)
+      OpPolicy write;     ///< Device::Write (a cache write-back)
       OpPolicy pin;       ///< PinForRead / PinForWrite acquisition
       OpPolicy allocate;  ///< Device::Allocate
       OpPolicy flush;     ///< Device::FlushAll
-
-      /// When an op class's whole attempt budget (> 1 attempts) burns down
-      /// without the kIOError clearing, return kUnavailable (with the
-      /// total simulated backoff attached) instead of the last kIOError:
-      /// "still retrying" and "dead" become distinguishable codes, which
-      /// is what the request scheduler's deadline/degrade logic keys on.
-      /// Single-attempt (fail-fast) classes keep returning kIOError.
-      bool unavailable_when_exhausted = true;
     } retry;
   } storage;
 
@@ -303,10 +294,6 @@ struct Options {
     /// Coalesce duplicate-key Gets inside one read batch: one method call
     /// serves every waiter (physical read charged once).
     bool coalesce_reads = true;
-
-    /// Dispatch priority-0 (high) requests before priority-1 within a
-    /// shard; within a priority class the queue stays FIFO.
-    bool priority_queues = true;
 
     /// Per-request deadline measured from arrival, in virtual microseconds;
     /// a request popped after expiry completes kDeadlineExceeded without

@@ -9,16 +9,16 @@ BloomZoneColumn::BloomZoneColumn(const Options& options)
       owned_device_(
           std::make_unique<BlockDevice>(options.block_size, &counters())),
       device_(owned_device_.get()),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       options.storage.pinned_pages)) {
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {
   MaybeRegisterPool();
 }
 
 BloomZoneColumn::BloomZoneColumn(const Options& options, Device* device)
     : options_(options),
       device_(device),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       options.storage.pinned_pages)) {
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {
   MaybeRegisterPool();
 }
 

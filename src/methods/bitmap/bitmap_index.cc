@@ -12,8 +12,8 @@ BitmapIndex::BitmapIndex(const Options& options)
       update_friendly_(options.bitmap.update_friendly),
       merge_threshold_(options.bitmap.delta_merge_threshold),
       key_domain_(options.bitmap.key_domain),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       options.storage.pinned_pages)) {
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {
   bins_.resize(std::max<size_t>(1, options.bitmap.cardinality));
   bin_width_ = std::max<Key>(1, key_domain_ / bins_.size());
   RecountAuxSpace();
@@ -24,8 +24,8 @@ BitmapIndex::BitmapIndex(const Options& options, Device* device)
       update_friendly_(options.bitmap.update_friendly),
       merge_threshold_(options.bitmap.delta_merge_threshold),
       key_domain_(options.bitmap.key_domain),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       options.storage.pinned_pages)) {
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {
   bins_.resize(std::max<size_t>(1, options.bitmap.cardinality));
   bin_width_ = std::max<Key>(1, key_domain_ / bins_.size());
   RecountAuxSpace();

@@ -18,7 +18,6 @@ BTree::BTree(const Options& options)
     : owned_device_(std::make_unique<BlockDevice>(EffectiveNodeSize(options),
                                                   &counters())),
       device_(owned_device_.get()),
-      pinned_pages_(options.storage.pinned_pages),
       node_size_(EffectiveNodeSize(options)),
       leaf_capacity_(BTreeLeaf::CapacityFor(node_size_)),
       inner_capacity_(BTreeInner::CapacityFor(node_size_)),
@@ -29,7 +28,6 @@ BTree::BTree(const Options& options)
 
 BTree::BTree(const Options& options, Device* device)
     : device_(device),
-      pinned_pages_(options.storage.pinned_pages),
       node_size_(device->block_size()),
       leaf_capacity_(BTreeLeaf::CapacityFor(node_size_)),
       inner_capacity_(BTreeInner::CapacityFor(node_size_)),
@@ -41,61 +39,37 @@ BTree::BTree(const Options& options, Device* device)
 BTree::~BTree() = default;
 
 Status BTree::LoadLeaf(PageId page, BTreeLeaf* out) {
-  if (pinned_pages_) {
-    PageReadGuard guard;
-    Status s = device_->PinForRead(page, &guard);
-    if (!s.ok()) return s;
-    return BTreeLeaf::DecodeFrom(guard.bytes(), out);
-  }
-  std::vector<uint8_t> block;
-  Status s = device_->Read(page, &block);
+  PageReadGuard guard;
+  Status s = device_->PinForRead(page, &guard);
   if (!s.ok()) return s;
-  return BTreeLeaf::DecodeFrom(block, out);
+  return BTreeLeaf::DecodeFrom(guard.bytes(), out);
 }
 
 Status BTree::StoreLeaf(PageId page, const BTreeLeaf& leaf) {
-  if (pinned_pages_) {
-    PageWriteGuard guard;
-    Status s = device_->PinForWrite(page, &guard);
-    if (!s.ok()) return s;
-    s = leaf.EncodeInto(guard.bytes());
-    if (!s.ok()) return s;  // Overflow is detected before any byte moves.
-    guard.MarkDirty();
-    return guard.Release();
-  }
-  std::vector<uint8_t> block;
-  Status s = leaf.EncodeTo(node_size_, &block);
+  PageWriteGuard guard;
+  Status s = device_->PinForWrite(page, &guard);
   if (!s.ok()) return s;
-  return device_->Write(page, block);
+  s = leaf.EncodeInto(guard.bytes());
+  if (!s.ok()) return s;  // Overflow is detected before any byte moves.
+  guard.MarkDirty();
+  return guard.Release();
 }
 
 Status BTree::LoadInner(PageId page, BTreeInner* out) {
-  if (pinned_pages_) {
-    PageReadGuard guard;
-    Status s = device_->PinForRead(page, &guard);
-    if (!s.ok()) return s;
-    return BTreeInner::DecodeFrom(guard.bytes(), out);
-  }
-  std::vector<uint8_t> block;
-  Status s = device_->Read(page, &block);
+  PageReadGuard guard;
+  Status s = device_->PinForRead(page, &guard);
   if (!s.ok()) return s;
-  return BTreeInner::DecodeFrom(block, out);
+  return BTreeInner::DecodeFrom(guard.bytes(), out);
 }
 
 Status BTree::StoreInner(PageId page, const BTreeInner& inner) {
-  if (pinned_pages_) {
-    PageWriteGuard guard;
-    Status s = device_->PinForWrite(page, &guard);
-    if (!s.ok()) return s;
-    s = inner.EncodeInto(guard.bytes());
-    if (!s.ok()) return s;
-    guard.MarkDirty();
-    return guard.Release();
-  }
-  std::vector<uint8_t> block;
-  Status s = inner.EncodeTo(node_size_, &block);
+  PageWriteGuard guard;
+  Status s = device_->PinForWrite(page, &guard);
   if (!s.ok()) return s;
-  return device_->Write(page, block);
+  s = inner.EncodeInto(guard.bytes());
+  if (!s.ok()) return s;
+  guard.MarkDirty();
+  return guard.Release();
 }
 
 Status BTree::DescendToLeaf(Key key, std::vector<PathStep>* path,
@@ -103,25 +77,16 @@ Status BTree::DescendToLeaf(Key key, std::vector<PathStep>* path,
   assert(root_ != kInvalidPageId);
   PageId page = root_;
   for (size_t level = height_; level > 1; --level) {
-    if (pinned_pages_) {
-      // Descend straight off the pinned inner block: no materialization.
-      PageReadGuard guard;
-      Status s = device_->PinForRead(page, &guard);
-      if (!s.ok()) return s;
-      PageId child_page;
-      size_t child;
-      s = BTreeInner::ChildForKey(guard.bytes(), key, &child_page, &child);
-      if (!s.ok()) return s;
-      if (path != nullptr) path->push_back(PathStep{page, child});
-      page = child_page;
-      continue;
-    }
-    BTreeInner inner;
-    Status s = LoadInner(page, &inner);
+    // Descend straight off the pinned inner block: no materialization.
+    PageReadGuard guard;
+    Status s = device_->PinForRead(page, &guard);
     if (!s.ok()) return s;
-    size_t child = inner.ChildIndexFor(key);
+    PageId child_page;
+    size_t child;
+    s = BTreeInner::ChildForKey(guard.bytes(), key, &child_page, &child);
+    if (!s.ok()) return s;
     if (path != nullptr) path->push_back(PathStep{page, child});
-    page = inner.children[child];
+    page = child_page;
   }
   *leaf_id = page;
   return LoadLeaf(page, leaf);
@@ -344,38 +309,26 @@ Status BTree::Delete(Key key) {
 Result<Value> BTree::Get(Key key) {
   counters().OnPointQuery();
   if (root_ == kInvalidPageId) return Status::NotFound();
-  if (pinned_pages_) {
-    // Fully zero-copy point lookup: binary search each pinned node in
-    // place, never materializing a single entry.
-    PageId page = root_;
-    for (size_t level = height_; level > 1; --level) {
-      PageReadGuard guard;
-      Status s = device_->PinForRead(page, &guard);
-      if (!s.ok()) return s;
-      s = BTreeInner::ChildForKey(guard.bytes(), key, &page);
-      if (!s.ok()) return s;
-    }
+  // Fully zero-copy point lookup: binary search each pinned node in place,
+  // never materializing a single entry.
+  PageId page = root_;
+  for (size_t level = height_; level > 1; --level) {
     PageReadGuard guard;
     Status s = device_->PinForRead(page, &guard);
     if (!s.ok()) return s;
-    Value value;
-    bool found = false;
-    s = BTreeLeaf::FindInBlock(guard.bytes(), key, &value, &found);
+    s = BTreeInner::ChildForKey(guard.bytes(), key, &page);
     if (!s.ok()) return s;
-    if (!found) return Status::NotFound();
-    counters().OnLogicalRead(kEntrySize);
-    return value;
   }
-  PageId leaf_id;
-  BTreeLeaf leaf;
-  Status s = DescendToLeaf(key, nullptr, &leaf_id, &leaf);
+  PageReadGuard guard;
+  Status s = device_->PinForRead(page, &guard);
   if (!s.ok()) return s;
-  auto it = std::lower_bound(
-      leaf.entries.begin(), leaf.entries.end(), key,
-      [](const Entry& e, Key k) { return e.key < k; });
-  if (it == leaf.entries.end() || it->key != key) return Status::NotFound();
+  Value value;
+  bool found = false;
+  s = BTreeLeaf::FindInBlock(guard.bytes(), key, &value, &found);
+  if (!s.ok()) return s;
+  if (!found) return Status::NotFound();
   counters().OnLogicalRead(kEntrySize);
-  return it->value;
+  return value;
 }
 
 Status BTree::MultiGet(std::span<const Key> keys,
@@ -393,118 +346,51 @@ Status BTree::MultiGet(std::span<const Key> keys,
   }
   std::sort(batch.begin(), batch.end());
   std::span<const std::pair<Key, uint32_t>> span(batch);
-  if (pinned_pages_ && height_ > 1) {
-    // Level-synchronous descent: route the whole batch through each inner
-    // level before touching the next, so by the time the leaves are reached
-    // every leaf part in the tree is known and a single interleaved pass
-    // (MultiGetLeafParts) can overlap all their searches -- a recursive
-    // descent hands that pass only one subtree's few leaves at a time,
-    // which starves its window. Node visits, pins, and batched-hit credits
-    // are the recursion's, just in breadth-first order.
-    std::vector<BTreeInner::ChildRange> frontier;
-    frontier.push_back({root_, 0, static_cast<uint32_t>(batch.size())});
-    std::vector<BTreeInner::ChildRange> next;
-    std::vector<BTreeInner::ChildRange> parts;
-    for (size_t level = height_; level > 1; --level) {
-      next.clear();
-      for (const BTreeInner::ChildRange& node : frontier) {
-        const size_t width = node.end - node.begin;
-        if (width > 1) counters().OnBatchedPageHits(width - 1);
-        PageReadGuard guard;
-        Status s = device_->PinForRead(node.child, &guard);
-        if (!s.ok()) return s;
-        s = BTreeInner::PartitionBatch(guard.bytes(),
-                                       span.subspan(node.begin, width),
-                                       &parts);
-        if (!s.ok()) return s;
-        for (const BTreeInner::ChildRange& part : parts) {
-          next.push_back({part.child, part.begin + node.begin,
-                          part.end + node.begin});
-        }
-      }
-      frontier.swap(next);
-    }
-    return MultiGetLeafParts(frontier, span, out);
-  }
-  return MultiGetNode(root_, height_, span, out);
-}
-
-Status BTree::MultiGetNode(PageId page, size_t level,
-                           std::span<const std::pair<Key, uint32_t>> batch,
-                           std::vector<std::optional<Value>>* out) {
-  // One node read serves every key routed through it; the per-key Get
-  // loop would have paid it batch.size() times.
-  if (batch.size() > 1) counters().OnBatchedPageHits(batch.size() - 1);
-  if (level > 1) {
-    // Inner node: one header validation and a galloping separator walk
-    // route the whole ascending batch (the same uncharged search Get
-    // performs per key inside its pin), one ChildRange per distinct child.
-    std::vector<BTreeInner::ChildRange> parts;
-    if (pinned_pages_) {
-      PageReadGuard guard;
-      Status s = device_->PinForRead(page, &guard);
-      if (!s.ok()) return s;
-      s = BTreeInner::PartitionBatch(guard.bytes(), batch, &parts);
-      if (!s.ok()) return s;
-      // Guard drops here: like Get, the descent holds one pin at a time.
-    } else {
-      BTreeInner inner;
-      Status s = LoadInner(page, &inner);
-      if (!s.ok()) return s;
-      // Same monotone walk over the materialized separators.
-      size_t p = 0;
-      size_t i = 0;
-      while (i < batch.size()) {
-        p = static_cast<size_t>(
-                std::upper_bound(inner.keys.begin() + p, inner.keys.end(),
-                                 batch[i].first) -
-                inner.keys.begin());
-        size_t j = i + 1;
-        while (j < batch.size() &&
-               (p == inner.keys.size() || batch[j].first < inner.keys[p])) {
-          ++j;
-        }
-        parts.push_back({inner.children[p], static_cast<uint32_t>(i),
-                         static_cast<uint32_t>(j)});
-        i = j;
-      }
-    }
-    for (const BTreeInner::ChildRange& part : parts) {
-      Status s = MultiGetNode(part.child, level - 1,
-                              batch.subspan(part.begin, part.end - part.begin),
-                              out);
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-  // Leaf: one pin/read and one header validation; each key resolved by a
-  // lower-bound search resuming from the previous key's slot. Every found
-  // key costs the same one logical entry read Get charges.
-  if (pinned_pages_) {
+  if (height_ == 1) {
+    // Root leaf: one pin and one header validation serve the whole batch
+    // (the per-key Get loop would have pinned it batch.size() times); each
+    // key resumes its lower-bound search from the previous key's slot.
+    counters().OnBatchedPageHits(batch.size() - 1);
     PageReadGuard guard;
-    Status s = device_->PinForRead(page, &guard);
+    Status s = device_->PinForRead(root_, &guard);
     if (!s.ok()) return s;
     size_t found_count = 0;
-    s = BTreeLeaf::MultiFindInBlock(guard.bytes(), batch, out, &found_count);
+    s = BTreeLeaf::MultiFindInBlock(guard.bytes(), span, out, &found_count);
     if (!s.ok()) return s;
     if (found_count > 0) {
       counters().OnLogicalRead(kEntrySize * found_count);
     }
     return Status::OK();
   }
-  BTreeLeaf leaf;
-  Status s = LoadLeaf(page, &leaf);
-  if (!s.ok()) return s;
-  auto it = leaf.entries.begin();
-  for (const auto& [key, idx] : batch) {
-    it = std::lower_bound(it, leaf.entries.end(), key,
-                          [](const Entry& e, Key k) { return e.key < k; });
-    if (it != leaf.entries.end() && it->key == key) {
-      counters().OnLogicalRead(kEntrySize);
-      (*out)[idx] = it->value;
+  // Level-synchronous descent: route the whole batch through each inner
+  // level before touching the next, so by the time the leaves are reached
+  // every leaf part in the tree is known and a single interleaved pass
+  // (MultiGetLeafParts) can overlap all their searches. Each node is pinned
+  // once for every key routed through it, the saved pins credited as
+  // batched-page hits; the descent holds one inner pin at a time, like Get.
+  std::vector<BTreeInner::ChildRange> frontier;
+  frontier.push_back({root_, 0, static_cast<uint32_t>(batch.size())});
+  std::vector<BTreeInner::ChildRange> next;
+  std::vector<BTreeInner::ChildRange> parts;
+  for (size_t level = height_; level > 1; --level) {
+    next.clear();
+    for (const BTreeInner::ChildRange& node : frontier) {
+      const size_t width = node.end - node.begin;
+      if (width > 1) counters().OnBatchedPageHits(width - 1);
+      PageReadGuard guard;
+      Status s = device_->PinForRead(node.child, &guard);
+      if (!s.ok()) return s;
+      s = BTreeInner::PartitionBatch(guard.bytes(),
+                                     span.subspan(node.begin, width), &parts);
+      if (!s.ok()) return s;
+      for (const BTreeInner::ChildRange& part : parts) {
+        next.push_back({part.child, part.begin + node.begin,
+                        part.end + node.begin});
+      }
     }
+    frontier.swap(next);
   }
-  return Status::OK();
+  return MultiGetLeafParts(frontier, span, out);
 }
 
 Status BTree::MultiGetLeafParts(
@@ -518,7 +404,7 @@ Status BTree::MultiGetLeafParts(
   // the line its *next* step will touch, and yields to the other leaves --
   // by the time it runs again the line is (usually) resident. Resolution
   // order across leaves changes; pins, probes, logical reads, and
-  // batched-hit credits are exactly the recursive path's.
+  // batched-hit credits do not.
   constexpr size_t kWindow = 8;
   struct LeafTask {
     PageReadGuard guard;

@@ -66,17 +66,12 @@ class BTree : public AccessMethod {
   Status DescendToLeaf(Key key, std::vector<PathStep>* path, PageId* leaf_id,
                        BTreeLeaf* leaf);
 
-  /// MultiGet's shared descent: reads this node once, routes the
-  /// key-ascending (key, output index) batch into per-child partitions,
-  /// and recurses; `level` counts down to 1 (the leaf level).
-  Status MultiGetNode(PageId page, size_t level,
-                      std::span<const std::pair<Key, uint32_t>> batch,
-                      std::vector<std::optional<Value>>* out);
   /// Resolves leaf-level parts with up to eight leaves' binary searches
   /// interleaved round-robin, each prefetching its next probe before any
   /// other leaf's probe executes -- the dependent cache misses of a deep
-  /// tree's leaf searches overlap instead of serializing. Pins, logical
-  /// reads, and batched-hit credits are exactly the recursive path's.
+  /// tree's leaf searches overlap instead of serializing. Each leaf is
+  /// pinned once for all its keys, the saved pins credited as batched-page
+  /// hits, and each found key charged one logical entry read, as in Get.
   Status MultiGetLeafParts(std::span<const BTreeInner::ChildRange> parts,
                            std::span<const std::pair<Key, uint32_t>> batch,
                            std::vector<std::optional<Value>>* out);
@@ -92,7 +87,6 @@ class BTree : public AccessMethod {
 
   std::unique_ptr<BlockDevice> owned_device_;
   Device* device_;
-  bool pinned_pages_;
   size_t node_size_;
   size_t leaf_capacity_;
   size_t inner_capacity_;

@@ -18,14 +18,6 @@ size_t BTreeLeaf::CapacityFor(size_t node_size) {
   return (node_size - kLeafHeader) / kEntrySize;
 }
 
-Status BTreeLeaf::EncodeTo(size_t node_size, std::vector<uint8_t>* out) const {
-  if (entries.size() > CapacityFor(node_size)) {
-    return Status::ResourceExhausted("leaf overflow");
-  }
-  out->resize(node_size);
-  return EncodeInto(*out);
-}
-
 Status BTreeLeaf::EncodeInto(std::span<uint8_t> block) const {
   if (entries.size() > CapacityFor(block.size())) {
     return Status::ResourceExhausted("leaf overflow");
@@ -164,16 +156,6 @@ Status BTreeLeaf::DecodeFrom(std::span<const uint8_t> block, BTreeLeaf* out) {
 size_t BTreeInner::CapacityFor(size_t node_size) {
   // n separators need n*8 + (n+1)*4 bytes after the header.
   return (node_size - kInnerHeader - 4) / 12;
-}
-
-Status BTreeInner::EncodeTo(size_t node_size,
-                            std::vector<uint8_t>* out) const {
-  if (keys.size() > CapacityFor(node_size) ||
-      children.size() != keys.size() + 1) {
-    return Status::ResourceExhausted("inner overflow or malformed");
-  }
-  out->resize(node_size);
-  return EncodeInto(*out);
 }
 
 Status BTreeInner::EncodeInto(std::span<uint8_t> block) const {
@@ -323,12 +305,6 @@ Status BTreeInner::DecodeFrom(std::span<const uint8_t> block,
     cursor += 8;
   }
   return Status::OK();
-}
-
-size_t BTreeInner::ChildIndexFor(Key key) const {
-  // Separator i is the smallest key of child i+1.
-  auto it = std::upper_bound(keys.begin(), keys.end(), key);
-  return static_cast<size_t>(it - keys.begin());
 }
 
 bool IsLeafBlock(std::span<const uint8_t> block) {

@@ -38,9 +38,8 @@ struct BTreeLeaf {
 
   /// Max entries in a leaf of `node_size` bytes.
   static size_t CapacityFor(size_t node_size);
-  Status EncodeTo(size_t node_size, std::vector<uint8_t>* out) const;
   /// Encodes in place into `block` (e.g. a pinned page view), zero-filling
-  /// the remainder.
+  /// the remainder. Fails with kResourceExhausted if the entries do not fit.
   Status EncodeInto(std::span<uint8_t> block) const;
   static Status DecodeFrom(std::span<const uint8_t> block, BTreeLeaf* out);
 
@@ -69,13 +68,11 @@ struct BTreeInner {
 
   /// Max separators in an inner node of `node_size` bytes.
   static size_t CapacityFor(size_t node_size);
-  Status EncodeTo(size_t node_size, std::vector<uint8_t>* out) const;
-  /// Encodes in place into `block`, zero-filling the remainder.
+  /// Encodes in place into `block`, zero-filling the remainder. Fails with
+  /// kResourceExhausted if the separators do not fit or `children` is not
+  /// one longer than `keys`.
   Status EncodeInto(std::span<uint8_t> block) const;
   static Status DecodeFrom(std::span<const uint8_t> block, BTreeInner* out);
-
-  /// Index of the child to descend into for `key`.
-  size_t ChildIndexFor(Key key) const;
 
   /// Zero-copy descent step straight off an encoded inner block: binary
   /// search of the separators without materializing the node. `index`

@@ -7,17 +7,33 @@
 
 namespace rum {
 
+namespace {
+/// First slot in [0, n) of a packed entry page whose key is >= `key` (n
+/// when none is), searched in place on the pinned block.
+size_t LowerBoundInPage(std::span<const uint8_t> block, size_t n, Key key) {
+  size_t lo = 0;
+  size_t hi = n;
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (PageFormat::EntryAt(block, mid).key < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+}  // namespace
+
 SortedColumn::SortedColumn(const Options& options)
     : owned_device_(
           std::make_unique<BlockDevice>(options.block_size, &counters())),
       device_(owned_device_.get()),
-      pinned_pages_(options.storage.pinned_pages),
       capacity_(PageFormat::CapacityFor(options.block_size)),
       sparse_(options.column.sparse_index) {}
 
 SortedColumn::SortedColumn(const Options& options, Device* device)
     : device_(device),
-      pinned_pages_(options.storage.pinned_pages),
       capacity_(PageFormat::CapacityFor(device->block_size())),
       sparse_(options.column.sparse_index) {}
 
@@ -30,39 +46,23 @@ SortedColumn::~SortedColumn() = default;
 
 Status SortedColumn::LoadPage(size_t page_index, std::vector<Entry>* out) {
   assert(page_index < pages_.size());
-  Status s;
-  if (pinned_pages_) {
-    PageReadGuard guard;
-    s = device_->PinForRead(pages_[page_index], &guard);
-    if (!s.ok()) return s;
-    return PageFormat::Unpack(guard.bytes(), out);
-  }
-  std::vector<uint8_t> block;
-  s = device_->Read(pages_[page_index], &block);
+  PageReadGuard guard;
+  Status s = device_->PinForRead(pages_[page_index], &guard);
   if (!s.ok()) return s;
-  return PageFormat::Unpack(block, out);
+  return PageFormat::Unpack(guard.bytes(), out);
 }
 
 Status SortedColumn::StorePage(size_t page_index,
                                const std::vector<Entry>& entries) {
   assert(page_index < pages_.size());
-  Status s;
-  if (pinned_pages_) {
-    PageWriteGuard guard;
-    s = device_->PinForWrite(pages_[page_index], &guard);
-    if (!s.ok()) return s;
-    s = PageFormat::PackInto(entries, guard.bytes());
-    if (!s.ok()) return s;
-    guard.MarkDirty();
-    s = guard.Release();
-    if (!s.ok()) return s;
-  } else {
-    std::vector<uint8_t> block;
-    s = PageFormat::Pack(entries, device_->block_size(), &block);
-    if (!s.ok()) return s;
-    s = device_->Write(pages_[page_index], block);
-    if (!s.ok()) return s;
-  }
+  PageWriteGuard guard;
+  Status s = device_->PinForWrite(pages_[page_index], &guard);
+  if (!s.ok()) return s;
+  s = PageFormat::PackInto(entries, guard.bytes());
+  if (!s.ok()) return s;
+  guard.MarkDirty();
+  s = guard.Release();
+  if (!s.ok()) return s;
   if (sparse_ && !entries.empty()) {
     if (fences_.size() <= page_index) {
       fences_.resize(page_index + 1, 0);
@@ -96,30 +96,21 @@ Result<size_t> SortedColumn::FindPage(Key key) {
   }
   size_t lo = 0;
   size_t hi = pages_.size() - 1;
-  std::vector<Entry> entries;
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    Key last_key;
-    if (pinned_pages_) {
-      // Each probe needs only the page's last key; read it off the pinned
-      // block instead of materializing the page.
-      PageReadGuard guard;
-      Status s = device_->PinForRead(pages_[mid], &guard);
-      if (!s.ok()) return s;
-      size_t n = PageFormat::PeekCount(guard.bytes());
-      // A page mid-column is never legitimately empty (Delete's borrow
-      // cascade keeps all but the tail full); a zero count means the block
-      // was lost before reaching the device (e.g. a dropped dirty page).
-      if (n == 0) return Status::Corruption("empty sorted-column page");
-      last_key = PageFormat::EntryAt(guard.bytes(), n - 1).key;
-    } else {
-      Status s = LoadPage(mid, &entries);
-      if (!s.ok()) return s;
-      if (entries.empty()) {
-        return Status::Corruption("empty sorted-column page");
-      }
-      last_key = entries.back().key;
-    }
+    // Each probe needs only the page's last key; read it off the pinned
+    // block instead of materializing the page.
+    PageReadGuard guard;
+    Status s = device_->PinForRead(pages_[mid], &guard);
+    if (!s.ok()) return s;
+    size_t n = 0;
+    s = PageFormat::CheckedCount(guard.bytes(), &n);
+    if (!s.ok()) return s;
+    // A page mid-column is never legitimately empty (Delete's borrow
+    // cascade keeps all but the tail full); a zero count means the block
+    // was lost before reaching the device (e.g. a dropped dirty page).
+    if (n == 0) return Status::Corruption("empty sorted-column page");
+    Key last_key = PageFormat::EntryAt(guard.bytes(), n - 1).key;
     if (last_key < key) {
       lo = mid + 1;
     } else {
@@ -252,37 +243,19 @@ Result<Value> SortedColumn::Get(Key key) {
   if (pages_.empty()) return Status::NotFound();
   Result<size_t> page = FindPage(key);
   if (!page.ok()) return page.status();
-  if (pinned_pages_) {
-    // Binary search the pinned page in place: no entry materialization.
-    PageReadGuard guard;
-    Status s = device_->PinForRead(pages_[page.value()], &guard);
-    if (!s.ok()) return s;
-    size_t lo = 0;
-    size_t hi = PageFormat::PeekCount(guard.bytes());
-    size_t n = hi;
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (PageFormat::EntryAt(guard.bytes(), mid).key < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo >= n) return Status::NotFound();
-    Entry e = PageFormat::EntryAt(guard.bytes(), lo);
-    if (e.key != key) return Status::NotFound();
-    counters().OnLogicalRead(kEntrySize);
-    return e.value;
-  }
-  std::vector<Entry> entries;
-  Status s = LoadPage(page.value(), &entries);
+  // Binary search the pinned page in place: no entry materialization.
+  PageReadGuard guard;
+  Status s = device_->PinForRead(pages_[page.value()], &guard);
   if (!s.ok()) return s;
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const Entry& e, Key k) { return e.key < k; });
-  if (it == entries.end() || it->key != key) return Status::NotFound();
+  size_t n = 0;
+  s = PageFormat::CheckedCount(guard.bytes(), &n);
+  if (!s.ok()) return s;
+  size_t lo = LowerBoundInPage(guard.bytes(), n, key);
+  if (lo >= n) return Status::NotFound();
+  Entry e = PageFormat::EntryAt(guard.bytes(), lo);
+  if (e.key != key) return Status::NotFound();
   counters().OnLogicalRead(kEntrySize);
-  return it->value;
+  return e.value;
 }
 
 Status SortedColumn::MultiGet(std::span<const Key> keys,
@@ -319,42 +292,20 @@ Status SortedColumn::MultiGet(std::span<const Key> keys,
     // One pin serves the whole group; the Get loop would have pinned the
     // page once per key.
     if (e - s > 1) counters().OnBatchedPageHits(e - s - 1);
-    if (pinned_pages_) {
-      PageReadGuard guard;
-      Status st = device_->PinForRead(pages_[page_of[s]], &guard);
-      if (!st.ok()) return st;
-      size_t n = PageFormat::PeekCount(guard.bytes());
-      for (size_t i = s; i < e; ++i) {
-        Key key = batch[i].first;
-        size_t lo = 0;
-        size_t hi = n;
-        while (lo < hi) {
-          size_t mid = lo + (hi - lo) / 2;
-          if (PageFormat::EntryAt(guard.bytes(), mid).key < key) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        if (lo >= n) continue;
-        Entry entry = PageFormat::EntryAt(guard.bytes(), lo);
-        if (entry.key != key) continue;
-        counters().OnLogicalRead(kEntrySize);
-        (*out)[batch[i].second] = entry.value;
-      }
-    } else {
-      std::vector<Entry> entries;
-      Status st = LoadPage(page_of[s], &entries);
-      if (!st.ok()) return st;
-      for (size_t i = s; i < e; ++i) {
-        Key key = batch[i].first;
-        auto it = std::lower_bound(
-            entries.begin(), entries.end(), key,
-            [](const Entry& entry, Key k) { return entry.key < k; });
-        if (it == entries.end() || it->key != key) continue;
-        counters().OnLogicalRead(kEntrySize);
-        (*out)[batch[i].second] = it->value;
-      }
+    PageReadGuard guard;
+    Status st = device_->PinForRead(pages_[page_of[s]], &guard);
+    if (!st.ok()) return st;
+    size_t n = 0;
+    st = PageFormat::CheckedCount(guard.bytes(), &n);
+    if (!st.ok()) return st;
+    for (size_t i = s; i < e; ++i) {
+      Key key = batch[i].first;
+      size_t lo = LowerBoundInPage(guard.bytes(), n, key);
+      if (lo >= n) continue;
+      Entry entry = PageFormat::EntryAt(guard.bytes(), lo);
+      if (entry.key != key) continue;
+      counters().OnLogicalRead(kEntrySize);
+      (*out)[batch[i].second] = entry.value;
     }
     s = e;
   }

@@ -67,7 +67,6 @@ class SortedColumn : public AccessMethod {
 
   std::unique_ptr<BlockDevice> owned_device_;
   Device* device_;
-  bool pinned_pages_;
   size_t capacity_;  // Entries per page.
   bool sparse_;
   std::vector<PageId> pages_;

@@ -14,13 +14,13 @@ UnsortedColumn::UnsortedColumn(const Options& options)
     : owned_device_(
           std::make_unique<BlockDevice>(options.block_size, &counters())),
       device_(owned_device_.get()),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       options.storage.pinned_pages)) {}
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {}
 
-UnsortedColumn::UnsortedColumn(const Options& options, Device* device)
+UnsortedColumn::UnsortedColumn(const Options& /*options*/, Device* device)
     : device_(device),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       options.storage.pinned_pages)) {}
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {}
 
 UnsortedColumn::~UnsortedColumn() = default;
 

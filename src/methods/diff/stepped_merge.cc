@@ -90,9 +90,7 @@ Status SteppedMergeTree::SealBuffer() {
   if (!records.empty()) {
     std::unique_ptr<SortedRun> run;
     Status s = SortedRun::Build(device_, &counters(), records,
-                                /*bloom_bits_per_key=*/0, &run,
-                                /*fence_entries=*/0, /*compress=*/false,
-                                options_.storage.pinned_pages);
+                                /*bloom_bits_per_key=*/0, &run);
     if (!s.ok()) return s;
     levels_[0].push_back(std::move(run));
   }
@@ -115,9 +113,7 @@ Status SteppedMergeTree::SealBuffer() {
     if (!merged.empty()) {
       std::unique_ptr<SortedRun> run;
       Status s = SortedRun::Build(device_, &counters(), merged,
-                                  /*bloom_bits_per_key=*/0, &run,
-                                  /*fence_entries=*/0, /*compress=*/false,
-                                  options_.storage.pinned_pages);
+                                  /*bloom_bits_per_key=*/0, &run);
       if (!s.ok()) return s;
       levels_[level + 1].push_back(std::move(run));
     }
@@ -203,9 +199,7 @@ Status SteppedMergeTree::BulkLoad(std::span<const Entry> entries) {
   if (levels_.size() <= level) levels_.resize(level + 1);
   std::unique_ptr<SortedRun> run;
   s = SortedRun::Build(device_, &counters(), records,
-                       /*bloom_bits_per_key=*/0, &run,
-                       /*fence_entries=*/0, /*compress=*/false,
-                       options_.storage.pinned_pages);
+                       /*bloom_bits_per_key=*/0, &run);
   if (!s.ok()) return s;
   levels_[level].push_back(std::move(run));
   counters().OnLogicalWrite(static_cast<uint64_t>(entries.size()) *

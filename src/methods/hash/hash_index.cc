@@ -16,19 +16,17 @@ HashIndex::HashIndex(const Options& options)
     : owned_device_(
           std::make_unique<BlockDevice>(options.block_size, &counters())),
       device_(owned_device_.get()),
-      pinned_pages_(options.storage.pinned_pages),
       slots_per_page_(PageFormat::CapacityFor(options.block_size)),
       fanout_(options.hash.directory_fanout),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       pinned_pages_)) {}
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {}
 
 HashIndex::HashIndex(const Options& options, Device* device)
     : device_(device),
-      pinned_pages_(options.storage.pinned_pages),
       slots_per_page_(PageFormat::CapacityFor(device->block_size())),
       fanout_(options.hash.directory_fanout),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase, &counters(),
-                                       pinned_pages_)) {}
+      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+                                       &counters())) {}
 
 HashIndex::~HashIndex() = default;
 
@@ -40,18 +38,19 @@ Status HashIndex::LoadSlotPage(size_t page_index) {
   if (cached_index_ == page_index) return Status::OK();
   Status s = StoreSlotPage(cached_index_);
   if (!s.ok()) return s;
-  if (pinned_pages_) {
-    PageReadGuard guard;
-    s = device_->PinForRead(dir_pages_[page_index], &guard);
-    if (!s.ok()) return s;
-    s = PageFormat::Unpack(guard.bytes(), &cached_page_);
-  } else {
-    std::vector<uint8_t> block;
-    s = device_->Read(dir_pages_[page_index], &block);
-    if (!s.ok()) return s;
-    s = PageFormat::Unpack(block, &cached_page_);
-  }
+  PageReadGuard guard;
+  s = device_->PinForRead(dir_pages_[page_index], &guard);
   if (!s.ok()) return s;
+  s = PageFormat::Unpack(guard.bytes(), &cached_page_);
+  // Every directory page is written full; a short one (e.g. a dirty page
+  // lost in a crash) must not be indexed by slot offset.
+  if (s.ok() && cached_page_.size() != slots_per_page_) {
+    s = Status::Corruption("hash directory page is short");
+  }
+  if (!s.ok()) {
+    cached_index_ = static_cast<size_t>(-1);  // cached_page_ is clobbered.
+    return s;
+  }
   cached_index_ = page_index;
   cached_dirty_ = false;
   return Status::OK();
@@ -62,22 +61,13 @@ Status HashIndex::StoreSlotPage(size_t page_index) {
     return Status::OK();
   }
   assert(page_index == cached_index_);
-  if (pinned_pages_) {
-    PageWriteGuard guard;
-    Status s = device_->PinForWrite(dir_pages_[page_index], &guard);
-    if (!s.ok()) return s;
-    s = PageFormat::PackInto(cached_page_, guard.bytes());
-    if (!s.ok()) return s;
-    guard.MarkDirty();
-    s = guard.Release();
-    if (!s.ok()) return s;
-    cached_dirty_ = false;
-    return Status::OK();
-  }
-  std::vector<uint8_t> block;
-  Status s = PageFormat::Pack(cached_page_, device_->block_size(), &block);
+  PageWriteGuard guard;
+  Status s = device_->PinForWrite(dir_pages_[page_index], &guard);
   if (!s.ok()) return s;
-  s = device_->Write(dir_pages_[page_index], block);
+  s = PageFormat::PackInto(cached_page_, guard.bytes());
+  if (!s.ok()) return s;
+  guard.MarkDirty();
+  s = guard.Release();
   if (!s.ok()) return s;
   cached_dirty_ = false;
   return Status::OK();
@@ -90,33 +80,19 @@ Status HashIndex::BuildDirectory(size_t slots) {
   slot_count_ = pages * slots_per_page_;
   dir_pages_.clear();
   std::vector<Entry> empty(slots_per_page_, Entry{0, kEmptySlot});
-  if (pinned_pages_) {
-    for (size_t p = 0; p < pages; ++p) {
-      PageId page;
-      Status s = device_->Allocate(DataClass::kAux, &page);
-      if (!s.ok()) return s;
-      PageWriteGuard guard;
-      s = device_->PinForWrite(page, &guard);
-      if (!s.ok()) return s;
-      s = PageFormat::PackInto(empty, guard.bytes());
-      if (!s.ok()) return s;
-      guard.MarkDirty();
-      s = guard.Release();
-      if (!s.ok()) return s;
-      dir_pages_.push_back(page);
-    }
-  } else {
-    std::vector<uint8_t> block;
-    Status s = PageFormat::Pack(empty, device_->block_size(), &block);
+  for (size_t p = 0; p < pages; ++p) {
+    PageId page;
+    Status s = device_->Allocate(DataClass::kAux, &page);
     if (!s.ok()) return s;
-    for (size_t p = 0; p < pages; ++p) {
-      PageId page;
-      s = device_->Allocate(DataClass::kAux, &page);
-      if (!s.ok()) return s;
-      s = device_->Write(page, block);
-      if (!s.ok()) return s;
-      dir_pages_.push_back(page);
-    }
+    PageWriteGuard guard;
+    s = device_->PinForWrite(page, &guard);
+    if (!s.ok()) return s;
+    s = PageFormat::PackInto(empty, guard.bytes());
+    if (!s.ok()) return s;
+    guard.MarkDirty();
+    s = guard.Release();
+    if (!s.ok()) return s;
+    dir_pages_.push_back(page);
   }
   used_slots_ = 0;
   cached_index_ = static_cast<size_t>(-1);
@@ -165,21 +141,13 @@ Status HashIndex::Rehash(size_t new_slots) {
   // Collect all live (key, row) pairs by scanning the old directory.
   std::vector<Entry> pairs;
   pairs.reserve(live_);
-  std::vector<uint8_t> block;
   std::vector<Entry> page;
   std::vector<PageId> old_pages = dir_pages_;
   for (PageId p : old_pages) {
-    Status s;
-    if (pinned_pages_) {
-      PageReadGuard guard;
-      s = device_->PinForRead(p, &guard);
-      if (!s.ok()) return s;
-      s = PageFormat::Unpack(guard.bytes(), &page);
-    } else {
-      s = device_->Read(p, &block);
-      if (!s.ok()) return s;
-      s = PageFormat::Unpack(block, &page);
-    }
+    PageReadGuard guard;
+    Status s = device_->PinForRead(p, &guard);
+    if (!s.ok()) return s;
+    s = PageFormat::Unpack(guard.bytes(), &page);
     if (!s.ok()) return s;
     for (const Entry& e : page) {
       if (e.value != kEmptySlot && e.value != kTombstoneSlot) {

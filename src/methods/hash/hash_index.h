@@ -81,7 +81,6 @@ class HashIndex : public AccessMethod {
 
   std::unique_ptr<BlockDevice> owned_device_;
   Device* device_;
-  bool pinned_pages_;
   size_t slots_per_page_;
   double fanout_;
 

@@ -172,7 +172,6 @@ Status LsmTree::BuildRun(size_t level, std::vector<LogRecord> records) {
                               bloom_bits_per_key(), &run,
                               options_.lsm.fence_entries,
                               options_.lsm.compress_runs,
-                              options_.storage.pinned_pages,
                               options_.lsm.blocked_bloom);
   if (!s.ok()) return s;
   run->set_filter_stats(&filter_stats_);

@@ -32,8 +32,23 @@ size_t LowerBoundSlot(size_t lo, size_t n, Key key, const KeyAt& key_at) {
   }
   return lo;
 }
-}  // namespace
 
+/// The record count of an uncompressed run page, validated against the
+/// block so a corrupt header can never index past it.
+Status CheckedRunCount(std::span<const uint8_t> block, size_t* count) {
+  if (block.size() < kRunHeaderSize) {
+    return Status::Corruption("run block too small");
+  }
+  uint64_t n = DecodeU64(block.data());
+  if (n > RecordsPerBlock(block.size())) {
+    return Status::Corruption("run record count exceeds block");
+  }
+  *count = static_cast<size_t>(n);
+  return Status::OK();
+}
+
+/// Encodes records [begin, end) (count header + wire records) in place into
+/// a block, zeroing it first.
 void PackLogRecordsInto(const std::vector<LogRecord>& records, size_t begin,
                         size_t end, std::span<uint8_t> block) {
   assert(end >= begin && end - begin <= RecordsPerBlock(block.size()));
@@ -48,25 +63,15 @@ void PackLogRecordsInto(const std::vector<LogRecord>& records, size_t begin,
   }
 }
 
-void PackLogRecords(const std::vector<LogRecord>& records, size_t begin,
-                    size_t end, size_t block_size, std::vector<uint8_t>* out) {
-  out->resize(block_size);
-  PackLogRecordsInto(records, begin, end, *out);
-}
-
 Status UnpackLogRecords(std::span<const uint8_t> block,
                         std::vector<LogRecord>* out) {
-  if (block.size() < kRunHeaderSize) {
-    return Status::Corruption("run block too small");
-  }
-  uint64_t n = DecodeU64(block.data());
-  if (kRunHeaderSize + n * LogRecord::kWireSize > block.size()) {
-    return Status::Corruption("run record count exceeds block");
-  }
+  size_t n = 0;
+  Status s = CheckedRunCount(block, &n);
+  if (!s.ok()) return s;
   out->clear();
   out->reserve(n);
   const uint8_t* cursor = block.data() + kRunHeaderSize;
-  for (uint64_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     LogRecord r;
     r.key = DecodeU64(cursor);
     r.value = DecodeU64(cursor + 8);
@@ -76,11 +81,6 @@ Status UnpackLogRecords(std::span<const uint8_t> block,
   }
   return Status::OK();
 }
-
-SortedRun::SortedRun(Device* device, RumCounters* counters)
-    : device_(device), counters_(counters) {}
-
-namespace {
 
 // Compressed page layout: [0,8) record count, then per record a varint
 // key delta (from the previous record in the page; the first record
@@ -129,12 +129,15 @@ Status UnpackCompressedRecords(std::span<const uint8_t> block,
 
 }  // namespace
 
+SortedRun::SortedRun(Device* device, RumCounters* counters)
+    : device_(device), counters_(counters) {}
+
 Status SortedRun::Build(Device* device, RumCounters* counters,
                         const std::vector<LogRecord>& records,
                         size_t bloom_bits_per_key,
                         std::unique_ptr<SortedRun>* out,
                         size_t fence_entries, bool compress,
-                        bool pinned_pages, bool blocked_bloom) {
+                        bool blocked_bloom) {
   assert(device != nullptr && counters != nullptr);
   assert(std::is_sorted(records.begin(), records.end(),
                         [](const LogRecord& a, const LogRecord& b) {
@@ -144,7 +147,6 @@ Status SortedRun::Build(Device* device, RumCounters* counters,
     return Status::InvalidArgument("cannot build an empty run");
   }
   auto run = std::unique_ptr<SortedRun>(new SortedRun(device, counters));
-  run->pinned_pages_ = pinned_pages;
   run->records_per_page_ = RecordsPerBlock(device->block_size());
   run->record_count_ = records.size();
   run->min_key_ = records.front().key;
@@ -172,34 +174,24 @@ Status SortedRun::Build(Device* device, RumCounters* counters,
   run->compressed_ = compress;
 
   if (!compress) {
-    std::vector<uint8_t> block;
     for (size_t i = 0; i < records.size(); i += run->records_per_page_) {
       size_t end = std::min(i + run->records_per_page_, records.size());
       PageId page;
       Status alloc = device->Allocate(DataClass::kBase, &page);
       if (!alloc.ok()) return alloc;
-      if (pinned_pages) {
-        // Encode directly into the pinned page; no staging copy.
-        PageWriteGuard guard;
-        Status s = device->PinForWrite(page, &guard);
-        if (!s.ok()) {
-          (void)device->Free(page);  // Un-tracked page must not leak space.
-          return s;
-        }
-        PackLogRecordsInto(records, i, end, guard.bytes());
-        guard.MarkDirty();
-        s = guard.Release();
-        if (!s.ok()) {
-          (void)device->Free(page);
-          return s;
-        }
-      } else {
-        PackLogRecords(records, i, end, device->block_size(), &block);
-        Status s = device->Write(page, block);
-        if (!s.ok()) {
-          (void)device->Free(page);
-          return s;
-        }
+      // Encode directly into the pinned page; no staging copy.
+      PageWriteGuard guard;
+      Status s = device->PinForWrite(page, &guard);
+      if (!s.ok()) {
+        (void)device->Free(page);  // Un-tracked page must not leak space.
+        return s;
+      }
+      PackLogRecordsInto(records, i, end, guard.bytes());
+      guard.MarkDirty();
+      s = guard.Release();
+      if (!s.ok()) {
+        (void)device->Free(page);
+        return s;
       }
       if (run->pages_.size() % run->pages_per_fence_ == 0) {
         run->fences_.push_back(records[i].key);
@@ -219,33 +211,21 @@ Status SortedRun::Build(Device* device, RumCounters* counters,
       PageId page;
       Status alloc = device->Allocate(DataClass::kBase, &page);
       if (!alloc.ok()) return alloc;
-      if (pinned_pages) {
-        PageWriteGuard guard;
-        Status s = device->PinForWrite(page, &guard);
-        if (!s.ok()) {
-          (void)device->Free(page);  // Un-tracked page must not leak space.
-          return s;
-        }
-        std::memset(guard.bytes().data(), 0, guard.bytes().size());
-        EncodeU64(page_count, guard.bytes().data());
-        std::copy(payload.begin(), payload.end(),
-                  guard.bytes().begin() + kRunHeaderSize);
-        guard.MarkDirty();
-        s = guard.Release();
-        if (!s.ok()) {
-          (void)device->Free(page);
-          return s;
-        }
-      } else {
-        std::vector<uint8_t> block(block_size, 0);
-        EncodeU64(page_count, block.data());
-        std::copy(payload.begin(), payload.end(),
-                  block.begin() + kRunHeaderSize);
-        Status s = device->Write(page, block);
-        if (!s.ok()) {
-          (void)device->Free(page);
-          return s;
-        }
+      PageWriteGuard guard;
+      Status s = device->PinForWrite(page, &guard);
+      if (!s.ok()) {
+        (void)device->Free(page);  // Un-tracked page must not leak space.
+        return s;
+      }
+      std::memset(guard.bytes().data(), 0, guard.bytes().size());
+      EncodeU64(page_count, guard.bytes().data());
+      std::copy(payload.begin(), payload.end(),
+                guard.bytes().begin() + kRunHeaderSize);
+      guard.MarkDirty();
+      s = guard.Release();
+      if (!s.ok()) {
+        (void)device->Free(page);
+        return s;
       }
       if (run->pages_.size() % run->pages_per_fence_ == 0) {
         run->fences_.push_back(first_key);
@@ -317,22 +297,13 @@ Status SortedRun::Destroy() {
 
 Status SortedRun::LoadPage(size_t page_index, std::vector<LogRecord>* out) {
   assert(page_index < pages_.size());
-  if (pinned_pages_) {
-    PageReadGuard guard;
-    Status s = device_->PinForRead(pages_[page_index], &guard);
-    if (!s.ok()) return s;
-    if (compressed_) {
-      return UnpackCompressedRecords(guard.bytes(), out);
-    }
-    return UnpackLogRecords(guard.bytes(), out);
-  }
-  std::vector<uint8_t> block;
-  Status s = device_->Read(pages_[page_index], &block);
+  PageReadGuard guard;
+  Status s = device_->PinForRead(pages_[page_index], &guard);
   if (!s.ok()) return s;
   if (compressed_) {
-    return UnpackCompressedRecords(block, out);
+    return UnpackCompressedRecords(guard.bytes(), out);
   }
-  return UnpackLogRecords(block, out);
+  return UnpackLogRecords(guard.bytes(), out);
 }
 
 size_t SortedRun::FenceSearch(Key key) const {
@@ -364,7 +335,7 @@ Result<std::optional<LogRecord>> SortedRun::Get(Key key) {
   size_t group = FenceSearch(key);
   size_t first_page = group * pages_per_fence_;
   size_t end_page = std::min(first_page + pages_per_fence_, pages_.size());
-  if (pinned_pages_ && !compressed_) {
+  if (!compressed_) {
     // Fixed-width wire records allow binary search directly on the pinned
     // block: no record materialization on the lookup path.
     for (size_t p = first_page; p < end_page; ++p) {
@@ -372,13 +343,9 @@ Result<std::optional<LogRecord>> SortedRun::Get(Key key) {
       Status s = device_->PinForRead(pages_[p], &guard);
       if (!s.ok()) return s;
       std::span<const uint8_t> block = guard.bytes();
-      if (block.size() < kRunHeaderSize) {
-        return Status::Corruption("run block too small");
-      }
-      uint64_t n = DecodeU64(block.data());
-      if (kRunHeaderSize + n * LogRecord::kWireSize > block.size()) {
-        return Status::Corruption("run record count exceeds block");
-      }
+      size_t n = 0;
+      s = CheckedRunCount(block, &n);
+      if (!s.ok()) return s;
       if (n == 0) continue;
       auto key_at = [&](size_t i) {
         return DecodeU64(block.data() + kRunHeaderSize +
@@ -543,19 +510,15 @@ Status SortedRun::MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
         ++next;
       }
     };
-    if (pinned_pages_ && !compressed_) {
+    if (!compressed_) {
       for (size_t p = first_page; p < end_page && next < e; ++p) {
         PageReadGuard guard;
         Status st = device_->PinForRead(pages_[p], &guard);
         if (!st.ok()) return st;
         std::span<const uint8_t> block = guard.bytes();
-        if (block.size() < kRunHeaderSize) {
-          return Status::Corruption("run block too small");
-        }
-        uint64_t n = DecodeU64(block.data());
-        if (kRunHeaderSize + n * LogRecord::kWireSize > block.size()) {
-          return Status::Corruption("run record count exceeds block");
-        }
+        size_t n = 0;
+        st = CheckedRunCount(block, &n);
+        if (!st.ok()) return st;
         auto key_at = [&](size_t i) {
           return DecodeU64(block.data() + kRunHeaderSize +
                            i * LogRecord::kWireSize);
@@ -569,7 +532,7 @@ Status SortedRun::MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
           r.op = static_cast<LogOp>(rec[16]);
           return r;
         };
-        resolve_page(static_cast<size_t>(n), key_at, record_at);
+        resolve_page(n, key_at, record_at);
       }
     } else {
       std::vector<LogRecord> records;

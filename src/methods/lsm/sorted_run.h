@@ -55,8 +55,6 @@ class SortedRun {
   /// 17-byte records (the paper's Section-5 compression/computation trade):
   /// sorted keys have small deltas, so runs shrink -- fewer resident blocks
   /// and fewer blocks per range read -- at decode CPU cost.
-  /// `pinned_pages` selects the zero-copy guard path for page writes here
-  /// and page reads in Get/Visit*; accounting is identical either way.
   /// `blocked_bloom` swaps the classic filter for the single-cache-line
   /// blocked variant (one 64-byte auxiliary read per probe instead of k
   /// scattered byte reads; slightly higher FPR).
@@ -65,7 +63,7 @@ class SortedRun {
                       size_t bloom_bits_per_key,
                       std::unique_ptr<SortedRun>* out,
                       size_t fence_entries = 0, bool compress = false,
-                      bool pinned_pages = true, bool blocked_bloom = false);
+                      bool blocked_bloom = false);
 
   /// Frees the run's pages. Build() owns nothing until it succeeds.
   ~SortedRun();
@@ -200,7 +198,6 @@ class SortedRun {
 
   Device* device_;         // Not owned.
   RumCounters* counters_;  // Not owned.
-  bool pinned_pages_ = true;
   std::vector<PageId> pages_;
   std::vector<Key> fences_;  // First key of each fence group.
   size_t pages_per_fence_ = 1;
@@ -222,17 +219,6 @@ class SortedRun {
   std::vector<uint32_t> mg_live_;
   std::vector<size_t> mg_groups_;
 };
-
-/// Encodes records (count header + wire records) into device blocks of
-/// `block_size`; shared by SortedRun and tests.
-void PackLogRecords(const std::vector<LogRecord>& records, size_t begin,
-                    size_t end, size_t block_size, std::vector<uint8_t>* out);
-/// In-place variant: encodes into a caller-owned block (e.g. a pinned
-/// page); zeroes the block first.
-void PackLogRecordsInto(const std::vector<LogRecord>& records, size_t begin,
-                        size_t end, std::span<uint8_t> block);
-Status UnpackLogRecords(std::span<const uint8_t> block,
-                        std::vector<LogRecord>* out);
 
 }  // namespace rum
 

@@ -11,7 +11,6 @@ ZoneMapColumn::ZoneMapColumn(const Options& options)
     : owned_device_(
           std::make_unique<BlockDevice>(options.block_size, &counters())),
       device_(owned_device_.get()),
-      pinned_pages_(options.storage.pinned_pages),
       page_capacity_(PageFormat::CapacityFor(options.block_size)),
       zone_capacity_(options.zonemap.zone_entries) {
   zones_.push_back(Zone{kMinKey, kMaxKey, kMinKey, 0, {}});
@@ -20,7 +19,6 @@ ZoneMapColumn::ZoneMapColumn(const Options& options)
 
 ZoneMapColumn::ZoneMapColumn(const Options& options, Device* device)
     : device_(device),
-      pinned_pages_(options.storage.pinned_pages),
       page_capacity_(PageFormat::CapacityFor(device->block_size())),
       zone_capacity_(options.zonemap.zone_entries) {
   zones_.push_back(Zone{kMinKey, kMaxKey, kMinKey, 0, {}});
@@ -55,34 +53,22 @@ void ZoneMapColumn::TouchDescriptor() {
 Status ZoneMapColumn::LoadZonePage(const Zone& zone, size_t page_index,
                                    std::vector<Entry>* out) {
   assert(page_index < zone.pages.size());
-  if (pinned_pages_) {
-    PageReadGuard guard;
-    Status s = device_->PinForRead(zone.pages[page_index], &guard);
-    if (!s.ok()) return s;
-    return PageFormat::Unpack(guard.bytes(), out);
-  }
-  std::vector<uint8_t> block;
-  Status s = device_->Read(zone.pages[page_index], &block);
+  PageReadGuard guard;
+  Status s = device_->PinForRead(zone.pages[page_index], &guard);
   if (!s.ok()) return s;
-  return PageFormat::Unpack(block, out);
+  return PageFormat::Unpack(guard.bytes(), out);
 }
 
 Status ZoneMapColumn::StoreZonePage(Zone* zone, size_t page_index,
                                     const std::vector<Entry>& entries) {
   assert(page_index < zone->pages.size());
-  if (pinned_pages_) {
-    PageWriteGuard guard;
-    Status s = device_->PinForWrite(zone->pages[page_index], &guard);
-    if (!s.ok()) return s;
-    s = PageFormat::PackInto(entries, guard.bytes());
-    if (!s.ok()) return s;
-    guard.MarkDirty();
-    return guard.Release();
-  }
-  std::vector<uint8_t> block;
-  Status s = PageFormat::Pack(entries, device_->block_size(), &block);
+  PageWriteGuard guard;
+  Status s = device_->PinForWrite(zone->pages[page_index], &guard);
   if (!s.ok()) return s;
-  return device_->Write(zone->pages[page_index], block);
+  s = PageFormat::PackInto(entries, guard.bytes());
+  if (!s.ok()) return s;
+  guard.MarkDirty();
+  return guard.Release();
 }
 
 Status ZoneMapColumn::LoadZone(const Zone& zone, std::vector<Entry>* out) {
@@ -237,28 +223,16 @@ Result<Value> ZoneMapColumn::Get(Key key) {
   if (zone.count == 0 || key < zone.min || key > zone.max) {
     return Status::NotFound();
   }
-  if (pinned_pages_) {
-    // Scan each pinned page in place: no entry materialization.
-    for (size_t p = 0; p < zone.pages.size(); ++p) {
-      PageReadGuard guard;
-      Status s = device_->PinForRead(zone.pages[p], &guard);
-      if (!s.ok()) return s;
-      size_t n = PageFormat::PeekCount(guard.bytes());
-      for (size_t i = 0; i < n; ++i) {
-        Entry e = PageFormat::EntryAt(guard.bytes(), i);
-        if (e.key == key) {
-          counters().OnLogicalRead(kEntrySize);
-          return e.value;
-        }
-      }
-    }
-    return Status::NotFound();
-  }
-  std::vector<Entry> page;
+  // Scan each pinned page in place: no entry materialization.
   for (size_t p = 0; p < zone.pages.size(); ++p) {
-    Status s = LoadZonePage(zone, p, &page);
+    PageReadGuard guard;
+    Status s = device_->PinForRead(zone.pages[p], &guard);
     if (!s.ok()) return s;
-    for (const Entry& e : page) {
+    size_t n = 0;
+    s = PageFormat::CheckedCount(guard.bytes(), &n);
+    if (!s.ok()) return s;
+    for (size_t i = 0; i < n; ++i) {
+      Entry e = PageFormat::EntryAt(guard.bytes(), i);
       if (e.key == key) {
         counters().OnLogicalRead(kEntrySize);
         return e.value;

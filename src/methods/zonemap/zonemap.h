@@ -75,7 +75,6 @@ class ZoneMapColumn : public AccessMethod {
 
   std::unique_ptr<BlockDevice> owned_device_;
   Device* device_;
-  bool pinned_pages_;
   size_t page_capacity_;
   size_t zone_capacity_;
   std::vector<Zone> zones_;

@@ -114,7 +114,7 @@ bool RequestScheduler::Submit(Request req) {
   }
 
   ++stats_.accepted;
-  size_t cls = (opts_.priority_queues && req.priority > 0) ? 1 : 0;
+  size_t cls = req.priority > 0 ? 1 : 0;
   s.queue[cls].push_back(std::move(req));
   if (s.depth() > stats_.max_queue_depth) stats_.max_queue_depth = s.depth();
   return true;

@@ -12,12 +12,8 @@ namespace {
 constexpr size_t kLogHeaderSize = sizeof(uint64_t);
 }  // namespace
 
-AppendLog::AppendLog(Device* device, DataClass cls, RumCounters* counters,
-                     bool pinned_pages)
-    : device_(device),
-      cls_(cls),
-      counters_(counters),
-      pinned_pages_(pinned_pages) {
+AppendLog::AppendLog(Device* device, DataClass cls, RumCounters* counters)
+    : device_(device), cls_(cls), counters_(counters) {
   assert(device_ != nullptr && counters_ != nullptr);
   records_per_block_ =
       (device_->block_size() - kLogHeaderSize) / LogRecord::kWireSize;
@@ -59,29 +55,19 @@ Status AppendLog::Append(const LogRecord& record) {
 
 Status AppendLog::Flush() {
   if (tail_.empty() || tail_page_ == kInvalidPageId) return Status::OK();
-  if (pinned_pages_) {
-    PageWriteGuard guard;
-    Status s = device_->PinForWrite(tail_page_, &guard);
-    if (!s.ok()) return s;
-    uint8_t* block = guard.bytes().data();
-    std::memset(block, 0, guard.bytes().size());
-    EncodeU64(tail_.size(), block);
-    uint8_t* cursor = block + kLogHeaderSize;
-    for (const LogRecord& r : tail_) {
-      EncodeRecord(r, cursor);
-      cursor += LogRecord::kWireSize;
-    }
-    guard.MarkDirty();
-    return guard.Release();
-  }
-  std::vector<uint8_t> block(device_->block_size(), 0);
-  EncodeU64(tail_.size(), block.data());
-  uint8_t* cursor = block.data() + kLogHeaderSize;
+  PageWriteGuard guard;
+  Status s = device_->PinForWrite(tail_page_, &guard);
+  if (!s.ok()) return s;
+  uint8_t* block = guard.bytes().data();
+  std::memset(block, 0, guard.bytes().size());
+  EncodeU64(tail_.size(), block);
+  uint8_t* cursor = block + kLogHeaderSize;
   for (const LogRecord& r : tail_) {
     EncodeRecord(r, cursor);
     cursor += LogRecord::kWireSize;
   }
-  return device_->Write(tail_page_, block);
+  guard.MarkDirty();
+  return guard.Release();
 }
 
 Status AppendLog::ForEach(
@@ -90,20 +76,15 @@ Status AppendLog::ForEach(
   // visitor runs (visitors may touch the device themselves).
   std::vector<LogRecord> records;
   records.reserve(records_per_block_);
-  std::vector<uint8_t> block;
   for (PageId page : pages_) {
-    const uint8_t* data = nullptr;
     PageReadGuard guard;
-    if (pinned_pages_) {
-      Status s = device_->PinForRead(page, &guard);
-      if (!s.ok()) return s;
-      data = guard.bytes().data();
-    } else {
-      Status s = device_->Read(page, &block);
-      if (!s.ok()) return s;
-      data = block.data();
-    }
+    Status s = device_->PinForRead(page, &guard);
+    if (!s.ok()) return s;
+    const uint8_t* data = guard.bytes().data();
     uint64_t n = DecodeU64(data);
+    if (n > records_per_block_) {
+      return Status::Corruption("log record count exceeds block");
+    }
     const uint8_t* cursor = data + kLogHeaderSize;
     records.clear();
     for (uint64_t i = 0; i < n; ++i) {
@@ -112,7 +93,7 @@ Status AppendLog::ForEach(
     }
     guard.Release();
     for (const LogRecord& r : records) {
-      Status s = visit(r);
+      s = visit(r);
       if (!s.ok()) return s;
     }
   }

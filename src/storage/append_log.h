@@ -39,10 +39,7 @@ class AppendLog {
  public:
   /// Creates a log storing pages of class `cls` on `device`. `counters`
   /// (borrowed) is charged for reads served from the buffered tail.
-  /// `pinned_pages` selects zero-copy pin/unpin page access over
-  /// whole-block copies (both produce identical accounting).
-  AppendLog(Device* device, DataClass cls, RumCounters* counters,
-            bool pinned_pages = true);
+  AppendLog(Device* device, DataClass cls, RumCounters* counters);
 
   AppendLog(const AppendLog&) = delete;
   AppendLog& operator=(const AppendLog&) = delete;
@@ -77,7 +74,6 @@ class AppendLog {
   Device* device_;  // Not owned.
   DataClass cls_;
   RumCounters* counters_;  // Not owned.
-  bool pinned_pages_;
   size_t records_per_block_;
   std::vector<PageId> pages_;          // Sealed, full pages.
   std::vector<LogRecord> tail_;        // Buffered records not yet sealed.

@@ -215,7 +215,7 @@ Status CachingDevice::InsertEntry(PageId page, std::vector<uint8_t> bytes,
 
 CachingDevice::CacheEntry* CachingDevice::InsertPinnedEntry(
     PageId page, std::vector<uint8_t> bytes, bool speculative, Status* s) {
-  // Unlike the copy path, pins always need a resident entry -- even at
+  // Unlike Read/Write, pins always need a resident entry -- even at
   // capacity 0, where the entry lives only for the pin window and is
   // trimmed away (write-back if dirty) when the last pin releases.
   if (capacity_pages_ > 0 && entries_.size() >= capacity_pages_) {
@@ -347,7 +347,7 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
       return Status::OK();
     }
     // Blind write pin: hand out a zeroed block without faulting the page in,
-    // mirroring the copy path's Write-on-miss (no base read is charged).
+    // mirroring Write-on-miss (no base read is charged).
     Status s;
     CacheEntry* entry = InsertPinnedEntry(
         page, std::vector<uint8_t>(block_size(), 0), /*speculative=*/true, &s);

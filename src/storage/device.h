@@ -135,11 +135,13 @@ class PageWriteGuard {
 /// (CachingDevice) are interchangeable -- the composition the paper's
 /// Figure 2 reasons about.
 ///
-/// Two access styles with byte-identical RUM accounting:
-///  - copy path: `Read` / `Write` move whole blocks through caller vectors;
-///  - pin path: `PinForRead` / `PinForWrite` hand out zero-copy views into
-///    the device's own storage (see the guard classes above for the
-///    charging contract and lifetime rules).
+/// Access methods reach blocks only through the pin path: `PinForRead` /
+/// `PinForWrite` hand out zero-copy views into the device's own storage
+/// (see the guard classes above for the charging contract and lifetime
+/// rules). `Read` / `Write` are the whole-block transfer between rungs of a
+/// device stack -- a cache filling a miss from the rung below and writing a
+/// dirty page back -- and carry the same charges as a read pin and a dirty
+/// release.
 class Device {
  public:
   virtual ~Device() = default;
@@ -153,9 +155,11 @@ class Device {
   virtual Status Allocate(DataClass cls, PageId* out) = 0;
   /// Frees a page. Fails if the page is pinned.
   virtual Status Free(PageId page) = 0;
-  /// Reads a whole block into `out`.
+  /// Copies a whole block into `out`: a cache level's miss fill from the
+  /// rung below. Charged like a read pin.
   virtual Status Read(PageId page, std::vector<uint8_t>* out) = 0;
-  /// Writes a whole block (`data.size()` must equal block_size()).
+  /// Copies a whole block down (`data.size()` must equal block_size()): a
+  /// cache level's write-back. Charged like a dirty release.
   virtual Status Write(PageId page, const std::vector<uint8_t>& data) = 0;
   /// Pushes any buffered dirty state down to the bottom of the stack.
   virtual Status FlushAll() = 0;

@@ -7,12 +7,8 @@
 
 namespace rum {
 
-HeapFile::HeapFile(Device* device, DataClass cls, RumCounters* counters,
-                   bool pinned_pages)
-    : device_(device),
-      cls_(cls),
-      counters_(counters),
-      pinned_pages_(pinned_pages) {
+HeapFile::HeapFile(Device* device, DataClass cls, RumCounters* counters)
+    : device_(device), cls_(cls), counters_(counters) {
   assert(device_ != nullptr && counters_ != nullptr);
   rows_per_page_ = PageFormat::CapacityFor(device_->block_size());
   assert(rows_per_page_ > 0);
@@ -22,33 +18,21 @@ HeapFile::~HeapFile() = default;
 
 Status HeapFile::WriteTail() {
   if (tail_page_ == kInvalidPageId) return Status::OK();
-  if (pinned_pages_) {
-    PageWriteGuard guard;
-    Status s = device_->PinForWrite(tail_page_, &guard);
-    if (!s.ok()) return s;
-    s = PageFormat::PackInto(tail_, guard.bytes());
-    if (!s.ok()) return s;
-    guard.MarkDirty();
-    return guard.Release();
-  }
-  std::vector<uint8_t> block;
-  Status s = PageFormat::Pack(tail_, device_->block_size(), &block);
+  PageWriteGuard guard;
+  Status s = device_->PinForWrite(tail_page_, &guard);
   if (!s.ok()) return s;
-  return device_->Write(tail_page_, block);
+  s = PageFormat::PackInto(tail_, guard.bytes());
+  if (!s.ok()) return s;
+  guard.MarkDirty();
+  return guard.Release();
 }
 
 Status HeapFile::LoadPage(size_t page_index, std::vector<Entry>* out) {
   assert(page_index < sealed_.size());
-  if (pinned_pages_) {
-    PageReadGuard guard;
-    Status s = device_->PinForRead(sealed_[page_index], &guard);
-    if (!s.ok()) return s;
-    return PageFormat::Unpack(guard.bytes(), out);
-  }
-  std::vector<uint8_t> block;
-  Status s = device_->Read(sealed_[page_index], &block);
+  PageReadGuard guard;
+  Status s = device_->PinForRead(sealed_[page_index], &guard);
   if (!s.ok()) return s;
-  return PageFormat::Unpack(block, out);
+  return PageFormat::Unpack(guard.bytes(), out);
 }
 
 Result<RowId> HeapFile::Append(const Entry& entry) {
@@ -73,21 +57,14 @@ Result<Entry> HeapFile::At(RowId row) {
   size_t page_index = static_cast<size_t>(row / rows_per_page_);
   size_t slot = static_cast<size_t>(row % rows_per_page_);
   if (page_index < sealed_.size()) {
-    if (pinned_pages_) {
-      // Single-slot read straight off the pinned page: no materialization.
-      PageReadGuard guard;
-      Status s = device_->PinForRead(sealed_[page_index], &guard);
-      if (!s.ok()) return s;
-      if (slot >= PageFormat::PeekCount(guard.bytes())) {
-        return Status::Corruption("slot beyond page");
-      }
-      return PageFormat::EntryAt(guard.bytes(), slot);
-    }
-    std::vector<Entry> entries;
-    Status s = LoadPage(page_index, &entries);
+    // Single-slot read straight off the pinned page: no materialization.
+    PageReadGuard guard;
+    Status s = device_->PinForRead(sealed_[page_index], &guard);
     if (!s.ok()) return s;
-    if (slot >= entries.size()) return Status::Corruption("slot beyond page");
-    return entries[slot];
+    if (slot >= PageFormat::PeekCount(guard.bytes())) {
+      return Status::Corruption("slot beyond page");
+    }
+    return PageFormat::EntryAt(guard.bytes(), slot);
   }
   // Tail row, served from the buffered image.
   counters_->OnRead(cls_, kEntrySize);
@@ -100,34 +77,23 @@ Status HeapFile::Set(RowId row, const Entry& entry) {
   size_t page_index = static_cast<size_t>(row / rows_per_page_);
   size_t slot = static_cast<size_t>(row % rows_per_page_);
   if (page_index < sealed_.size()) {
-    if (pinned_pages_) {
-      // In-place single-slot update: a charged read pin validates the slot,
-      // and the overlapping write pin (taken while the read pin is still
-      // held, so caching devices keep the faulted-in entry) rewrites just
-      // the 16 modified bytes. Charges match the copy path's read+write.
-      PageReadGuard read_guard;
-      Status s = device_->PinForRead(sealed_[page_index], &read_guard);
-      if (!s.ok()) return s;
-      if (slot >= PageFormat::PeekCount(read_guard.bytes())) {
-        return Status::Corruption("slot beyond page");
-      }
-      PageWriteGuard write_guard;
-      s = device_->PinForWrite(sealed_[page_index], &write_guard);
-      if (!s.ok()) return s;
-      read_guard.Release();
-      PageFormat::SetEntryAt(write_guard.bytes(), slot, entry);
-      write_guard.MarkDirty();
-      return write_guard.Release();
+    // In-place single-slot update: a charged read pin validates the slot,
+    // and the overlapping write pin (taken while the read pin is still
+    // held, so caching devices keep the faulted-in entry) rewrites just
+    // the 16 modified bytes, charged as one page read plus one page write.
+    PageReadGuard read_guard;
+    Status s = device_->PinForRead(sealed_[page_index], &read_guard);
+    if (!s.ok()) return s;
+    if (slot >= PageFormat::PeekCount(read_guard.bytes())) {
+      return Status::Corruption("slot beyond page");
     }
-    std::vector<Entry> entries;
-    Status s = LoadPage(page_index, &entries);
+    PageWriteGuard write_guard;
+    s = device_->PinForWrite(sealed_[page_index], &write_guard);
     if (!s.ok()) return s;
-    if (slot >= entries.size()) return Status::Corruption("slot beyond page");
-    entries[slot] = entry;
-    std::vector<uint8_t> block;
-    s = PageFormat::Pack(entries, device_->block_size(), &block);
-    if (!s.ok()) return s;
-    return device_->Write(sealed_[page_index], block);
+    read_guard.Release();
+    PageFormat::SetEntryAt(write_guard.bytes(), slot, entry);
+    write_guard.MarkDirty();
+    return write_guard.Release();
   }
   if (slot >= tail_.size()) return Status::Corruption("slot beyond tail");
   counters_->OnWrite(cls_, kEntrySize);
@@ -141,19 +107,8 @@ Status HeapFile::PopBack() {
     // Unseal the last full page back into the tail.
     assert(!sealed_.empty());
     PageId last = sealed_.back();
-    if (pinned_pages_) {
-      PageReadGuard guard;
-      Status s = device_->PinForRead(last, &guard);
-      if (!s.ok()) return s;
-      s = PageFormat::Unpack(guard.bytes(), &tail_);
-      if (!s.ok()) return s;
-    } else {
-      std::vector<uint8_t> block;
-      Status s = device_->Read(last, &block);
-      if (!s.ok()) return s;
-      s = PageFormat::Unpack(block, &tail_);
-      if (!s.ok()) return s;
-    }
+    Status s = LoadPage(sealed_.size() - 1, &tail_);
+    if (!s.ok()) return s;
     sealed_.pop_back();
     tail_page_ = last;
   }

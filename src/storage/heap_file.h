@@ -27,11 +27,8 @@ inline constexpr RowId kInvalidRowId = static_cast<RowId>(-1);
 class HeapFile {
  public:
   /// Stores pages of class `cls` on `device`; `counters` (borrowed) is
-  /// charged for reads served from the buffered tail. `pinned_pages`
-  /// selects zero-copy pin/unpin page access over whole-block copies (both
-  /// produce identical accounting).
-  HeapFile(Device* device, DataClass cls, RumCounters* counters,
-           bool pinned_pages = true);
+  /// charged for reads served from the buffered tail.
+  HeapFile(Device* device, DataClass cls, RumCounters* counters);
 
   HeapFile(const HeapFile&) = delete;
   HeapFile& operator=(const HeapFile&) = delete;
@@ -80,7 +77,6 @@ class HeapFile {
   Device* device_;  // Not owned.
   DataClass cls_;
   RumCounters* counters_;  // Not owned.
-  bool pinned_pages_;
   size_t rows_per_page_;
   std::vector<PageId> sealed_;  // Full pages.
   std::vector<Entry> tail_;     // Rows not yet sealed.

@@ -36,15 +36,6 @@ uint64_t DecodeVarint64(const uint8_t* src, size_t limit, size_t* offset) {
   return v;  // Malformed input: best-effort value, offset at limit.
 }
 
-Status PageFormat::Pack(std::span<const Entry> entries, size_t block_size,
-                        std::vector<uint8_t>* out) {
-  if (entries.size() > CapacityFor(block_size)) {
-    return Status::ResourceExhausted("entries do not fit in one block");
-  }
-  out->resize(block_size);
-  return PackInto(entries, *out);
-}
-
 Status PageFormat::PackInto(std::span<const Entry> entries,
                             std::span<uint8_t> block) {
   if (entries.size() > CapacityFor(block.size())) {
@@ -63,17 +54,13 @@ Status PageFormat::PackInto(std::span<const Entry> entries,
 
 Status PageFormat::Unpack(std::span<const uint8_t> block,
                           std::vector<Entry>* out) {
-  if (block.size() < kHeaderSize) {
-    return Status::Corruption("block smaller than page header");
-  }
-  uint64_t n = DecodeU64(block.data());
-  if (kHeaderSize + n * kEntrySize > block.size()) {
-    return Status::Corruption("entry count exceeds block capacity");
-  }
+  size_t n = 0;
+  Status s = CheckedCount(block, &n);
+  if (!s.ok()) return s;
   out->clear();
   out->reserve(n);
   const uint8_t* cursor = block.data() + kHeaderSize;
-  for (uint64_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     Entry e;
     e.key = DecodeU64(cursor);
     e.value = DecodeU64(cursor + sizeof(uint64_t));

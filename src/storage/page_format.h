@@ -26,24 +26,26 @@ class PageFormat {
     return (block_size - kHeaderSize) / kEntrySize;
   }
 
-  /// Serializes `entries` into a block of exactly `block_size` bytes.
-  /// Fails with kResourceExhausted if they do not fit.
-  static Status Pack(std::span<const Entry> entries, size_t block_size,
-                     std::vector<uint8_t>* out);
-
   /// Serializes `entries` in place into `block` (e.g. a pinned page view),
   /// zero-filling the remainder. Fails with kResourceExhausted if they do
   /// not fit.
   static Status PackInto(std::span<const Entry> entries,
                          std::span<uint8_t> block);
 
-  /// Deserializes a block previously produced by Pack.
+  /// Deserializes a block previously produced by PackInto.
   static Status Unpack(std::span<const uint8_t> block, std::vector<Entry>* out);
 
   /// Reads just the entry count from a packed block. Inline: this and the
   /// single-slot accessors below sit on the per-entry hot path of the
-  /// zero-copy pinned-page scans.
+  /// zero-copy pinned-page scans. Unchecked: callers must bound every slot
+  /// they touch by the block's capacity themselves, or use CheckedCount.
   static size_t PeekCount(std::span<const uint8_t> block);
+
+  /// The entry count, validated against the block: kCorruption when the
+  /// block is smaller than the header or the count exceeds
+  /// CapacityFor(block.size()), so a corrupt header can never index past
+  /// the block.
+  static Status CheckedCount(std::span<const uint8_t> block, size_t* count);
 
   /// Decodes the `index`-th entry of a packed block without materializing
   /// the rest (zero-copy single-slot read; `index` must be < PeekCount).
@@ -91,6 +93,19 @@ inline uint32_t DecodeU32(const uint8_t* src) {
 inline size_t PageFormat::PeekCount(std::span<const uint8_t> block) {
   if (block.size() < kHeaderSize) return 0;
   return static_cast<size_t>(DecodeU64(block.data()));
+}
+
+inline Status PageFormat::CheckedCount(std::span<const uint8_t> block,
+                                       size_t* count) {
+  if (block.size() < kHeaderSize) {
+    return Status::Corruption("block smaller than page header");
+  }
+  uint64_t n = DecodeU64(block.data());
+  if (n > CapacityFor(block.size())) {
+    return Status::Corruption("entry count exceeds block capacity");
+  }
+  *count = static_cast<size_t>(n);
+  return Status::OK();
 }
 
 inline Entry PageFormat::EntryAt(std::span<const uint8_t> block,

@@ -71,7 +71,7 @@ Status RetryingDevice::WithRetries(TraceOp traced_op, PageId page, Op&& op) {
   // simulated backoff attached, so callers can distinguish "fail-fast
   // error" from "kept trying and gave up". Fail-fast policies (1 attempt)
   // keep the raw kIOError.
-  if (eff.attempts > 1 && policy_.unavailable_when_exhausted) {
+  if (eff.attempts > 1) {
     return StatusBuilder(Code::kUnavailable, s.message())
         .Detail("retry budget exhausted after " +
                 std::to_string(eff.attempts) + " attempts, " +

@@ -43,8 +43,7 @@ namespace rum {
 /// fault clearing returns kUnavailable wrapping the last kIOError message,
 /// with the attempt count and total simulated backoff attached -- a
 /// terminal "kept trying and gave up" signal distinct from a fail-fast
-/// kIOError (policies with 1 attempt keep the raw code). Disable via
-/// retry.unavailable_when_exhausted = false.
+/// kIOError (policies with 1 attempt keep the raw code).
 ///
 /// Pin guards are forwarded straight from the wrapped device: acquisition
 /// failures retry here, but a guard's dirty-release fault surfaces to the

@@ -16,8 +16,8 @@ TEST(BTreeNodeTest, LeafRoundTrip) {
   BTreeLeaf leaf;
   leaf.entries = {{1, 10}, {5, 50}, {9, 90}};
   leaf.next = 77;
-  std::vector<uint8_t> block;
-  ASSERT_TRUE(leaf.EncodeTo(512, &block).ok());
+  std::vector<uint8_t> block(512);
+  ASSERT_TRUE(leaf.EncodeInto(block).ok());
   EXPECT_TRUE(IsLeafBlock(block));
   BTreeLeaf out;
   ASSERT_TRUE(BTreeLeaf::DecodeFrom(block, &out).ok());
@@ -29,8 +29,8 @@ TEST(BTreeNodeTest, InnerRoundTrip) {
   BTreeInner inner;
   inner.keys = {10, 20, 30};
   inner.children = {100, 101, 102, 103};
-  std::vector<uint8_t> block;
-  ASSERT_TRUE(inner.EncodeTo(512, &block).ok());
+  std::vector<uint8_t> block(512);
+  ASSERT_TRUE(inner.EncodeInto(block).ok());
   EXPECT_FALSE(IsLeafBlock(block));
   BTreeInner out;
   ASSERT_TRUE(BTreeInner::DecodeFrom(block, &out).ok());
@@ -38,33 +38,42 @@ TEST(BTreeNodeTest, InnerRoundTrip) {
   EXPECT_EQ(out.children, inner.children);
 }
 
-TEST(BTreeNodeTest, ChildIndexForRoutesBySeparator) {
+TEST(BTreeNodeTest, ChildForKeyRoutesBySeparator) {
   BTreeInner inner;
   inner.keys = {10, 20};
-  inner.children = {0, 1, 2};
-  EXPECT_EQ(inner.ChildIndexFor(5), 0u);
-  EXPECT_EQ(inner.ChildIndexFor(10), 1u);  // Separator = lower bound right.
-  EXPECT_EQ(inner.ChildIndexFor(15), 1u);
-  EXPECT_EQ(inner.ChildIndexFor(20), 2u);
-  EXPECT_EQ(inner.ChildIndexFor(99), 2u);
+  inner.children = {100, 101, 102};
+  std::vector<uint8_t> block(512);
+  ASSERT_TRUE(inner.EncodeInto(block).ok());
+  auto route = [&](Key key, PageId want_child, size_t want_index) {
+    PageId child = kInvalidPageId;
+    size_t index = 0;
+    ASSERT_TRUE(BTreeInner::ChildForKey(block, key, &child, &index).ok());
+    EXPECT_EQ(child, want_child) << key;
+    EXPECT_EQ(index, want_index) << key;
+  };
+  route(5, 100, 0);
+  route(10, 101, 1);  // Separator = lower bound of the right child.
+  route(15, 101, 1);
+  route(20, 102, 2);
+  route(99, 102, 2);
 }
 
 TEST(BTreeNodeTest, OverflowRejected) {
   BTreeLeaf leaf;
   leaf.entries.resize(BTreeLeaf::CapacityFor(512) + 1);
-  std::vector<uint8_t> block;
-  EXPECT_EQ(leaf.EncodeTo(512, &block).code(), Code::kResourceExhausted);
+  std::vector<uint8_t> block(512);
+  EXPECT_EQ(leaf.EncodeInto(block).code(), Code::kResourceExhausted);
   BTreeInner inner;
   inner.keys.resize(BTreeInner::CapacityFor(512) + 1);
   inner.children.resize(inner.keys.size() + 1);
-  EXPECT_EQ(inner.EncodeTo(512, &block).code(), Code::kResourceExhausted);
+  EXPECT_EQ(inner.EncodeInto(block).code(), Code::kResourceExhausted);
 }
 
 TEST(BTreeNodeTest, DecodeRejectsWrongType) {
   BTreeLeaf leaf;
   leaf.entries = {{1, 1}};
-  std::vector<uint8_t> block;
-  ASSERT_TRUE(leaf.EncodeTo(512, &block).ok());
+  std::vector<uint8_t> block(512);
+  ASSERT_TRUE(leaf.EncodeInto(block).ok());
   BTreeInner inner;
   EXPECT_EQ(BTreeInner::DecodeFrom(block, &inner).code(), Code::kCorruption);
 }

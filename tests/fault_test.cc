@@ -1,6 +1,8 @@
 // Fault-injection tests: an I/O error injected by a FaultyDevice must
 // propagate as a Status through every layer -- cache, logs, heaps, and every
 // access method -- without crashes or silent corruption.
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "methods/btree/btree.h"
@@ -12,6 +14,7 @@
 #include "storage/caching_device.h"
 #include "storage/faulty_device.h"
 #include "storage/heap_file.h"
+#include "storage/page_format.h"
 #include "storage/retry_device.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
@@ -278,6 +281,35 @@ TEST(FaultTest, AllFactoryMethodsSurviveReadFaults) {
   EXPECT_GT(total_faulted, 0u);
 }
 
+// A page header whose entry count disagrees with the block -- more entries
+// than it can hold, or fewer than a (always full) hash directory page
+// carries -- must surface as kCorruption, never as a read past the block or
+// past the decoded page.
+TEST(FaultTest, CorruptPageCountIsCorruptionNotOverread) {
+  const std::pair<std::string_view, uint64_t> cases[] = {
+      {"sorted-column", ~uint64_t{0}}, {"zonemap", ~uint64_t{0}}, {"hash", 0}};
+  for (const auto& [name, count] : cases) {
+    RumCounters counters;
+    BlockDevice device(512, &counters);
+    Options options = SmallOptions();
+    auto method = MakeAccessMethod(name, options, &device);
+    ASSERT_NE(method, nullptr) << name;
+    ASSERT_TRUE(method->BulkLoad(MakeSortedEntries(200)).ok()) << name;
+    ASSERT_TRUE(method->Flush().ok()) << name;
+    size_t corrupted = 0;
+    for (PageId p = 0; corrupted < device.live_pages(); ++p) {
+      std::vector<uint8_t>* bytes = device.mutable_page_unaccounted(p);
+      if (bytes == nullptr) continue;
+      EncodeU64(count, bytes->data());
+      ++corrupted;
+    }
+    ASSERT_GT(corrupted, 1u) << name;
+    for (Key k : {Key{0}, Key{57}, Key{199}}) {
+      EXPECT_EQ(method->Get(k).code(), Code::kCorruption) << name << " " << k;
+    }
+  }
+}
+
 // ---------------------------------------------- Per-op-class retry policy
 
 // Per-class retry overrides apply independently: reads retry to their own
@@ -318,23 +350,6 @@ TEST(FaultTest, PerOpClassRetryPoliciesApplyIndependently) {
   EXPECT_EQ(w.code(), Code::kIOError) << w.ToString();
   EXPECT_EQ(counters.snapshot().retries, 3u);
   EXPECT_EQ(device.simulated_backoff_us(), 35u);
-}
-
-// unavailable_when_exhausted = false keeps the raw kIOError even for real
-// budgets, for callers that want the legacy code.
-TEST(FaultTest, RetryExhaustionKeepsIoErrorWhenUpgradeDisabled) {
-  RumCounters counters;
-  BlockDevice base(512, &counters);
-  FaultyDevice faulty(&base);
-  Options options;
-  options.storage.retry.max_attempts = 3;
-  options.storage.retry.unavailable_when_exhausted = false;
-  RetryingDevice device(&faulty, options, &counters);
-
-  PageId p = testing_util::MustAllocate(device, DataClass::kBase);
-  faulty.SetPlan(FaultPlan::Transient(77, 0.0).WithRate(FaultOp::kRead, 1.0));
-  std::vector<uint8_t> out;
-  EXPECT_EQ(device.Read(p, &out).code(), Code::kIOError);
 }
 
 }  // namespace

@@ -178,10 +178,10 @@ TEST(BlockDeviceTest, ReclassifyMovesSpace) {
 
 TEST(PageFormatTest, RoundTrip) {
   std::vector<Entry> entries = {{1, 10}, {2, 20}, {300, 3000}};
-  std::vector<uint8_t> block;
-  ASSERT_TRUE(PageFormat::Pack(entries, kBlock, &block).ok());
-  EXPECT_EQ(block.size(), kBlock);
+  std::vector<uint8_t> block(kBlock, 0xff);
+  ASSERT_TRUE(PageFormat::PackInto(entries, block).ok());
   EXPECT_EQ(PageFormat::PeekCount(block), 3u);
+  EXPECT_EQ(block.back(), 0u);  // The unused tail is zero-filled.
   std::vector<Entry> out;
   ASSERT_TRUE(PageFormat::Unpack(block, &out).ok());
   EXPECT_EQ(out, entries);
@@ -191,16 +191,24 @@ TEST(PageFormatTest, CapacityAndOverflow) {
   size_t cap = PageFormat::CapacityFor(kBlock);
   EXPECT_EQ(cap, (kBlock - 8) / 16);
   std::vector<Entry> too_many(cap + 1);
-  std::vector<uint8_t> block;
-  EXPECT_EQ(PageFormat::Pack(too_many, kBlock, &block).code(),
+  std::vector<uint8_t> block(kBlock);
+  EXPECT_EQ(PageFormat::PackInto(too_many, block).code(),
             Code::kResourceExhausted);
 }
 
 TEST(PageFormatTest, UnpackRejectsCorruptCount) {
   std::vector<uint8_t> block(kBlock, 0);
-  EncodeU64(1u << 20, block.data());  // Absurd count.
   std::vector<Entry> out;
-  EXPECT_EQ(PageFormat::Unpack(block, &out).code(), Code::kCorruption);
+  size_t n = 0;
+  // Absurd counts, including one whose byte size wraps around 2^64.
+  for (uint64_t count : {uint64_t{1} << 20, uint64_t{1} << 60, ~uint64_t{0}}) {
+    EncodeU64(count, block.data());
+    EXPECT_EQ(PageFormat::Unpack(block, &out).code(), Code::kCorruption);
+    EXPECT_EQ(PageFormat::CheckedCount(block, &n).code(), Code::kCorruption);
+  }
+  EncodeU64(PageFormat::CapacityFor(kBlock), block.data());
+  ASSERT_TRUE(PageFormat::CheckedCount(block, &n).ok());
+  EXPECT_EQ(n, PageFormat::CapacityFor(kBlock));
 }
 
 TEST(ScalarCodecTest, RoundTrip) {
@@ -509,6 +517,22 @@ TEST(AppendLogTest, ForEachReplaysInOrderIncludingTail) {
                  })
                   .ok());
   EXPECT_EQ(next, kRecords);
+}
+
+TEST(AppendLogTest, ForEachRejectsCorruptRecordCount) {
+  RumCounters counters;
+  BlockDevice device(kBlock, &counters);
+  AppendLog log(&device, DataClass::kBase, &counters);
+  for (uint64_t i = 0; i < log.records_per_block(); ++i) {
+    ASSERT_TRUE(log.Append(LogRecord{i, i, LogOp::kPut}).ok());
+  }
+  ASSERT_EQ(log.page_count(), 1u);
+  // Page 0 is the one sealed page; claim more records than it can hold.
+  std::vector<uint8_t>* bytes = device.mutable_page_unaccounted(0);
+  ASSERT_NE(bytes, nullptr);
+  EncodeU64(~uint64_t{0}, bytes->data());
+  Status s = log.ForEach([](const LogRecord&) { return Status::OK(); });
+  EXPECT_EQ(s.code(), Code::kCorruption);
 }
 
 TEST(AppendLogTest, FlushPersistsPartialTail) {
