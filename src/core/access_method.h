@@ -76,8 +76,9 @@ class AccessMethod {
   /// input order. A non-benign error (anything but per-key NotFound) aborts
   /// the batch and returns that status.
   ///
-  /// Accounting contract (pinned by multiget_differential_test): the result
-  /// vector is byte-identical to looping Get; with one key the counter
+  /// Accounting contract (pinned by MultiGetParityTest in
+  /// differential_test): the result vector is byte-identical to looping
+  /// Get; with one key the counter
   /// deltas are byte-identical too; with larger batches every counter is
   /// <= the per-key Get loop's, and the saved page pins are visible in the
   /// `batched_page_hits` stat. The default implementation is the per-key

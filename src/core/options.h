@@ -135,7 +135,7 @@ struct Options {
     /// Bought MO (charged as auxiliary space) for range RO. Segments build
     /// lazily on first scan, so scan-free workloads pay nothing. Off, Scan
     /// degrades to a k-way merge with per-run fence searches; results are
-    /// byte-identical either way (scan_differential_test enforces it).
+    /// byte-identical either way (differential_test enforces it).
     bool cross_run_index = true;
     /// Target records per cross-run-index segment: smaller segments mean
     /// more anchors (more auxiliary space, more invalidation granularity)

@@ -38,6 +38,18 @@ BTree::BTree(const Options& options, Device* device)
 
 BTree::~BTree() = default;
 
+namespace {
+
+/// Every leaf in the chain holds at least one entry, so a walk of more hops
+/// than the tree has entries loops: pages a crash rolled back can link a
+/// leaf to one before it. (The tree's own count, not the device's page
+/// count: sharded trees share one device.)
+Status LeafChainCycle() {
+  return Status::Corruption("btree leaf chain revisits a leaf");
+}
+
+}  // namespace
+
 Status BTree::LoadLeaf(PageId page, BTreeLeaf* out) {
   PageReadGuard guard;
   Status s = device_->PinForRead(page, &guard);
@@ -284,7 +296,9 @@ Status BTree::Delete(Key key) {
         if (!s.ok()) return s;
         cur = inner.children[0];
       }
+      size_t hops = 0;
       while (cur != leaf_id && cur != kInvalidPageId) {
+        if (++hops > count_ + 1) return LeafChainCycle();
         BTreeLeaf walk;
         s = LoadLeaf(cur, &walk);
         if (!s.ok()) return s;
@@ -520,6 +534,7 @@ Status BTree::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   Status s = DescendToLeaf(lo, nullptr, &leaf_id, &leaf);
   if (!s.ok()) return s;
   uint64_t found = 0;
+  size_t hops = 0;
   while (true) {
     for (const Entry& e : leaf.entries) {
       if (e.key > hi) {
@@ -532,6 +547,7 @@ Status BTree::Scan(Key lo, Key hi, std::vector<Entry>* out) {
       }
     }
     if (leaf.next == kInvalidPageId) break;
+    if (++hops > count_ + 1) return LeafChainCycle();
     s = LoadLeaf(leaf.next, &leaf);
     if (!s.ok()) return s;
   }

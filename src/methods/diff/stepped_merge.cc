@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "methods/lsm/lsm_tree.h"
+#include "methods/lsm/compaction_policy.h"
 
 namespace rum {
 
@@ -102,8 +102,9 @@ Status SteppedMergeTree::SealBuffer() {
     for (size_t i = levels_[level].size(); i-- > 0;) {
       inputs.push_back(levels_[level][i].get());
     }
-    std::vector<LogRecord> merged =
-        LsmTree::MergeRuns(inputs, IsLastPopulated(level));
+    std::vector<LogRecord> merged;
+    Status m = MergeSortedRuns(inputs, IsLastPopulated(level), &merged);
+    if (!m.ok()) return m;
     for (auto& run : levels_[level]) {
       Status d = run->Destroy();
       if (!d.ok()) return d;

@@ -74,26 +74,33 @@ Status HashIndex::StoreSlotPage(size_t page_index) {
 }
 
 Status HashIndex::BuildDirectory(size_t slots) {
-  // Round up to whole pages of empty slots.
+  // Round up to whole pages of empty slots. The new pages replace the
+  // directory only once all are written: a failed build leaves the old one
+  // (and slot_count_ with it) intact.
   size_t pages = (slots + slots_per_page_ - 1) / slots_per_page_;
   pages = std::max<size_t>(pages, 1);
-  slot_count_ = pages * slots_per_page_;
-  dir_pages_.clear();
+  std::vector<PageId> built;
   std::vector<Entry> empty(slots_per_page_, Entry{0, kEmptySlot});
   for (size_t p = 0; p < pages; ++p) {
     PageId page;
     Status s = device_->Allocate(DataClass::kAux, &page);
-    if (!s.ok()) return s;
-    PageWriteGuard guard;
-    s = device_->PinForWrite(page, &guard);
-    if (!s.ok()) return s;
-    s = PageFormat::PackInto(empty, guard.bytes());
-    if (!s.ok()) return s;
-    guard.MarkDirty();
-    s = guard.Release();
-    if (!s.ok()) return s;
-    dir_pages_.push_back(page);
+    if (s.ok()) {
+      built.push_back(page);
+      PageWriteGuard guard;
+      s = device_->PinForWrite(page, &guard);
+      if (s.ok()) s = PageFormat::PackInto(empty, guard.bytes());
+      if (s.ok()) {
+        guard.MarkDirty();
+        s = guard.Release();
+      }
+    }
+    if (!s.ok()) {
+      for (PageId b : built) (void)device_->Free(b);
+      return s;
+    }
   }
+  dir_pages_ = std::move(built);
+  slot_count_ = pages * slots_per_page_;
   used_slots_ = 0;
   cached_index_ = static_cast<size_t>(-1);
   cached_dirty_ = false;
@@ -128,6 +135,16 @@ Result<bool> HashIndex::Probe(Key key, size_t* found_slot) {
   return Status::ResourceExhausted("hash directory full");
 }
 
+Result<Entry> HashIndex::RowFor(Key key, RowId row) {
+  Result<Entry> entry = heap_->At(row);
+  // A directory slot and its heap row are written separately; after a crash
+  // or a failed write the slot can name another key's row.
+  if (entry.ok() && entry.value().key != key) {
+    return Status::Corruption("hash directory slot names another key's row");
+  }
+  return entry;
+}
+
 Status HashIndex::WriteSlot(size_t slot, Key key, RowId row) {
   SlotRef ref = RefFor(slot);
   Status s = LoadSlotPage(ref.page_index);
@@ -155,17 +172,19 @@ Status HashIndex::Rehash(size_t new_slots) {
       }
     }
   }
-  for (PageId p : old_pages) {
-    Status s = device_->Free(p);
-    if (!s.ok()) return s;
-  }
   Status s = BuildDirectory(new_slots);
   if (!s.ok()) return s;
+  for (PageId p : old_pages) {
+    s = device_->Free(p);
+    if (!s.ok()) return s;
+  }
   for (const Entry& e : pairs) {
     size_t slot;
     Result<bool> found = Probe(e.key, &slot);
     if (!found.ok()) return found.status();
-    assert(!found.value());
+    if (found.value()) {
+      return Status::Corruption("hash directory repeats a key");
+    }
     SlotRef ref = RefFor(slot);
     s = LoadSlotPage(ref.page_index);
     if (!s.ok()) return s;
@@ -234,7 +253,9 @@ Status HashIndex::Delete(Key key) {
     size_t moved_slot;
     Result<bool> moved_found = Probe(moved.value().key, &moved_slot);
     if (!moved_found.ok()) return moved_found.status();
-    assert(moved_found.value());
+    if (!moved_found.value()) {
+      return Status::Corruption("hash directory lost a heap row's key");
+    }
     s = WriteSlot(moved_slot, moved.value().key, row);
     if (!s.ok()) return s;
   }
@@ -252,7 +273,7 @@ Result<Value> HashIndex::Get(Key key) {
   Status s = LoadSlotPage(ref.page_index);
   if (!s.ok()) return s;
   RowId row = cached_page_[ref.offset].value;
-  Result<Entry> entry = heap_->At(row);
+  Result<Entry> entry = RowFor(key, row);
   if (!entry.ok()) return entry.status();
   counters().OnLogicalRead(kEntrySize);
   return entry.value().value;
@@ -310,7 +331,7 @@ Status HashIndex::MultiGet(std::span<const Key> keys,
     Status s = LoadSlotPage(ref.page_index);
     if (!s.ok()) return s;
     RowId row = cached_page_[ref.offset].value;
-    Result<Entry> entry = heap_->At(row);
+    Result<Entry> entry = RowFor(ops[i].key, row);
     if (!entry.ok()) return entry.status();
     counters().OnLogicalRead(kEntrySize);
     (*out)[ops[i].idx] = entry.value().value;

@@ -75,6 +75,9 @@ class HashIndex : public AccessMethod {
   /// (when the result is true) or the first insertable slot (when false).
   Result<bool> Probe(Key key, size_t* found_slot);
 
+  /// The heap row a directory slot for `key` names; Corruption when that
+  /// row holds another key.
+  Result<Entry> RowFor(Key key, RowId row);
   Status WriteSlot(size_t slot, Key key, RowId row);
   Status BuildDirectory(size_t slots);
   Status Rehash(size_t new_slots);

@@ -1,6 +1,5 @@
 #include "methods/lsm/compaction_policy.h"
 
-#include <cassert>
 #include <limits>
 
 #include "core/types.h"
@@ -40,25 +39,21 @@ std::vector<LogRecord> MergeLogStreams(
   return out;
 }
 
-std::vector<LogRecord> GatherSortedRun(SortedRun* run) {
-  std::vector<LogRecord> records;
-  records.reserve(run->record_count());
+Status GatherSortedRun(SortedRun* run, std::vector<LogRecord>* records) {
+  records->reserve(records->size() + run->record_count());
   // Charged: compaction reads every input page.
-  Status s = run->VisitAll(
-      [&](const LogRecord& r) { records.push_back(r); });
-  assert(s.ok());
-  (void)s;
-  return records;
+  return run->VisitAll([&](const LogRecord& r) { records->push_back(r); });
 }
 
-std::vector<LogRecord> MergeSortedRuns(const std::vector<SortedRun*>& inputs,
-                                       bool drop_tombstones) {
-  std::vector<std::vector<LogRecord>> streams;
-  streams.reserve(inputs.size());
-  for (SortedRun* run : inputs) {
-    streams.push_back(GatherSortedRun(run));
+Status MergeSortedRuns(const std::vector<SortedRun*>& inputs,
+                       bool drop_tombstones, std::vector<LogRecord>* merged) {
+  std::vector<std::vector<LogRecord>> streams(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    Status s = GatherSortedRun(inputs[i], &streams[i]);
+    if (!s.ok()) return s;
   }
-  return MergeLogStreams(std::move(streams), drop_tombstones);
+  *merged = MergeLogStreams(std::move(streams), drop_tombstones);
+  return Status::OK();
 }
 
 namespace {
@@ -134,7 +129,9 @@ class ComposedPolicy : public CompactionPolicy {
       if (!levels[0].empty()) {
         SortedRun* resident = levels[0].back().get();
         ctx->NoteCompaction(1, resident->record_count());
-        streams.push_back(GatherSortedRun(resident));
+        streams.emplace_back();
+        Status g = GatherSortedRun(resident, &streams.back());
+        if (!g.ok()) return g;
         Status d = DestroyLevel(ctx, &levels, 0);
         if (!d.ok()) return d;
       }
@@ -160,8 +157,10 @@ class ComposedPolicy : public CompactionPolicy {
         bool drop = absorb ? ctx->IsLastPopulated(level + 1)
                            : ctx->IsLastPopulated(level);
         ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-        std::vector<LogRecord> merged = MergeSortedRuns(inputs, drop);
-        Status s = DestroyLevel(ctx, &levels, level);
+        std::vector<LogRecord> merged;
+        Status s = MergeSortedRuns(inputs, drop, &merged);
+        if (!s.ok()) return s;
+        s = DestroyLevel(ctx, &levels, level);
         if (!s.ok()) return s;
         if (absorb) {
           s = DestroyLevel(ctx, &levels, level + 1);
@@ -181,9 +180,11 @@ class ComposedPolicy : public CompactionPolicy {
           inputs.push_back(levels[level + 1].back().get());
         }
         ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-        std::vector<LogRecord> merged =
-            MergeSortedRuns(inputs, ctx->IsLastPopulated(level + 1));
-        Status s = DestroyLevel(ctx, &levels, level);
+        std::vector<LogRecord> merged;
+        Status s =
+            MergeSortedRuns(inputs, ctx->IsLastPopulated(level + 1), &merged);
+        if (!s.ok()) return s;
+        s = DestroyLevel(ctx, &levels, level);
         if (!s.ok()) return s;
         s = DestroyLevel(ctx, &levels, level + 1);
         if (!s.ok()) return s;
@@ -254,7 +255,9 @@ class LazyLeveledPolicy : public CompactionPolicy {
       bool drop = absorb ? ctx->IsLastPopulated(level + 1)
                          : ctx->IsLastPopulated(level);
       ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-      std::vector<LogRecord> merged = MergeSortedRuns(inputs, drop);
+      std::vector<LogRecord> merged;
+      s = MergeSortedRuns(inputs, drop, &merged);
+      if (!s.ok()) return s;
       s = DestroyLevel(ctx, &levels, level);
       if (!s.ok()) return s;
       if (absorb) {
@@ -273,8 +276,9 @@ class LazyLeveledPolicy : public CompactionPolicy {
       if (last >= levels.size() || levels[last].size() <= 1) break;
       std::vector<SortedRun*> inputs = LevelRunsNewestFirst(levels, last);
       ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-      std::vector<LogRecord> merged =
-          MergeSortedRuns(inputs, ctx->IsLastPopulated(last));
+      std::vector<LogRecord> merged;
+      s = MergeSortedRuns(inputs, ctx->IsLastPopulated(last), &merged);
+      if (!s.ok()) return s;
       s = DestroyLevel(ctx, &levels, last);
       if (!s.ok()) return s;
       s = ctx->BuildRun(last, std::move(merged));

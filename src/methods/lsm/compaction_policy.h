@@ -85,12 +85,13 @@ class CompactionPolicy {
 std::vector<LogRecord> MergeLogStreams(
     std::vector<std::vector<LogRecord>> streams, bool drop_tombstones);
 
-/// Gathers one run's records (charged: compaction reads every input page).
-std::vector<LogRecord> GatherSortedRun(SortedRun* run);
+/// Appends one run's records to `records` (charged: compaction reads every
+/// input page). A failed page read is returned, never merged around.
+Status GatherSortedRun(SortedRun* run, std::vector<LogRecord>* records);
 
 /// Gathers `inputs` (newest first, charged reads) and merges them.
-std::vector<LogRecord> MergeSortedRuns(const std::vector<SortedRun*>& inputs,
-                                       bool drop_tombstones);
+Status MergeSortedRuns(const std::vector<SortedRun*>& inputs,
+                       bool drop_tombstones, std::vector<LogRecord>* merged);
 
 }  // namespace rum
 

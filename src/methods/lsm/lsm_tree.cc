@@ -146,20 +146,6 @@ Status LsmTree::Delete(Key key) {
   return Put(key, 0, /*tombstone=*/true);
 }
 
-std::vector<LogRecord> LsmTree::GatherRun(SortedRun* run) {
-  return GatherSortedRun(run);
-}
-
-std::vector<LogRecord> LsmTree::MergeRuns(
-    const std::vector<SortedRun*>& inputs, bool drop_tombstones) {
-  return MergeSortedRuns(inputs, drop_tombstones);
-}
-
-std::vector<LogRecord> LsmTree::MergeStreams(
-    std::vector<std::vector<LogRecord>> streams, bool drop_tombstones) {
-  return MergeLogStreams(std::move(streams), drop_tombstones);
-}
-
 Status LsmTree::BuildRun(size_t level, std::vector<LogRecord> records) {
   if (levels_.size() <= level) levels_.resize(level + 1);
   if (records.empty()) return Status::OK();

@@ -173,16 +173,6 @@ class LsmTree : public AccessMethod, public CompactionContext {
   /// The auxiliary-MO ledger decomposition (see LsmMemoryFootprint).
   LsmMemoryFootprint MemoryFootprint() const;
 
-  /// Merges sorted record streams (newest first) into one; drops shadowed
-  /// versions, and tombstones too when `drop_tombstones`.
-  static std::vector<LogRecord> MergeStreams(
-      std::vector<std::vector<LogRecord>> streams, bool drop_tombstones);
-  /// Gathers `inputs` (newest first, charged reads) and merges them.
-  static std::vector<LogRecord> MergeRuns(
-      const std::vector<SortedRun*>& inputs, bool drop_tombstones);
-  /// Gathers one run's records (charged).
-  static std::vector<LogRecord> GatherRun(SortedRun* run);
-
  private:
   /// Approximate resident bytes per memtable entry (17-byte record plus
   /// average tower overhead), the unit converting an arbitrated byte

@@ -59,6 +59,10 @@ class ShardedMethod : public AccessMethod, public KeyPartitioned {
   size_t partitions() const override { return shards_.size(); }
   size_t PartitionOf(Key key) const override;
 
+  /// Inner method of partition `i`, for per-shard inspection (callers
+  /// quiesce writers first, as for stats()).
+  AccessMethod* shard(size_t i) const { return shards_[i]->method.get(); }
+
  private:
   struct Shard {
     std::unique_ptr<AccessMethod> method;

@@ -104,11 +104,13 @@ Status HeapFile::Set(RowId row, const Entry& entry) {
 Status HeapFile::PopBack() {
   if (row_count_ == 0) return Status::OutOfRange("heap is empty");
   if (tail_.empty()) {
-    // Unseal the last full page back into the tail.
-    assert(!sealed_.empty());
+    // Unseal the last full page back into the tail. A page a crash rolled
+    // back can read empty; popping it would underflow the tail.
+    if (sealed_.empty()) return Status::Corruption("heap rows without pages");
     PageId last = sealed_.back();
     Status s = LoadPage(sealed_.size() - 1, &tail_);
     if (!s.ok()) return s;
+    if (tail_.empty()) return Status::Corruption("sealed heap page is empty");
     sealed_.pop_back();
     tail_page_ = last;
   }

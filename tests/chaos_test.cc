@@ -1,22 +1,21 @@
-// Chaos tier: every factory method is driven over a fault-injecting device
-// stack (BlockDevice -> FaultyDevice -> CachingDevice) under seeded fault
-// plans, and checked against an oracle for the only two acceptable
-// behaviors: the exact right answer, or an explicit error Status. Silently
-// wrong answers -- and crashes -- fail the tier. Fault decisions are pure
-// functions of (seed, op class, attempt index), so every scenario here
-// replays byte-identically; one test asserts exactly that.
+// Chaos tier, device side: torn writes, the cache's crash semantics,
+// eviction under write-back faults, retries, the runner's and scheduler's
+// error modes, and deterministic replay of seeded fault storms. The
+// method-level contract -- every factory method answers exactly or fails
+// explicitly under faults and crashes -- runs on the model harness in
+// differential_test; the one method-level case kept here compares two LSM
+// twins (cross-run index on and off) under one storm. Fault decisions are
+// pure functions of (seed, op class, attempt index), so every scenario here
+// replays byte-identically.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "methods/factory.h"
-#include "methods/lsm/compaction_policy.h"
-#include "service/open_loop.h"
 #include "methods/lsm/lsm_tree.h"
+#include "service/open_loop.h"
 #include "storage/block_device.h"
 #include "storage/caching_device.h"
 #include "storage/faulty_device.h"
@@ -28,7 +27,6 @@
 namespace rum {
 namespace {
 
-using testing_util::ReferenceModel;
 using testing_util::SmallOptions;
 
 constexpr uint64_t kChaosSeed = 0xC4A05ULL;
@@ -49,154 +47,6 @@ struct ChaosStack {
 
 bool IsExplicitFailure(Code code) {
   return code == Code::kIOError || code == Code::kCorruption;
-}
-
-/// Loads `n` keys clean (no faults armed) and flushes. Returns false if the
-/// method rejected the load (a test bug, not a chaos finding).
-bool LoadClean(AccessMethod* method, ReferenceModel* reference, Key n) {
-  for (Key k = 0; k < n; ++k) {
-    if (!method->Insert(k, ValueFor(k)).ok()) return false;
-    reference->Insert(k, ValueFor(k));
-  }
-  return method->Flush().ok();
-}
-
-// ----------------------------------------------------------------- Reads
-
-// Read-phase chaos: with only read-class faults armed, a query can never
-// mutate anything, so the oracle is exact -- every ok Get/Scan must match
-// the reference bit for bit, every failure must be an explicit error, and
-// after the plan clears the method must answer exactly again.
-TEST(ChaosTest, ReadFaultsAreExactOrExplicitForEveryMethod) {
-  constexpr Key kKeys = 400;
-  uint64_t total_faulted = 0;
-  for (std::string_view name : AllAccessMethodNames()) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &stack.cache);
-    ASSERT_NE(method, nullptr) << name;
-    ReferenceModel reference;
-    ASSERT_TRUE(LoadClean(method.get(), &reference, kKeys)) << name;
-
-    stack.faulty.SetPlan(FaultPlan::Transient(kChaosSeed, 0.0)
-                             .WithRate(FaultOp::kRead, 0.25)
-                             .WithRate(FaultOp::kPin, 0.25));
-    for (Key k = 0; k < kKeys; k += 3) {
-      Result<Value> r = method->Get(k);
-      if (r.ok()) {
-        EXPECT_EQ(r.value(), ValueFor(k)) << name << " key " << k;
-      } else {
-        EXPECT_TRUE(r.code() == Code::kNotFound ? false
-                                                : IsExplicitFailure(r.code()))
-            << name << " key " << k << ": " << r.status().ToString();
-        ++total_faulted;
-      }
-      std::vector<Entry> out;
-      Status s = method->Scan(k, k + 10, &out);
-      if (s.ok()) {
-        std::vector<Entry> expected = reference.Scan(k, k + 10);
-        ASSERT_EQ(out.size(), expected.size()) << name << " scan at " << k;
-        for (size_t i = 0; i < out.size(); ++i) {
-          EXPECT_EQ(out[i].key, expected[i].key) << name;
-          EXPECT_EQ(out[i].value, expected[i].value) << name;
-        }
-      } else {
-        EXPECT_TRUE(IsExplicitFailure(s.code()))
-            << name << " scan at " << k << ": " << s.ToString();
-        ++total_faulted;
-      }
-    }
-
-    stack.faulty.ClearFaults();
-    for (Key k = 0; k < kKeys; k += 3) {
-      EXPECT_TRUE(testing_util::GetMatchesReference(method.get(), reference,
-                                                    k))
-          << name;
-    }
-  }
-  EXPECT_GT(total_faulted, 0u);  // The chaos was real.
-}
-
-// -------------------------------------------------------------- Mutations
-
-// Mutation-phase chaos: write/allocate faults can interrupt multi-page
-// reorganizations (splits, cascades, merges), so acknowledged-ok data may
-// legitimately be lost once a mutation has faulted. What must still hold:
-//  - an ok Get returns a value that was actually written for that key at
-//    some point (values are key-tagged, so cross-key mixups are caught);
-//  - NotFound is only acceptable for keys never certainly inserted, keys
-//    with a delete attempt, or after some mutation fault occurred;
-//  - everything else is an explicit error Status -- never garbage, never a
-//    crash.
-TEST(ChaosTest, MutationFaultsNeverProduceUnwrittenValues) {
-  constexpr Key kLoaded = 200;
-  constexpr int kOps = 300;
-  uint64_t total_faulted = 0;
-  for (std::string_view name : AllAccessMethodNames()) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &stack.cache);
-    ASSERT_NE(method, nullptr) << name;
-    ReferenceModel reference;
-    ASSERT_TRUE(LoadClean(method.get(), &reference, kLoaded)) << name;
-
-    std::map<Key, std::set<Value>> history;
-    std::set<Key> delete_attempted;
-    for (Key k = 0; k < kLoaded; ++k) history[k].insert(ValueFor(k));
-
-    stack.faulty.SetPlan(FaultPlan::Transient(kChaosSeed + 1, 0.0)
-                             .WithRate(FaultOp::kWrite, 0.08)
-                             .WithRate(FaultOp::kAllocate, 0.08));
-    Rng rng(kChaosSeed + 2);
-    bool mutation_faulted = false;
-    for (int i = 0; i < kOps; ++i) {
-      Key k = static_cast<Key>(rng.NextBelow(kLoaded * 2));
-      double dice = rng.NextDouble();
-      Status s;
-      if (dice < 0.5) {
-        Value v = ValueFor(k) + 1000000 + static_cast<Value>(i);
-        history[k].insert(v);  // Recorded even if the write faults: a torn
-                               // reorganization may still surface it.
-        s = method->Insert(k, v);
-      } else if (dice < 0.75) {
-        delete_attempted.insert(k);
-        s = method->Delete(k);
-      } else {
-        Result<Value> r = method->Get(k);
-        s = r.ok() || r.code() == Code::kNotFound ? Status::OK() : r.status();
-        if (r.ok()) {
-          EXPECT_TRUE(history[k].count(r.value()))
-              << name << " key " << k << " returned unwritten value";
-        }
-      }
-      if (!s.ok() && s.code() != Code::kOutOfRange &&
-          s.code() != Code::kNotFound) {
-        EXPECT_TRUE(IsExplicitFailure(s.code()))
-            << name << " op " << i << ": " << s.ToString();
-        mutation_faulted = true;
-        ++total_faulted;
-      }
-    }
-
-    stack.faulty.ClearFaults();
-    for (const auto& [k, values] : history) {
-      Result<Value> r = method->Get(k);
-      if (r.ok()) {
-        EXPECT_TRUE(values.count(r.value()))
-            << name << " key " << k << " returned unwritten value "
-            << r.value();
-      } else if (r.code() == Code::kNotFound) {
-        EXPECT_TRUE(values.empty() || delete_attempted.count(k) ||
-                    mutation_faulted)
-            << name << " key " << k
-            << " vanished with no delete and no mutation fault";
-      } else {
-        EXPECT_TRUE(IsExplicitFailure(r.code()))
-            << name << " key " << k << ": " << r.status().ToString();
-      }
-    }
-  }
-  EXPECT_GT(total_faulted, 0u);
 }
 
 // ------------------------------------------------------------ Torn writes
@@ -261,35 +111,6 @@ TEST(ChaosTest, TornDirtyReleasePoisonsInPlace) {
 
 // ----------------------------------------------------------------- Crash
 
-// Crash at a flush boundary: everything acknowledged and flushed must
-// survive a cache-and-below crash exactly; the cache must come back empty;
-// abandoned pin guards must release as no-ops.
-TEST(ChaosTest, CrashAfterFlushRecoversExactlyForEveryMethod) {
-  constexpr Key kKeys = 300;
-  for (std::string_view name : AllAccessMethodNames()) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &stack.cache);
-    ASSERT_NE(method, nullptr) << name;
-    ReferenceModel reference;
-    ASSERT_TRUE(LoadClean(method.get(), &reference, kKeys)) << name;
-    ASSERT_TRUE(stack.cache.FlushAll().ok()) << name;
-
-    stack.cache.Crash();
-    EXPECT_EQ(stack.cache.cached_pages(), 0u) << name;
-    EXPECT_EQ(stack.cache.pinned_pages(), 0u) << name;
-
-    for (Key k = 0; k < kKeys; k += 5) {
-      EXPECT_TRUE(testing_util::GetMatchesReference(method.get(), reference,
-                                                    k))
-          << name << " after crash";
-    }
-    std::vector<Entry> out;
-    ASSERT_TRUE(method->Scan(0, kKeys, &out).ok()) << name;
-    EXPECT_EQ(out.size(), reference.Scan(0, kKeys).size()) << name;
-  }
-}
-
 TEST(ChaosTest, CrashAbandonsOpenPinsWithoutDamage) {
   ChaosStack stack;
   PageId p = testing_util::MustAllocate(stack.cache, DataClass::kBase);
@@ -324,73 +145,6 @@ TEST(ChaosTest, CrashDropsUnflushedDirtyState) {
   std::vector<uint8_t> out;
   ASSERT_TRUE(stack.cache.Read(p, &out).ok());
   EXPECT_EQ(out, v1);  // The durable pre-image, exactly.
-}
-
-// ------------------------------------------------- Auxiliary-MO ledger
-
-// The LSM's memory ledger under chaos: at all times, (1) the base device's
-// charged space is exactly the pages held by live runs -- a fault-aborted
-// run build or an early-failed Destroy must leak or double-free nothing --
-// and (2) the tree's own charged space is exactly its in-memory terms
-// (memtable + fences + filters + index segments). Pre-fix, an aborted
-// Build leaked its just-allocated page and an early-failed Destroy leaked
-// remaining pages plus the fence charge forever.
-TEST(ChaosTest, LsmLedgerConservesAcrossFaultsAndCrash) {
-  ChaosStack stack;
-  Options options = SmallOptions();
-  options.lsm.cross_run_index = true;
-  LsmTree tree(options, &stack.cache);
-  auto check = [&](const char* when) {
-    // Flush cached state so the base device's space charges are current
-    // (allocations pass through; only data bytes are deferred).
-    LsmMemoryFootprint fp = tree.MemoryFootprint();
-    EXPECT_EQ(stack.counters.snapshot().total_space(), fp.run_page_bytes)
-        << when;
-    EXPECT_EQ(tree.stats().total_space(),
-              fp.memtable_bytes + fp.fence_bytes + fp.filter_bytes +
-                  fp.index_bytes)
-        << when;
-  };
-  for (Key k = 0; k < 600; ++k) {
-    ASSERT_TRUE(tree.Insert(k, ValueFor(k)).ok());
-  }
-  std::vector<Entry> scanned;
-  ASSERT_TRUE(tree.Scan(0, 600, &scanned).ok());  // Charges index segments.
-  check("clean load");
-
-  // Fault storm: allocation and write faults abort run builds and
-  // invalidate compactions mid-merge; every failure must be explicit and
-  // must leave the ledger exact.
-  stack.faulty.SetPlan(FaultPlan::Transient(kChaosSeed + 11, 0.0)
-                           .WithRate(FaultOp::kWrite, 0.2)
-                           .WithRate(FaultOp::kAllocate, 0.1));
-  uint64_t failed = 0;
-  for (Key k = 600; k < 1400; ++k) {
-    Status s = tree.Insert(k, ValueFor(k));
-    if (!s.ok()) {
-      EXPECT_TRUE(IsExplicitFailure(s.code())) << s.ToString();
-      ++failed;
-      check("mid-storm failure");
-    }
-  }
-  EXPECT_GT(failed, 0u) << "storm never bit; the regression went untested";
-  stack.faulty.ClearFaults();
-  check("after storm");
-
-  // Crash the cache: runs' pages live at the base and stay charged; the
-  // tree's in-memory terms (fences/filters/index) survive untouched.
-  stack.cache.Crash();
-  check("after crash");
-
-  // Post-crash operation: compactions may read lost pages and fail
-  // explicitly, but the ledger stays conserved either way.
-  for (Key k = 1400; k < 1700; ++k) {
-    Status s = tree.Insert(k, ValueFor(k));
-    if (!s.ok()) {
-      EXPECT_TRUE(IsExplicitFailure(s.code())) << s.ToString();
-    }
-  }
-  check("post-crash writes");
 }
 
 // ------------------------------------------------------- Eviction faults
@@ -674,200 +428,39 @@ TEST(ChaosTest, RunnerDegradeModeStopsMutatingAfterFirstError) {
 
 // The whole point of seeded fault draws: two identical stacks running the
 // same serial workload under the same plan inject identical faults, absorb
-// identical errors, and end with byte-identical RUM traffic.
+// identical errors, and end with byte-identical RUM traffic -- the
+// lazy-leveling and hybrid merge schedules (multi-run merges, bottom-level
+// normalization, run relocation) included.
 TEST(ChaosTest, SameSeedReplaysIdenticalErrorTallies) {
-  auto run_once = [](ErrorTally* tally, CounterSnapshot* snap,
-                     std::array<uint64_t, kFaultOpCount>* injected) {
-    ChaosStack stack;
-    auto method = MakeAccessMethod("btree", SmallOptions(), &stack.cache);
-    ASSERT_NE(method, nullptr);
-    stack.faulty.SetPlan(RunnerPlan());
-    Result<RumProfile> r = WorkloadRunner::Run(
-        method.get(), ChaosSpec(ErrorMode::kSkipAndCount));
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    *tally = r.value().errors();
-    *snap = stack.counters.snapshot();
-    for (size_t i = 0; i < kFaultOpCount; ++i) {
-      (*injected)[i] = stack.faulty.faults_injected(static_cast<FaultOp>(i));
-    }
-  };
-
-  ErrorTally t1, t2;
-  CounterSnapshot s1, s2;
-  std::array<uint64_t, kFaultOpCount> i1{}, i2{};
-  run_once(&t1, &s1, &i1);
-  run_once(&t2, &s2, &i2);
-
-  EXPECT_GT(t1.failed(), 0u);
-  EXPECT_EQ(t1.io_errors, t2.io_errors);
-  EXPECT_EQ(t1.corruption, t2.corruption);
-  EXPECT_EQ(t1.other, t2.other);
-  EXPECT_EQ(i1, i2);
-  EXPECT_EQ(s1.blocks_read, s2.blocks_read);
-  EXPECT_EQ(s1.blocks_written, s2.blocks_written);
-  EXPECT_EQ(s1.bytes_read_base, s2.bytes_read_base);
-  EXPECT_EQ(s1.bytes_written_base, s2.bytes_written_base);
-  EXPECT_EQ(s1.io_errors, s2.io_errors);
-}
-
-// ----------------------------------------- New compaction policies
-
-// The lazy-leveling and hybrid policies run multi-run merges, bottom-level
-// normalization, and free run relocation that the classic policies never
-// exercise; this section drives exactly those paths under chaos. (The
-// name-list tests above already cover lsm-lazy/lsm-hybrid for the generic
-// contracts; these pin the policy-specific structure.)
-
-constexpr std::string_view kNewPolicyNames[] = {"lsm-lazy", "lsm-hybrid"};
-
-// Write/allocate faults landing inside a flush cascade may abort a merge
-// half-way. Acceptable outcomes are the usual two (right answer or explicit
-// error) -- and once the plan clears, a single clean flush must restore
-// every structural invariant the policy promises.
-TEST(ChaosTest, NewPoliciesRestoreInvariantsAfterCompactionFaults) {
-  for (std::string_view name : kNewPolicyNames) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &stack.cache);
-    ASSERT_NE(method, nullptr) << name;
-    auto* tree = dynamic_cast<LsmTree*>(method.get());
-    ASSERT_NE(tree, nullptr) << name;
-    ReferenceModel reference;
-    ASSERT_TRUE(LoadClean(method.get(), &reference, 300)) << name;
-
-    stack.faulty.SetPlan(FaultPlan::Transient(kChaosSeed + 20, 0.0)
-                             .WithRate(FaultOp::kWrite, 0.10)
-                             .WithRate(FaultOp::kAllocate, 0.10));
-    uint64_t mutation_faults = 0;
-    for (Key k = 300; k < 800; ++k) {
-      Status s = method->Insert(k, ValueFor(k));
-      if (!s.ok()) {
-        EXPECT_TRUE(IsExplicitFailure(s.code()))
-            << name << " key " << k << ": " << s.ToString();
-        ++mutation_faults;
-      }
-    }
-    EXPECT_GT(mutation_faults, 0u) << name << ": the chaos was real";
-
-    // Clear the plan and push one clean memtable through: the cascade
-    // walks every level, so any level a faulted merge left over-full is
-    // re-merged and the policy's bounds hold again.
-    stack.faulty.ClearFaults();
-    for (Key k = 0; k < options.lsm.memtable_entries; ++k) {
-      ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok()) << name;
-    }
-    const CompactionPolicy& policy = tree->policy();
-    for (size_t level = 0; level < tree->level_count(); ++level) {
-      EXPECT_LE(tree->runs_at(level), policy.MaxRunsAt(level, *tree))
-          << name << " level " << level << " after recovery flush";
-    }
-    // And reads are sane again: a merge a fault aborted may legitimately
-    // have lost acknowledged data (the tier's documented contract), but an
-    // ok Get must return the exact key-tagged value -- never garbage, and
-    // never a non-explicit error now that the plan is clear.
-    size_t survivors = 0;
-    for (Key k = 0; k < 300; k += 7) {
-      Result<Value> r = method->Get(k);
-      if (r.ok()) {
-        EXPECT_EQ(r.value(), ValueFor(k)) << name << " key " << k;
-        ++survivors;
-      } else {
-        EXPECT_EQ(r.code(), Code::kNotFound)
-            << name << " key " << k << ": " << r.status().ToString();
-      }
-    }
-    EXPECT_GT(survivors, 0u) << name;
-  }
-}
-
-// Crash() drops the cache mid-life; the recovered tree must answer exactly
-// and keep compacting correctly -- post-crash inserts drive fresh cascades
-// (including lazy normalization and hybrid's tiered-to-leveled handoff)
-// over the recovered runs.
-TEST(ChaosTest, NewPoliciesCompactCorrectlyAcrossCrash) {
-  for (std::string_view name : kNewPolicyNames) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &stack.cache);
-    ASSERT_NE(method, nullptr) << name;
-    auto* tree = dynamic_cast<LsmTree*>(method.get());
-    ASSERT_NE(tree, nullptr) << name;
-    ReferenceModel reference;
-    ASSERT_TRUE(LoadClean(method.get(), &reference, 400)) << name;
-    ASSERT_TRUE(stack.cache.FlushAll().ok()) << name;
-    uint64_t flushes_before = tree->flushes();
-
-    stack.cache.Crash();
-    EXPECT_EQ(stack.cache.cached_pages(), 0u) << name;
-
-    for (Key k = 0; k < 400; k += 5) {
-      EXPECT_TRUE(testing_util::GetMatchesReference(method.get(), reference,
-                                                    k))
-          << name << " after crash";
-    }
-    // Keep writing through several more flush cascades over the recovered
-    // structure, then verify the policy's invariants and the data.
-    for (Key k = 400; k < 700; ++k) {
-      ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok()) << name;
-      reference.Insert(k, ValueFor(k));
-    }
-    ASSERT_TRUE(method->Flush().ok()) << name;
-    EXPECT_GT(tree->flushes(), flushes_before) << name;
-    const CompactionPolicy& policy = tree->policy();
-    for (size_t level = 0; level < tree->level_count(); ++level) {
-      EXPECT_LE(tree->runs_at(level), policy.MaxRunsAt(level, *tree))
-          << name << " level " << level << " post-crash compaction";
-    }
-    for (Key k = 0; k < 700; k += 5) {
-      EXPECT_TRUE(testing_util::GetMatchesReference(method.get(), reference,
-                                                    k))
-          << name << " post-crash compaction";
-    }
-  }
-}
-
-// Same seed, same policy, same plan: two runs inject identical faults and
-// end with byte-identical traffic -- the new policies' merge scheduling
-// must be as deterministic as everything else in the tier.
-TEST(ChaosTest, NewPoliciesReplayIdenticallyUnderFaults) {
-  for (std::string_view name : kNewPolicyNames) {
-    auto run_once = [&](ErrorTally* tally, CounterSnapshot* snap,
-                        uint64_t* flushes, uint64_t* compactions) {
+  for (std::string_view name : {"btree", "lsm-lazy", "lsm-hybrid"}) {
+    auto run_once = [&](ErrorTally* tally, std::string* counters,
+                        std::array<uint64_t, kFaultOpCount>* injected) {
       ChaosStack stack;
       auto method = MakeAccessMethod(name, SmallOptions(), &stack.cache);
       ASSERT_NE(method, nullptr) << name;
-      auto* tree = dynamic_cast<LsmTree*>(method.get());
-      ASSERT_NE(tree, nullptr) << name;
-      stack.faulty.SetPlan(FaultPlan::Transient(kChaosSeed + 21, 0.0)
-                               .WithRate(FaultOp::kRead, 0.03)
-                               .WithRate(FaultOp::kWrite, 0.03)
-                               .WithRate(FaultOp::kAllocate, 0.03));
+      stack.faulty.SetPlan(RunnerPlan());
       Result<RumProfile> r = WorkloadRunner::Run(
           method.get(), ChaosSpec(ErrorMode::kSkipAndCount));
       ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
       *tally = r.value().errors();
-      *snap = stack.counters.snapshot();
-      *flushes = tree->flushes();
-      *compactions = tree->compactions();
+      *counters = stack.counters.snapshot().ToString();
+      for (size_t i = 0; i < kFaultOpCount; ++i) {
+        (*injected)[i] = stack.faulty.faults_injected(static_cast<FaultOp>(i));
+      }
     };
 
     ErrorTally t1, t2;
-    CounterSnapshot s1, s2;
-    uint64_t f1 = 0, f2 = 0, c1 = 0, c2 = 0;
-    run_once(&t1, &s1, &f1, &c1);
-    run_once(&t2, &s2, &f2, &c2);
+    std::string c1, c2;
+    std::array<uint64_t, kFaultOpCount> i1{}, i2{};
+    run_once(&t1, &c1, &i1);
+    run_once(&t2, &c2, &i2);
 
+    EXPECT_GT(t1.failed(), 0u) << name;
     EXPECT_EQ(t1.io_errors, t2.io_errors) << name;
     EXPECT_EQ(t1.corruption, t2.corruption) << name;
-    EXPECT_EQ(f1, f2) << name;
+    EXPECT_EQ(t1.other, t2.other) << name;
+    EXPECT_EQ(i1, i2) << name;
     EXPECT_EQ(c1, c2) << name;
-    EXPECT_GT(f1, 0u) << name;
-    EXPECT_EQ(s1.blocks_read, s2.blocks_read) << name;
-    EXPECT_EQ(s1.blocks_written, s2.blocks_written) << name;
-    EXPECT_EQ(s1.bytes_read_base, s2.bytes_read_base) << name;
-    EXPECT_EQ(s1.bytes_written_base, s2.bytes_written_base) << name;
-    EXPECT_EQ(s1.space_base, s2.space_base) << name;
-    EXPECT_EQ(s1.space_aux, s2.space_aux) << name;
   }
 }
 
@@ -934,6 +527,7 @@ TEST(ChaosTest, CrossRunIndexSurvivesCompactionFaults) {
 
   Rng rng(kChaosSeed + 11);
   const Key kRange = 1u << 11;
+  uint64_t failed = 0;
   for (int i = 0; i < 1500; ++i) {
     Key key = rng.NextBelow(kRange);
     uint64_t dice = rng.NextBelow(100);
@@ -951,29 +545,17 @@ TEST(ChaosTest, CrossRunIndexSurvivesCompactionFaults) {
         << ", off=" << s_off.ToString() << ")";
     ASSERT_TRUE(s_on.ok() || IsExplicitFailure(s_on.code()))
         << "op " << i << ": " << s_on.ToString();
-    // A couple of mid-faults scans: either both fail explicitly and
-    // identically, or both return the same bytes.
-    if (i % 500 == 250) {
-      std::vector<Entry> a, b;
-      Key lo = rng.NextBelow(kRange);
-      Status sa = indexed.Scan(lo, lo + 100, &a);
-      Status sb = fallback.Scan(lo, lo + 100, &b);
-      ASSERT_TRUE(sa.ok() || IsExplicitFailure(sa.code())) << sa.ToString();
-      if (sa.ok() && sb.ok()) {
-        ASSERT_EQ(a.size(), b.size()) << "op " << i;
-      }
-    }
+    failed += !s_on.ok();
   }
+  EXPECT_GT(failed, 0u) << "the storm never landed";
 
   on_stack.faulty.ClearFaults();
   off_stack.faulty.ClearFaults();
 
-  // Steady state after the storm. A failed op may be partially applied
-  // (e.g. a Delete whose flush failed still holds its tombstone), so there
-  // is no exact external oracle -- the guarantees that DO hold are (1) the
-  // twins issued identical write traffic, so their states are identical and
-  // scans must be byte-identical, and (2) each tree's scans must agree with
-  // its own point Gets.
+  // A failed op may be partially applied (a Delete whose flush failed still
+  // holds its tombstone), so there is no exact external oracle. What does
+  // hold: the twins issued identical write traffic, so their scans must be
+  // byte-identical, and each tree's scans must agree with its point Gets.
   Rng probe(kChaosSeed + 12);
   for (int i = 0; i < 40; ++i) {
     Key lo = probe.NextBelow(kRange);
@@ -993,46 +575,6 @@ TEST(ChaosTest, CrossRunIndexSurvivesCompactionFaults) {
       ASSERT_EQ(got.value(), e.value) << e.key;
     }
   }
-}
-
-// Crash recovery: warm the index, crash the cache, and require that scans
-// over the recovered pages agree with per-key Gets on the same tree -- the
-// index must never serve offsets describing pages the crash rolled back.
-TEST(ChaosTest, CrossRunIndexAgreesWithGetsAfterCrash) {
-  ChaosStack stack;
-  Options options = SmallOptions();
-  options.lsm.policy = LsmPolicy::kLazyLeveled;
-  options.lsm.cross_run_index = true;
-  options.lsm.cross_run_segment_entries = 32;
-  LsmTree tree(options, &stack.cache);
-  ReferenceModel reference;
-  ASSERT_TRUE(LoadClean(&tree, &reference, 600));
-  // Warm: build segments against the pre-crash run set.
-  std::vector<Entry> warm;
-  ASSERT_TRUE(tree.Scan(0, 600, &warm).ok());
-  ASSERT_TRUE(stack.cache.FlushAll().ok());
-
-  stack.cache.Crash();
-
-  std::vector<Entry> scanned;
-  ASSERT_TRUE(tree.Scan(0, kMaxKey, &scanned).ok());
-  // Scan result == { k : Get(k) answers }: same keys, same values.
-  std::set<Key> scan_keys;
-  for (const Entry& e : scanned) {
-    Result<Value> got = tree.Get(e.key);
-    ASSERT_TRUE(got.ok()) << "scan returned key " << e.key
-                          << " but Get says " << got.status().ToString();
-    ASSERT_EQ(got.value(), e.value) << e.key;
-    scan_keys.insert(e.key);
-  }
-  for (Key k = 0; k < 600; ++k) {
-    Result<Value> got = tree.Get(k);
-    if (got.ok()) {
-      ASSERT_TRUE(scan_keys.count(k)) << "Get answers key " << k
-                                      << " but scan missed it";
-    }
-  }
-  ASSERT_TRUE(testing_util::ScanMatchesReference(&tree, reference, 0, 600));
 }
 
 // ------------------------------------------- Fault storms through the

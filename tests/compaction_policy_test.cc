@@ -1,13 +1,9 @@
-// Property/differential tier for the pluggable LSM compaction policies:
-// every policy x seed runs a mixed insert/overwrite/delete stream against
-// the exact ReferenceModel oracle (Get/Scan/Delete equivalence), and the
-// structural invariants each policy promises -- MaxRunsAt respected and
-// run sizes within the level's capacity -- are checked after every
-// operation, i.e. after every flush the stream triggers.
+// Structural tests for the pluggable LSM compaction policies. The policies'
+// differential contract -- every policy against the std::map model, with
+// MaxRunsAt and the level capacities checked after every operation -- runs
+// on the model harness in differential_test (the lsm-* factory names).
 
-#include <algorithm>
 #include <memory>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,9 +15,6 @@
 namespace rum {
 namespace {
 
-using testing_util::GetMatchesReference;
-using testing_util::ReferenceModel;
-using testing_util::ScanMatchesReference;
 using testing_util::SmallOptions;
 
 constexpr LsmPolicy kAllPolicies[] = {
@@ -30,118 +23,6 @@ constexpr LsmPolicy kAllPolicies[] = {
     LsmPolicy::kLazyLeveled,
     LsmPolicy::kHybrid,
 };
-
-const char* PolicyLabel(LsmPolicy policy) {
-  switch (policy) {
-    case LsmPolicy::kLeveled:
-      return "leveled";
-    case LsmPolicy::kTiered:
-      return "tiered";
-    case LsmPolicy::kLazyLeveled:
-      return "lazy-leveled";
-    case LsmPolicy::kHybrid:
-      return "hybrid";
-  }
-  return "?";
-}
-
-// Deterministic xorshift stream, one per (policy, seed) run.
-struct Rng {
-  uint64_t state;
-  uint64_t Next() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  }
-};
-
-// The structural contract every policy restores before HandleFlush
-// returns: run counts bounded by MaxRunsAt, and every run within its
-// level's (monotonically growing) record capacity.
-::testing::AssertionResult StructureHoldsInvariants(LsmTree* tree) {
-  const CompactionPolicy& policy = tree->policy();
-  auto& levels = tree->levels();
-  for (size_t level = 0; level < levels.size(); ++level) {
-    size_t max_runs = policy.MaxRunsAt(level, *tree);
-    if (levels[level].size() > max_runs) {
-      return ::testing::AssertionFailure()
-             << tree->name() << ": level " << level << " holds "
-             << levels[level].size() << " runs, policy allows " << max_runs;
-    }
-    for (const auto& run : levels[level]) {
-      if (run->record_count() > tree->LevelTarget(level)) {
-        return ::testing::AssertionFailure()
-               << tree->name() << ": level " << level << " run holds "
-               << run->record_count() << " records, capacity "
-               << tree->LevelTarget(level);
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-class CompactionPolicyDifferentialTest
-    : public ::testing::TestWithParam<LsmPolicy> {};
-
-TEST_P(CompactionPolicyDifferentialTest, MatchesOracleAcrossSeeds) {
-  for (uint64_t seed : {0x1234ULL, 0xBEEFULL, 0x5EED5ULL}) {
-    Options options = SmallOptions();
-    options.lsm.policy = GetParam();
-    LsmTree tree(options);
-    ReferenceModel reference;
-    Rng rng{seed};
-    constexpr Key kKeySpace = 2048;
-    constexpr size_t kOps = 4000;
-
-    for (size_t op = 0; op < kOps; ++op) {
-      Key key = rng.Next() % kKeySpace;
-      uint64_t dice = rng.Next() % 10;
-      if (dice < 7) {
-        // Insert/overwrite (upsert semantics, like the oracle's map).
-        Value value = rng.Next();
-        ASSERT_TRUE(tree.Insert(key, value).ok());
-        reference.Insert(key, value);
-      } else {
-        ASSERT_TRUE(tree.Delete(key).ok());
-        reference.Delete(key);
-      }
-      ASSERT_TRUE(StructureHoldsInvariants(&tree))
-          << PolicyLabel(GetParam()) << " seed " << seed << " op " << op;
-      ASSERT_EQ(tree.size(), reference.size())
-          << PolicyLabel(GetParam()) << " seed " << seed << " op " << op;
-
-      if (op % 256 == 255) {
-        for (size_t probe = 0; probe < 32; ++probe) {
-          Key k = rng.Next() % kKeySpace;
-          ASSERT_TRUE(GetMatchesReference(&tree, reference, k))
-              << PolicyLabel(GetParam()) << " seed " << seed << " op " << op;
-        }
-        Key lo = rng.Next() % kKeySpace;
-        Key hi = std::min<Key>(kKeySpace, lo + rng.Next() % 256);
-        ASSERT_TRUE(ScanMatchesReference(&tree, reference, lo, hi))
-            << PolicyLabel(GetParam()) << " seed " << seed << " op " << op;
-      }
-    }
-
-    // Final full sweep, including across an explicit flush.
-    ASSERT_TRUE(tree.Flush().ok());
-    ASSERT_TRUE(StructureHoldsInvariants(&tree));
-    for (Key k = 0; k < kKeySpace; ++k) {
-      ASSERT_TRUE(GetMatchesReference(&tree, reference, k))
-          << PolicyLabel(GetParam()) << " seed " << seed << " final sweep";
-    }
-    ASSERT_TRUE(ScanMatchesReference(&tree, reference, 0, kKeySpace));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, CompactionPolicyDifferentialTest,
-                         ::testing::ValuesIn(kAllPolicies),
-                         [](const auto& info) {
-                           std::string name = PolicyLabel(info.param);
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           return name;
-                         });
 
 TEST(CompactionPolicyTest, MakeReturnsMatchingStrategy) {
   for (LsmPolicy kind : kAllPolicies) {

@@ -22,9 +22,7 @@
 namespace rum {
 namespace {
 
-using testing_util::GetMatchesReference;
 using testing_util::MustAllocate;
-using testing_util::ReferenceModel;
 using testing_util::SmallOptions;
 
 TEST(FaultTest, DeviceFailsAfterBudget) {
@@ -230,55 +228,6 @@ TEST(FaultTest, InjectedErrorsCarryDeviceContext) {
   EXPECT_NE(s.message().find("op=Read"), std::string::npos) << s.ToString();
   EXPECT_NE(s.message().find("page=" + std::to_string(p)), std::string::npos)
       << s.ToString();
-}
-
-// Every factory method, loaded clean and then probed under a total device
-// outage: each Get either fails with an explicit error or returns the exact
-// reference value -- reads cannot silently corrupt, and once the fault
-// clears every method answers exactly again. In-memory methods simply never
-// fault; the sweep asserts they stay exact throughout.
-TEST(FaultTest, AllFactoryMethodsSurviveReadFaults) {
-  constexpr Key kKeys = 800;
-  uint64_t total_faulted = 0;
-  for (std::string_view name : AllAccessMethodNames()) {
-    RumCounters counters;
-    BlockDevice base(512, &counters);
-    FaultyDevice device(&base);
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &device);
-    ASSERT_NE(method, nullptr) << name;
-
-    ReferenceModel reference;
-    for (Key k = 0; k < kKeys; ++k) {
-      ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok()) << name;
-      reference.Insert(k, ValueFor(k));
-    }
-    ASSERT_TRUE(method->Flush().ok()) << name;
-
-    device.InjectFailureAfter(0);
-    uint64_t faulted = 0;
-    for (Key k = 0; k < kKeys; k += 7) {
-      Result<Value> r = method->Get(k);
-      if (r.ok()) {
-        Value expected;
-        ASSERT_TRUE(reference.Get(k, &expected)) << name;
-        EXPECT_EQ(r.value(), expected) << name << " key " << k;
-      } else {
-        // Explicit failure is the only alternative to the right answer.
-        EXPECT_TRUE(r.code() == Code::kIOError ||
-                    r.code() == Code::kCorruption)
-            << name << " key " << k << ": " << r.status().ToString();
-        ++faulted;
-      }
-    }
-    device.ClearFaults();
-    for (Key k = 0; k < kKeys; k += 7) {
-      EXPECT_TRUE(GetMatchesReference(method.get(), reference, k)) << name;
-    }
-    total_faulted += faulted;
-  }
-  // Sanity: the outage was real -- the device-backed methods did fault.
-  EXPECT_GT(total_faulted, 0u);
 }
 
 // A page header whose entry count disagrees with the block -- more entries

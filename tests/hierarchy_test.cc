@@ -1,11 +1,10 @@
 // Memory-hierarchy tests (the paper's Figure 2): stacking caches under an
 // access method trades space at level n-1 for read overhead at level n.
-#include <map>
-
+// That every method stays exact under a write-back cache is checked by the
+// `cache` rows of differential_test's feature matrix.
 #include <gtest/gtest.h>
 
 #include "methods/btree/btree.h"
-#include "methods/lsm/lsm_tree.h"
 #include "storage/block_device.h"
 #include "storage/caching_device.h"
 #include "tests/testing_util.h"
@@ -67,42 +66,6 @@ TEST(HierarchyTest, LargeEnoughCacheAbsorbsAlmostEverything) {
   // With the whole tree cached, device reads collapse to the initial
   // fill (compulsory misses).
   EXPECT_LT(warm, cold / 3);
-}
-
-TEST(HierarchyTest, LsmUnderCacheStaysCorrect) {
-  // Composition check: a write-heavy differential structure through a
-  // write-back cache must stay exactly correct (evictions and FlushAll
-  // ordering included).
-  RumCounters counters;
-  BlockDevice bottom(512, &counters);
-  CachingDevice cache(&bottom, 16);
-  Options options = SmallOptions();
-  LsmTree tree(options, &cache);
-  std::map<Key, Value> reference;
-  Rng rng(5);
-  for (int i = 0; i < 4000; ++i) {
-    Key k = rng.NextBelow(1u << 11);
-    if (rng.NextBelow(10) < 7) {
-      Value v = rng.Next();
-      ASSERT_TRUE(tree.Insert(k, v).ok());
-      reference[k] = v;
-    } else {
-      ASSERT_TRUE(tree.Delete(k).ok());
-      reference.erase(k);
-    }
-  }
-  ASSERT_TRUE(tree.Flush().ok());
-  ASSERT_TRUE(cache.FlushAll().ok());
-  std::vector<Entry> all;
-  ASSERT_TRUE(tree.Scan(0, 1u << 11, &all).ok());
-  ASSERT_EQ(all.size(), reference.size());
-  for (const Entry& e : all) {
-    auto it = reference.find(e.key);
-    ASSERT_NE(it, reference.end()) << e.key;
-    ASSERT_EQ(it->second, e.value) << e.key;
-  }
-  // The cache actually absorbed traffic.
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 TEST(HierarchyTest, TwoStackedCachesCompose) {

@@ -237,7 +237,7 @@ TEST(MergeStreamsTest, NewestStreamShadowsOlder) {
   streams[0] = {{1, 100, LogOp::kPut}, {3, 300, LogOp::kPut}};
   streams[1] = {{1, 1, LogOp::kPut}, {2, 2, LogOp::kPut}};
   std::vector<LogRecord> merged =
-      LsmTree::MergeStreams(std::move(streams), false);
+      MergeLogStreams(std::move(streams), false);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].key, 1u);
   EXPECT_EQ(merged[0].value, 100u);  // Newest wins.
@@ -251,12 +251,12 @@ TEST(MergeStreamsTest, TombstonesDroppedOnlyWhenAsked) {
   streams[1] = {{1, 11, LogOp::kPut}, {2, 22, LogOp::kPut}};
   std::vector<std::vector<LogRecord>> copy = streams;
 
-  std::vector<LogRecord> keep = LsmTree::MergeStreams(std::move(copy), false);
+  std::vector<LogRecord> keep = MergeLogStreams(std::move(copy), false);
   ASSERT_EQ(keep.size(), 2u);
   EXPECT_EQ(keep[0].op, LogOp::kDelete);
 
   std::vector<LogRecord> drop =
-      LsmTree::MergeStreams(std::move(streams), true);
+      MergeLogStreams(std::move(streams), true);
   ASSERT_EQ(drop.size(), 1u);
   EXPECT_EQ(drop[0].key, 2u);
 }

@@ -1,49 +1,35 @@
-// MultiGet differential tier: for every factory method, a seeded mutation
-// stream (inserts, updates, deletes -- so live keys, misses, and tombstones
-// all exist) builds two identical instances, and then batches of keys are
-// answered twice: by the per-key Get loop on one instance and by one
-// MultiGet call on the other. The contract checked here is the batching
-// accounting contract (DESIGN.md 3j):
+// The MultiGet differential tier, on the model-based harness
+// (tests/model_harness.h). For every factory method a seeded stream runs
+// against the std::map model, and MultiGets sampled across it are each
+// replayed on two instances that took the same prefix: one answers with
+// MultiGet, the other with the per-key Get loop (DESIGN.md 3j). Results must
+// be identical; a batch of one must charge identical counters; a larger
+// batch no more physical traffic and the same logical work. Each stream
+// ends in a 4096-key batch and a sorted dense one, always compared.
 //
-//   1. Results are element-identical to the Get loop -- duplicates, misses,
-//      tombstoned keys, any input order.
-//   2. At batch size 1 the counter deltas are IDENTICAL (MultiGet of one key
-//      charges exactly what Get charges, field for field).
-//   3. At larger batch sizes every traffic counter is <= the Get loop's,
-//      with the saved page pins visible in batched_page_hits; the logical
-//      work (point_queries, logical_bytes_read) stays exactly equal.
-//
-// The same checks run post-crash (flushed state only) and after a faulty
-// load (plans armed during mutations, cleared before the read comparison --
-// fault draws are indexed per attempt, so batching legitimately changes
-// which draw a read sees; arming them across the comparison would diff the
-// fault schedule, not the batching).
-#include <algorithm>
-#include <memory>
-#include <optional>
+// Post-crash and faulty-load reads run as rows of differential_test's
+// feature matrix, where every MultiGet made while no fault plan is armed
+// must equal the Get loop on the same instance.
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/access_method.h"
 #include "methods/factory.h"
-#include "service/scheduled_method.h"
-#include "storage/block_device.h"
-#include "storage/caching_device.h"
-#include "storage/faulty_device.h"
-#include "tests/testing_util.h"
+#include "tests/model_harness.h"
 #include "workload/distribution.h"
 
 namespace rum {
 namespace {
 
-using testing_util::SmallOptions;
+using harness::GenSpec;
+using harness::Op;
+using harness::OpKind;
+using harness::ParseFeatures;
+using harness::Report;
 
 constexpr uint64_t kSeeds[] = {0xA11CEull, 0xB0B5EEDull, 0xC0FFEE42ull};
-constexpr size_t kBatchSizes[] = {1, 7, 64, 4096};
-constexpr Key kRange = 1u << 12;
 
 std::vector<std::string> AllMethodNames() {
   std::vector<std::string> names;
@@ -53,381 +39,66 @@ std::vector<std::string> AllMethodNames() {
   return names;
 }
 
-/// Replays the seed's mutation stream (identical for identical seeds) so two
-/// instances end in byte-identical structural states. Tracks one recently
-/// deleted key so batches can aim at a known tombstone.
-void ApplyStream(AccessMethod* method, uint64_t seed, Key* deleted_key) {
-  Rng rng(seed);
-  *deleted_key = 0;
-  const int kOps = 1200;
-  for (int i = 0; i < kOps; ++i) {
-    Key key = rng.NextBelow(kRange);
-    uint64_t dice = rng.NextBelow(100);
-    if (dice < 55) {
-      ASSERT_TRUE(method->Insert(key, rng.Next()).ok());
-    } else if (dice < 75) {
-      ASSERT_TRUE(method->Update(key, rng.Next()).ok());
-    } else {
-      ASSERT_TRUE(method->Delete(key).ok());
-      *deleted_key = key;
-    }
-    if (i % 400 == 200) {
-      ASSERT_TRUE(method->Flush().ok());
-    }
-  }
-  ASSERT_TRUE(method->Flush().ok());
-}
+class MultiGetParityTest
+    : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
 
-/// A batch with everything the contract names: random keys (hits and
-/// misses), runs of duplicates, guaranteed-absent keys past the key range,
-/// and the stream's last tombstoned key.
-std::vector<Key> MakeBatch(uint64_t seed, size_t n, Key deleted_key) {
-  Rng rng(seed ^ 0xBA7C4ull ^ n);
-  std::vector<Key> keys;
-  keys.reserve(n);
+/// A batch of `n` keys mixing hits and misses, duplicates, keys past the
+/// key range and the stream's last deleted key.
+Op LargeBatch(uint64_t seed, size_t n, Key key_range,
+              const std::vector<Op>& ops) {
+  Key deleted = 0;
+  for (const Op& op : ops) {
+    if (op.kind == OpKind::kDelete) deleted = op.key;
+  }
+  Rng rng(seed ^ 0xBA7C4ull);
+  Op batch;
+  batch.kind = OpKind::kMultiGet;
   for (size_t i = 0; i < n; ++i) {
     uint64_t dice = rng.NextBelow(10);
-    if (dice == 0 && !keys.empty()) {
-      keys.push_back(keys[rng.NextBelow(keys.size())]);  // Duplicate.
+    if (dice == 0 && !batch.keys.empty()) {
+      batch.keys.push_back(batch.keys[rng.NextBelow(batch.keys.size())]);
     } else if (dice == 1) {
-      keys.push_back(kRange + rng.NextBelow(1000));  // Guaranteed miss.
+      batch.keys.push_back(key_range + rng.NextBelow(1000));
     } else if (dice == 2) {
-      keys.push_back(deleted_key);  // Tombstone candidate.
+      batch.keys.push_back(deleted);
     } else {
-      keys.push_back(rng.NextBelow(kRange));
+      batch.keys.push_back(rng.NextBelow(key_range));
     }
   }
-  return keys;
+  return batch;
 }
 
-/// The per-key Get loop MultiGet must reproduce: nullopt on NotFound,
-/// failure on anything else.
-std::vector<std::optional<Value>> GetLoop(AccessMethod* method,
-                                          const std::vector<Key>& keys) {
-  std::vector<std::optional<Value>> out;
-  out.reserve(keys.size());
-  for (Key key : keys) {
-    Result<Value> r = method->Get(key);
-    if (r.ok()) {
-      out.emplace_back(r.value());
-    } else {
-      EXPECT_TRUE(r.status().IsNotFound()) << r.status().ToString();
-      out.emplace_back(std::nullopt);
-    }
-  }
-  return out;
-}
-
-void ExpectSameResults(const std::vector<std::optional<Value>>& expected,
-                       const std::vector<std::optional<Value>>& actual,
-                       const std::vector<Key>& keys) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(actual[i].has_value(), expected[i].has_value())
-        << "slot " << i << " key " << keys[i];
-    if (expected[i].has_value()) {
-      EXPECT_EQ(*actual[i], *expected[i]) << "slot " << i << " key "
-                                          << keys[i];
-    }
-  }
-}
-
-/// Batch > 1: physical traffic must not exceed the Get loop's, logical work
-/// must match it exactly, and the delta must show up in batched_page_hits.
-void ExpectBatchedCounters(const CounterSnapshot& get_loop,
-                           const CounterSnapshot& multi) {
-  EXPECT_EQ(multi.point_queries, get_loop.point_queries);
-  EXPECT_EQ(multi.logical_bytes_read, get_loop.logical_bytes_read);
-  EXPECT_LE(multi.bytes_read_base, get_loop.bytes_read_base);
-  EXPECT_LE(multi.bytes_read_aux, get_loop.bytes_read_aux);
-  EXPECT_LE(multi.blocks_read, get_loop.blocks_read);
-  EXPECT_LE(multi.bytes_written_base, get_loop.bytes_written_base);
-  EXPECT_LE(multi.bytes_written_aux, get_loop.bytes_written_aux);
-  EXPECT_EQ(get_loop.batched_page_hits, 0u);
-}
-
-class MultiGetDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {};
-
-// The core sweep: every batch size against fresh identical instances, so
-// each comparison starts from byte-identical structural AND cache state.
-TEST_P(MultiGetDifferentialTest, MatchesGetLoopAtEveryBatchSize) {
-  const std::string& name = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-  for (size_t batch_size : kBatchSizes) {
-    SCOPED_TRACE(::testing::Message() << name << " seed 0x" << std::hex
-                                      << seed << std::dec << " batch "
-                                      << batch_size);
-    auto loop_method = MakeAccessMethod(name, SmallOptions());
-    auto batch_method = MakeAccessMethod(name, SmallOptions());
-    ASSERT_NE(loop_method, nullptr) << "unknown method " << name;
-    Key deleted_key = 0;
-    ApplyStream(loop_method.get(), seed, &deleted_key);
-    ApplyStream(batch_method.get(), seed, &deleted_key);
-
-    std::vector<Key> keys = MakeBatch(seed, batch_size, deleted_key);
-    loop_method->ResetStats();
-    batch_method->ResetStats();
-
-    std::vector<std::optional<Value>> expected =
-        GetLoop(loop_method.get(), keys);
-    std::vector<std::optional<Value>> actual;
-    ASSERT_TRUE(batch_method->MultiGet(keys, &actual).ok());
-    ExpectSameResults(expected, actual, keys);
-
-    CounterSnapshot get_stats = loop_method->stats();
-    CounterSnapshot multi_stats = batch_method->stats();
-    if (batch_size == 1) {
-      // Identity: a batch of one charges exactly what Get charges.
-      EXPECT_EQ(multi_stats.ToString(), get_stats.ToString());
-    } else {
-      ExpectBatchedCounters(get_stats, multi_stats);
-    }
-  }
-}
-
-// Ascending pre-sorted batches hit the grouped fast paths hardest (every
-// adjacent key may share a page); unsorted coverage comes from the sweep
-// above.
-TEST_P(MultiGetDifferentialTest, MatchesGetLoopOnSortedDenseBatch) {
-  const std::string& name = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-  auto loop_method = MakeAccessMethod(name, SmallOptions());
-  auto batch_method = MakeAccessMethod(name, SmallOptions());
-  ASSERT_NE(loop_method, nullptr) << "unknown method " << name;
-  Key deleted_key = 0;
-  ApplyStream(loop_method.get(), seed, &deleted_key);
-  ApplyStream(batch_method.get(), seed, &deleted_key);
-
-  std::vector<Key> keys;
-  for (Key k = 0; k < 512; ++k) keys.push_back(k);
-  loop_method->ResetStats();
-  batch_method->ResetStats();
-  std::vector<std::optional<Value>> expected = GetLoop(loop_method.get(), keys);
-  std::vector<std::optional<Value>> actual;
-  ASSERT_TRUE(batch_method->MultiGet(keys, &actual).ok());
-  ExpectSameResults(expected, actual, keys);
-  ExpectBatchedCounters(loop_method->stats(), batch_method->stats());
+TEST_P(MultiGetParityTest, BatchesMatchTheGetLoop) {
+  const auto& [name, seed_index] = GetParam();
+  const GenSpec spec{.ops = 600, .faults = false, .crashes = false};
+  std::vector<Op> ops = harness::Generate(kSeeds[seed_index], spec);
+  // Two fixed batches close the stream, both always compared: 4096 mixed
+  // keys, and the sorted dense range [0, 512) that hits the grouped fast
+  // paths hardest (adjacent keys share pages).
+  ops.push_back(LargeBatch(kSeeds[seed_index], 4096, spec.key_range, ops));
+  Op dense;
+  dense.kind = OpKind::kMultiGet;
+  for (Key k = 0; k < 512; ++k) dense.keys.push_back(k);
+  ops.push_back(dense);
+  // Seed rows vary the knobs that change the batched read path.
+  const char* rows[] = {"plain", "index+blocked+compress", "service+sharded"};
+  Report report;
+  EXPECT_TRUE(harness::RunParity(
+      name, ParseFeatures(rows[seed_index]), ops, &report));
+  EXPECT_GE(report.parity_checks, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllMethodsTimesSeeds, MultiGetDifferentialTest,
+    AllMethodsTimesSeeds, MultiGetParityTest,
     ::testing::Combine(::testing::ValuesIn(AllMethodNames()),
-                       ::testing::ValuesIn(kSeeds)),
-    [](const ::testing::TestParamInfo<std::tuple<std::string, uint64_t>>&
-           info) {
+                       ::testing::Range<size_t>(0, 3)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, size_t>>& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      char seed_tag[24];
-      std::snprintf(seed_tag, sizeof(seed_tag), "_%llx",
-                    static_cast<unsigned long long>(std::get<1>(info.param)));
-      return name + seed_tag;
+      return name + "_seed" + std::to_string(std::get<1>(info.param));
     });
-
-// ----------------------------------------------------------- Blocked bloom
-
-// The blocked-bloom LSM variant must keep the whole contract: same results,
-// batch-of-one counter identity, and <= traffic at real batch sizes.
-TEST(MultiGetBlockedBloomTest, LsmContractHoldsWithBlockedBloom) {
-  for (const char* name : {"lsm-tiered", "lsm-leveled"}) {
-    for (uint64_t seed : kSeeds) {
-      Options options = SmallOptions();
-      options.lsm.blocked_bloom = true;
-      for (size_t batch_size : {1ul, 64ul}) {
-        SCOPED_TRACE(::testing::Message() << name << " seed 0x" << std::hex
-                                          << seed << std::dec << " batch "
-                                          << batch_size);
-        auto loop_method = MakeAccessMethod(name, options);
-        auto batch_method = MakeAccessMethod(name, options);
-        ASSERT_NE(loop_method, nullptr);
-        Key deleted_key = 0;
-        ApplyStream(loop_method.get(), seed, &deleted_key);
-        ApplyStream(batch_method.get(), seed, &deleted_key);
-        std::vector<Key> keys = MakeBatch(seed, batch_size, deleted_key);
-        loop_method->ResetStats();
-        batch_method->ResetStats();
-        std::vector<std::optional<Value>> expected =
-            GetLoop(loop_method.get(), keys);
-        std::vector<std::optional<Value>> actual;
-        ASSERT_TRUE(batch_method->MultiGet(keys, &actual).ok());
-        ExpectSameResults(expected, actual, keys);
-        if (batch_size == 1) {
-          EXPECT_EQ(batch_method->stats().ToString(),
-                    loop_method->stats().ToString());
-        } else {
-          ExpectBatchedCounters(loop_method->stats(), batch_method->stats());
-        }
-      }
-    }
-  }
-}
-
-// Filters must stay lossless for present keys: a dense all-hits batch over
-// a blocked-bloom LSM returns every value (no false negatives end to end).
-TEST(MultiGetBlockedBloomTest, NoFalseNegativesEndToEnd) {
-  Options options = SmallOptions();
-  options.lsm.blocked_bloom = true;
-  auto method = MakeAccessMethod("lsm-tiered", options);
-  ASSERT_NE(method, nullptr);
-  for (Key k = 0; k < 600; ++k) {
-    ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok());
-  }
-  ASSERT_TRUE(method->Flush().ok());
-  std::vector<Key> keys;
-  for (Key k = 0; k < 600; ++k) keys.push_back(k);
-  std::vector<std::optional<Value>> out;
-  ASSERT_TRUE(method->MultiGet(keys, &out).ok());
-  for (Key k = 0; k < 600; ++k) {
-    ASSERT_TRUE(out[k].has_value()) << k;
-    EXPECT_EQ(*out[k], ValueFor(k)) << k;
-  }
-}
-
-// ----------------------------------------------------- Crash and faults
-
-struct ChaosStack {
-  RumCounters counters;
-  BlockDevice base;
-  FaultyDevice faulty;
-  CachingDevice cache;
-
-  ChaosStack() : base(512, &counters), faulty(&base), cache(&faulty, 8) {}
-};
-
-// Post-crash: only flushed state survives; the recovered structure must
-// answer batches exactly as it answers single Gets.
-TEST(MultiGetChaosTest, MatchesGetLoopAfterCrash) {
-  for (std::string_view name : AllAccessMethodNames()) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &stack.cache);
-    ASSERT_NE(method, nullptr) << name;
-    for (Key k = 0; k < 300; ++k) {
-      ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok()) << name;
-    }
-    ASSERT_TRUE(method->Flush().ok()) << name;
-    // Unflushed tail, then crash: the cache drops dirty state.
-    for (Key k = 300; k < 330; ++k) {
-      ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok()) << name;
-    }
-    stack.cache.Crash();
-
-    // Dropping dirty state can leave a method explicitly corrupt (never
-    // silently wrong): when the Get loop reports an error, the batch must
-    // fail too; when it is clean, the batch must match it exactly.
-    std::vector<Key> keys = MakeBatch(0xC7A54ull, 256, 7);
-    std::vector<std::optional<Value>> expected;
-    bool clean = true;
-    for (Key key : keys) {
-      Result<Value> r = method->Get(key);
-      if (r.ok()) {
-        expected.emplace_back(r.value());
-      } else if (r.status().IsNotFound()) {
-        expected.emplace_back(std::nullopt);
-      } else {
-        clean = false;
-        break;
-      }
-    }
-    std::vector<std::optional<Value>> actual;
-    Status s = method->MultiGet(keys, &actual);
-    if (clean) {
-      ASSERT_TRUE(s.ok()) << name << ": " << s.ToString();
-      ExpectSameResults(expected, actual, keys);
-    } else {
-      EXPECT_FALSE(s.ok()) << name;
-    }
-  }
-}
-
-// Faults during the load only: write-class transients are armed while the
-// stream mutates (errors tolerated), cleared, and then the read-side
-// comparison must be exact on whatever state resulted.
-TEST(MultiGetChaosTest, MatchesGetLoopAfterFaultyLoad) {
-  for (std::string_view name : AllAccessMethodNames()) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    auto method = MakeAccessMethod(name, options, &stack.cache);
-    ASSERT_NE(method, nullptr) << name;
-    for (Key k = 0; k < 200; ++k) {
-      ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok()) << name;
-    }
-    ASSERT_TRUE(method->Flush().ok()) << name;
-
-    stack.faulty.SetPlan(FaultPlan::Transient(0xFA17ull, 0.0)
-                             .WithRate(FaultOp::kWrite, 0.05));
-    Rng rng(0xFA17ull);
-    for (int i = 0; i < 300; ++i) {
-      Key key = rng.NextBelow(400);
-      // Outcomes vary per method under faults; only no-crash is required.
-      if (rng.NextBelow(3) == 0) {
-        (void)method->Delete(key);
-      } else {
-        (void)method->Insert(key, rng.Next());
-      }
-    }
-    stack.faulty.ClearFaults();
-    (void)method->Flush();
-
-    std::vector<Key> keys = MakeBatch(0xFA17ull, 256, 3);
-    std::vector<std::optional<Value>> expected;
-    bool clean = true;
-    for (Key key : keys) {
-      Result<Value> r = method->Get(key);
-      if (r.ok()) {
-        expected.emplace_back(r.value());
-      } else if (r.status().IsNotFound()) {
-        expected.emplace_back(std::nullopt);
-      } else {
-        clean = false;  // Residual corruption: skip the comparison.
-        break;
-      }
-    }
-    if (!clean) continue;
-    std::vector<std::optional<Value>> actual;
-    Status s = method->MultiGet(keys, &actual);
-    ASSERT_TRUE(s.ok()) << name << ": " << s.ToString();
-    ExpectSameResults(expected, actual, keys);
-  }
-}
-
-// ----------------------------------------------------- Service front door
-
-// Batches through the scheduler's closed-loop face: the conservation ledger
-// must hold with every request of every batch counted, and the new
-// batched_reads / batch_size stats must record the windows.
-TEST(MultiGetServiceTest, ScheduledBatchesKeepTheLedgerExact) {
-  Options options = SmallOptions();
-  options.service.enabled = true;
-  options.service.dispatch_overhead_us = 8;
-  options.service.op_cost_us = 2;
-  auto method = MakeAccessMethod("btree", options);
-  ASSERT_NE(method, nullptr);
-  auto* wrapper = dynamic_cast<ScheduledMethod*>(method.get());
-  ASSERT_NE(wrapper, nullptr);
-  for (Key k = 0; k < 200; ++k) {
-    ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok());
-  }
-
-  std::vector<Key> keys;
-  for (Key k = 0; k < 64; ++k) keys.push_back(k * 5);
-  std::vector<std::optional<Value>> out;
-  ASSERT_TRUE(method->MultiGet(keys, &out).ok());
-  ASSERT_TRUE(method->MultiGet(keys, &out).ok());
-
-  ServiceStats stats = wrapper->service_stats();
-  EXPECT_TRUE(stats.LedgerHolds());
-  EXPECT_EQ(stats.batched_reads, 2u);
-  EXPECT_EQ(stats.batch_size.count(), 2u);
-  // 200 inserts + 2 batches of 64 Gets, every one submitted and completed.
-  EXPECT_EQ(stats.submitted, 200u + 128u);
-  EXPECT_EQ(stats.completed, 200u + 128u);
-  // One dispatch window per batch: overhead amortized across 64 ops.
-  EXPECT_EQ(stats.batches, 200u + 2u);
-  EXPECT_EQ(stats.batched_ops, 200u + 128u);
-}
 
 }  // namespace
 }  // namespace rum

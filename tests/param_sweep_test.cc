@@ -1,8 +1,7 @@
-// Property sweeps: every access method must satisfy the reference-model
-// contract under *every* configuration, not just the defaults -- tiny and
+// Property sweeps: every access method must satisfy the model harness's
+// differential contract under *every* configuration, not just the defaults -- tiny and
 // large blocks, extreme split fractions, deep and shallow merge
 // hierarchies, narrow and wide trie spans, degenerate buffer sizes.
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,13 +10,12 @@
 
 #include "core/access_method.h"
 #include "methods/factory.h"
+#include "tests/model_harness.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
 
 namespace rum {
 namespace {
-
-using testing_util::ReferenceModel;
 
 struct SweepConfig {
   std::string label;
@@ -151,52 +149,16 @@ std::vector<SweepConfig> MakeConfigs() {
 
 class ParamSweepTest : public ::testing::TestWithParam<SweepConfig> {};
 
+// The harness's op stream (no faults or crashes: the method runs on its
+// private device) against the std::map model, on each configuration.
 TEST_P(ParamSweepTest, RandomizedDifferential) {
   const SweepConfig& config = GetParam();
   ASSERT_TRUE(ValidateOptions(config.options).ok());
-  std::unique_ptr<AccessMethod> method =
-      MakeAccessMethod(config.method, config.options);
-  ASSERT_NE(method, nullptr);
-  ReferenceModel reference;
-
-  Rng rng(0xABCD);
-  const Key kRange = 1u << 11;
-  for (int i = 0; i < 3000; ++i) {
-    Key key = rng.NextBelow(kRange);
-    uint64_t dice = rng.NextBelow(100);
-    if (dice < 50) {
-      Value v = rng.Next();
-      ASSERT_TRUE(method->Insert(key, v).ok()) << config.label;
-      reference.Insert(key, v);
-    } else if (dice < 65) {
-      ASSERT_TRUE(method->Delete(key).ok()) << config.label;
-      reference.Delete(key);
-    } else if (dice < 95) {
-      Value expected;
-      bool present = reference.Get(key, &expected);
-      Result<Value> got = method->Get(key);
-      ASSERT_EQ(got.ok(), present) << config.label << " key " << key
-                                   << " at op " << i;
-      if (present) {
-        ASSERT_EQ(got.value(), expected) << config.label << " key " << key;
-      }
-    } else {
-      Key hi = key + rng.NextBelow(64);
-      std::vector<Entry> got;
-      ASSERT_TRUE(method->Scan(key, hi, &got).ok()) << config.label;
-      std::vector<Entry> expected = reference.Scan(key, hi);
-      ASSERT_EQ(got.size(), expected.size())
-          << config.label << " scan at op " << i;
-      for (size_t j = 0; j < expected.size(); ++j) {
-        ASSERT_EQ(got[j], expected[j]) << config.label << " at " << j;
-      }
-    }
-  }
-  ASSERT_EQ(method->size(), reference.size()) << config.label;
-  // Full-range scan as the final invariant.
-  std::vector<Entry> all;
-  ASSERT_TRUE(method->Scan(0, kRange, &all).ok());
-  ASSERT_EQ(all.size(), reference.size()) << config.label;
+  std::vector<harness::Op> ops = harness::Generate(
+      0xABCD, harness::GenSpec{.ops = 3000, .key_range = 1u << 11,
+                               .faults = false, .crashes = false});
+  EXPECT_TRUE(harness::RunWithOptions(config.method, config.options, ops))
+      << config.label;
 }
 
 TEST_P(ParamSweepTest, BulkLoadRoundTrip) {

@@ -498,5 +498,33 @@ TEST(SaturationTest, ConcurrentClosedLoopKeepsExactBooks) {
   EXPECT_EQ(stats.total_us.count(), spec.operations);
 }
 
+// MultiGet batches through the closed-loop front door: every request of
+// every batch is counted in the ledger, and the batched_reads /
+// batch_size stats record one dispatch window per batch.
+TEST(SaturationTest, ScheduledBatchesKeepTheLedgerExact) {
+  auto method = MakeAccessMethod("btree", ServiceOptions());
+  ASSERT_NE(method, nullptr);
+  auto* wrapper = dynamic_cast<ScheduledMethod*>(method.get());
+  ASSERT_NE(wrapper, nullptr);
+  for (Key k = 0; k < 200; ++k) {
+    ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok());
+  }
+
+  std::vector<Key> keys;
+  for (Key k = 0; k < 64; ++k) keys.push_back(k * 5);
+  std::vector<std::optional<Value>> out;
+  ASSERT_TRUE(method->MultiGet(keys, &out).ok());
+  ASSERT_TRUE(method->MultiGet(keys, &out).ok());
+
+  ServiceStats stats = wrapper->service_stats();
+  ExpectLedgerExact(stats, 200u + 128u);
+  EXPECT_EQ(stats.batched_reads, 2u);
+  EXPECT_EQ(stats.batch_size.count(), 2u);
+  EXPECT_EQ(stats.completed, 200u + 128u);
+  // One dispatch window per batch: overhead amortized across 64 ops.
+  EXPECT_EQ(stats.batches, 200u + 2u);
+  EXPECT_EQ(stats.batched_ops, 200u + 128u);
+}
+
 }  // namespace
 }  // namespace rum

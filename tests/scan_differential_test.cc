@@ -1,12 +1,11 @@
-// Scan differential tier: range scans are the one operation the cross-run
-// index changes, so this tier hammers exactly that surface. Every scenario
-// runs the same seeded stream against an index-on tree, an index-off twin,
-// and the oracle map, over every compaction policy -- the acceptance bar is
-// byte-identical output from all three, for every range shape we can think
-// of: empty gaps, single keys, lo == hi, full-span hi = kMaxKey,
-// tombstone-heavy key spaces, compressed runs, and post-crash recovery.
-// Rerun a failure with the printed seed to reproduce the exact stream.
-#include <memory>
+// The scan differential tier, on the model-based harness
+// (tests/model_harness.h). Range scans are the one operation the cross-run
+// index changes, so every LSM policy runs scan-dense streams with the index
+// off and on -- and on over compressed runs, and under the cache -- and
+// every answer must match the std::map model, so the index-on and index-off
+// twins agree byte for byte. The streams take every range shape: empty
+// gaps, lo == hi, full span to kMaxKey, tombstone-heavy key spaces, and
+// scans after a crash. A failure prints its shrunk, replayable op list.
 #include <string>
 #include <tuple>
 #include <vector>
@@ -14,294 +13,140 @@
 #include <gtest/gtest.h>
 
 #include "methods/lsm/lsm_tree.h"
-#include "storage/block_device.h"
-#include "storage/caching_device.h"
-#include "storage/faulty_device.h"
+#include "tests/model_harness.h"
 #include "tests/testing_util.h"
-#include "workload/distribution.h"
 
 namespace rum {
 namespace {
 
-using testing_util::GetMatchesReference;
-using testing_util::ReferenceModel;
-using testing_util::ScanMatchesReference;
-using testing_util::SmallOptions;
-
-constexpr LsmPolicy kAllPolicies[] = {
-    LsmPolicy::kLeveled,
-    LsmPolicy::kTiered,
-    LsmPolicy::kLazyLeveled,
-    LsmPolicy::kHybrid,
-};
-
-const char* PolicyName(LsmPolicy policy) {
-  switch (policy) {
-    case LsmPolicy::kLeveled:
-      return "leveled";
-    case LsmPolicy::kTiered:
-      return "tiered";
-    case LsmPolicy::kLazyLeveled:
-      return "lazy";
-    case LsmPolicy::kHybrid:
-      return "hybrid";
-  }
-  return "?";
-}
+using harness::GenSpec;
+using harness::Op;
+using harness::OpKind;
+using harness::ParseFeatures;
+using harness::ParseOps;
 
 constexpr uint64_t kSeeds[] = {0x5CA11ull, 0x5CA22ull};
 
-Options DiffOptions(LsmPolicy policy, bool cross_run_index,
-                    bool compress = false) {
-  Options options = SmallOptions();
-  options.lsm.policy = policy;
-  options.lsm.cross_run_index = cross_run_index;
-  // Small segments: scans cross segment boundaries and trigger relayouts
-  // within test-sized key counts.
-  options.lsm.cross_run_segment_entries = 32;
-  options.lsm.compress_runs = compress;
-  return options;
-}
+const char* const kPolicies[] = {"lsm-leveled", "lsm-tiered", "lsm-lazy",
+                                 "lsm-hybrid"};
+// Index off, index on, index over compressed runs, index under the cache.
+const char* const kRows[] = {"plain", "index", "index+compress",
+                             "index+cache"};
 
-/// Draws one range from the shapes a scan can take. Mostly narrow windows,
-/// with a steady trickle of the degenerate shapes that break naive merges.
-void DrawRange(Rng* rng, Key key_range, Key* lo, Key* hi) {
-  uint64_t shape = rng->NextBelow(100);
-  if (shape < 60) {  // Narrow window.
-    *lo = rng->NextBelow(key_range);
-    *hi = *lo + rng->NextBelow(64);
-  } else if (shape < 75) {  // Single key / lo == hi.
-    *lo = rng->NextBelow(key_range);
-    *hi = *lo;
-  } else if (shape < 85) {  // Likely-empty gap past the populated domain.
-    *lo = key_range + rng->NextBelow(key_range);
-    *hi = *lo + rng->NextBelow(256);
-  } else if (shape < 95) {  // Wide window.
-    *lo = rng->NextBelow(key_range);
-    *hi = *lo + rng->NextBelow(key_range);
-  } else {  // Full span to the top of the key space.
-    *lo = rng->NextBelow(key_range);
-    *hi = kMaxKey;
+/// A fault-free generated stream with a scan of the generator's range
+/// shapes spliced in after every other op.
+std::vector<Op> ScanDenseStream(uint64_t seed) {
+  std::vector<Op> base = harness::Generate(
+      seed, GenSpec{.ops = 1200, .faults = false, .crashes = false});
+  std::vector<Op> scans;
+  for (Op& op : harness::Generate(seed ^ 0x5CA5CA5ull,
+                                  GenSpec{.ops = 6000, .faults = false,
+                                          .crashes = false})) {
+    if (op.kind == OpKind::kScan) scans.push_back(std::move(op));
   }
-}
-
-/// Asserts both trees return byte-identical scans that also match the
-/// oracle. The twin comparison is the differential guarantee the index
-/// must keep; the oracle comparison says which twin is wrong when not.
-::testing::AssertionResult TwinsAgree(LsmTree* indexed, LsmTree* fallback,
-                                      const ReferenceModel& oracle, Key lo,
-                                      Key hi) {
-  ::testing::AssertionResult on = ScanMatchesReference(indexed, oracle, lo, hi);
-  if (!on) return on;
-  ::testing::AssertionResult off =
-      ScanMatchesReference(fallback, oracle, lo, hi);
-  if (!off) return off;
-  std::vector<Entry> a, b;
-  Status sa = indexed->Scan(lo, hi, &a);
-  Status sb = fallback->Scan(lo, hi, &b);
-  if (!sa.ok() || !sb.ok()) {
-    return ::testing::AssertionFailure()
-           << "rescan [" << lo << ", " << hi << "] failed: on="
-           << sa.ToString() << " off=" << sb.ToString();
-  }
-  if (a.size() != b.size()) {
-    return ::testing::AssertionFailure()
-           << "scan [" << lo << ", " << hi << "]: index-on returned "
-           << a.size() << " entries, index-off " << b.size();
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].key != b[i].key || a[i].value != b[i].value) {
-      return ::testing::AssertionFailure()
-             << "scan [" << lo << ", " << hi << "] entry " << i
-             << " differs: index-on (" << a[i].key << ", " << a[i].value
-             << "), index-off (" << b[i].key << ", " << b[i].value << ")";
+  std::vector<Op> ops;
+  size_t next_scan = 0;
+  for (size_t i = 0; i < base.size(); ++i) {
+    ops.push_back(std::move(base[i]));
+    if (i % 2 == 1 && next_scan < scans.size()) {
+      ops.push_back(std::move(scans[next_scan++]));
     }
   }
-  return ::testing::AssertionSuccess();
+  return ops;
+}
+
+std::string Insert(Key k, Value v) {
+  return "I " + std::to_string(k) + " " + std::to_string(v) + "; ";
+}
+
+std::string Scan(Key lo, Key hi) {
+  return "S " + std::to_string(lo) + " " + std::to_string(hi) + "; ";
 }
 
 class ScanDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<LsmPolicy, uint64_t>> {};
-
-// The core stream: inserts/updates/deletes interleaved with scans of every
-// shape, applied identically to both twins and the oracle.
-TEST_P(ScanDifferentialTest, RandomRangesMatchOracleAndTwin) {
-  const LsmPolicy policy = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-  LsmTree indexed(DiffOptions(policy, true));
-  LsmTree fallback(DiffOptions(policy, false));
-  ReferenceModel oracle;
-
-  Rng rng(seed);
-  const Key kRange = 1u << 12;
-  const int kOps = 2000;
-  for (int i = 0; i < kOps; ++i) {
-    SCOPED_TRACE(::testing::Message()
-                 << PolicyName(policy) << " seed 0x" << std::hex << seed
-                 << std::dec << " op " << i);
-    Key key = rng.NextBelow(kRange);
-    uint64_t dice = rng.NextBelow(100);
-    if (dice < 35) {
-      Value v = rng.Next();
-      ASSERT_TRUE(indexed.Insert(key, v).ok());
-      ASSERT_TRUE(fallback.Insert(key, v).ok());
-      oracle.Insert(key, v);
-    } else if (dice < 45) {
-      Value v = rng.Next();
-      ASSERT_TRUE(indexed.Update(key, v).ok());
-      ASSERT_TRUE(fallback.Update(key, v).ok());
-      oracle.Update(key, v);
-    } else if (dice < 60) {
-      ASSERT_TRUE(indexed.Delete(key).ok());
-      ASSERT_TRUE(fallback.Delete(key).ok());
-      oracle.Delete(key);
-    } else {
-      Key lo, hi;
-      DrawRange(&rng, kRange, &lo, &hi);
-      ASSERT_TRUE(TwinsAgree(&indexed, &fallback, oracle, lo, hi));
-    }
-    if (i % 400 == 200) {
-      ASSERT_TRUE(indexed.Flush().ok());
-      ASSERT_TRUE(fallback.Flush().ok());
-    }
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+ protected:
+  ::testing::AssertionResult Run(const std::vector<Op>& ops) {
+    const auto& [policy, row] = GetParam();
+    return harness::Run(policy, ParseFeatures(row), ops);
   }
-  ASSERT_EQ(indexed.size(), oracle.size());
-  ASSERT_EQ(fallback.size(), oracle.size());
+};
+
+TEST_P(ScanDifferentialTest, RandomRangesMatchModel) {
+  for (uint64_t seed : kSeeds) {
+    EXPECT_TRUE(Run(ScanDenseStream(seed))) << "seed 0x" << std::hex << seed;
+  }
+}
+
+// Delete two thirds of a flushed key space, resurrect a slice, and scan
+// ranges that are mostly tombstones. Tombstones travel through run merges
+// and must be dropped at emission -- never returned, never allowed to hide
+// a resurrected key.
+TEST_P(ScanDifferentialTest, TombstoneHeavyRangesMatchModel) {
+  constexpr Key kKeys = 1200;
+  std::string text;
+  for (Key k = 0; k < kKeys; ++k) text += Insert(k, k * 7 + 1);
+  text += "F; ";
+  for (Key k = 0; k < kKeys; ++k) {
+    if (k % 3 != 0) text += "D " + std::to_string(k) + "; ";
+  }
+  text += "F; ";
+  for (Key k = 100; k < 200; ++k) text += Insert(k, k * 7 + 2);
+  for (Key i = 0; i < 60; ++i) {
+    Key lo = (i * 97) % kKeys;
+    text += Scan(lo, lo + (i * 53) % 300);
+  }
+  EXPECT_TRUE(Run(ParseOps(text + "S 0 " + std::to_string(kMaxKey))));
+}
+
+// A crash right after a durable flush must leave the scan path serving the
+// exact flushed state: the index's lazily rebuilt segments must describe the
+// recovered pages, not the pre-crash cache.
+TEST_P(ScanDifferentialTest, PostCrashScansMatchModel) {
+  constexpr Key kKeys = 900;
+  std::string text;
+  for (Key k = 0; k < kKeys; ++k) {
+    Key key = (k * 37) % kKeys;  // Coprime stride: runs overlap.
+    text += Insert(key, key * 5 + 3);
+  }
+  // The warming scan builds the index's segments before the crash.
+  text += "F; " + Scan(0, kKeys) + "F; C; ";
+  for (Key i = 0; i < 50; ++i) {
+    Key lo = (i * 131) % kKeys;
+    text += Scan(lo, lo + (i * 29) % 200);
+  }
+  for (Key k = 0; k < kKeys; k += 7) text += "G " + std::to_string(k) + "; ";
+  EXPECT_TRUE(Run(ParseOps(text + "S 0 " + std::to_string(kMaxKey))));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllPoliciesAndSeeds, ScanDifferentialTest,
-    ::testing::Combine(::testing::ValuesIn(kAllPolicies),
-                       ::testing::ValuesIn(kSeeds)),
-    [](const ::testing::TestParamInfo<std::tuple<LsmPolicy, uint64_t>>&
+    AllPoliciesTimesRows, ScanDifferentialTest,
+    ::testing::Combine(::testing::ValuesIn(kPolicies),
+                       ::testing::ValuesIn(kRows)),
+    [](const ::testing::TestParamInfo<std::tuple<const char*, const char*>>&
            info) {
-      return std::string(PolicyName(std::get<0>(info.param))) + "_seed" +
-             std::to_string(std::get<1>(info.param) & 0xFF);
+      std::string name = std::string(std::get<0>(info.param)) + "_" +
+                         std::get<1>(info.param);
+      for (char& c : name) {
+        if (c == '-' || c == '+') c = '_';
+      }
+      return name;
     });
 
-// lo > hi is a caller bug, rejected identically by both paths without
+// lo > hi is a caller bug, rejected identically by both scan paths without
 // touching a run.
 TEST(ScanDifferentialTest, InvertedRangeIsInvalidArgumentOnBothPaths) {
   for (bool index : {true, false}) {
-    LsmTree tree(DiffOptions(LsmPolicy::kTiered, index));
+    Options options = testing_util::SmallOptions();
+    options.lsm.policy = LsmPolicy::kTiered;
+    options.lsm.cross_run_index = index;
+    LsmTree tree(options);
     for (Key k = 0; k < 200; ++k) {
-      ASSERT_TRUE(tree.Insert(k, ValueFor(k)).ok());
+      ASSERT_TRUE(tree.Insert(k, k + 1).ok());
     }
     std::vector<Entry> out;
     EXPECT_EQ(tree.Scan(100, 99, &out).code(), Code::kInvalidArgument);
     EXPECT_TRUE(out.empty());
-  }
-}
-
-// Tombstone-heavy: delete two thirds of a flushed key space, resurrect a
-// slice, and verify scans agree over ranges that are mostly tombstones.
-// Tombstones travel through run merges and must be dropped at emission on
-// both paths -- never returned, never allowed to hide a resurrected key.
-TEST(ScanDifferentialTest, TombstoneHeavyRangesMatch) {
-  for (LsmPolicy policy : kAllPolicies) {
-    SCOPED_TRACE(PolicyName(policy));
-    LsmTree indexed(DiffOptions(policy, true));
-    LsmTree fallback(DiffOptions(policy, false));
-    ReferenceModel oracle;
-    const Key kKeys = 1200;
-    for (Key k = 0; k < kKeys; ++k) {
-      ASSERT_TRUE(indexed.Insert(k, ValueFor(k)).ok());
-      ASSERT_TRUE(fallback.Insert(k, ValueFor(k)).ok());
-      oracle.Insert(k, ValueFor(k));
-    }
-    ASSERT_TRUE(indexed.Flush().ok());
-    ASSERT_TRUE(fallback.Flush().ok());
-    for (Key k = 0; k < kKeys; ++k) {
-      if (k % 3 == 0) continue;  // Keep every third key.
-      ASSERT_TRUE(indexed.Delete(k).ok());
-      ASSERT_TRUE(fallback.Delete(k).ok());
-      oracle.Delete(k);
-    }
-    ASSERT_TRUE(indexed.Flush().ok());
-    ASSERT_TRUE(fallback.Flush().ok());
-    for (Key k = 100; k < 200; ++k) {  // Resurrect a deleted slice.
-      ASSERT_TRUE(indexed.Insert(k, ValueFor(k) + 1).ok());
-      ASSERT_TRUE(fallback.Insert(k, ValueFor(k) + 1).ok());
-      oracle.Insert(k, ValueFor(k) + 1);
-    }
-    Rng rng(0x70FB57ull);
-    for (int i = 0; i < 60; ++i) {
-      Key lo = rng.NextBelow(kKeys);
-      Key hi = lo + rng.NextBelow(300);
-      ASSERT_TRUE(TwinsAgree(&indexed, &fallback, oracle, lo, hi)) << i;
-    }
-    ASSERT_TRUE(TwinsAgree(&indexed, &fallback, oracle, 0, kMaxKey));
-  }
-}
-
-// Compressed runs change the page payload the cursors decode, not the scan
-// contract: the same differential identity must hold.
-TEST(ScanDifferentialTest, CompressedRunsMatch) {
-  LsmTree indexed(DiffOptions(LsmPolicy::kTiered, true, /*compress=*/true));
-  LsmTree fallback(DiffOptions(LsmPolicy::kTiered, false, /*compress=*/true));
-  ReferenceModel oracle;
-  Rng rng(0xC0DECull);
-  const Key kRange = 1u << 12;
-  for (int i = 0; i < 1500; ++i) {
-    Key key = rng.NextBelow(kRange);
-    Value v = rng.Next();
-    ASSERT_TRUE(indexed.Insert(key, v).ok());
-    ASSERT_TRUE(fallback.Insert(key, v).ok());
-    oracle.Insert(key, v);
-  }
-  ASSERT_TRUE(indexed.Flush().ok());
-  ASSERT_TRUE(fallback.Flush().ok());
-  for (int i = 0; i < 80; ++i) {
-    Key lo, hi;
-    DrawRange(&rng, kRange, &lo, &hi);
-    ASSERT_TRUE(TwinsAgree(&indexed, &fallback, oracle, lo, hi)) << i;
-  }
-}
-
-// A crash below the tree (cache dropped, durable pages intact) must leave
-// both scan paths serving the exact flushed state: the index's lazily
-// rebuilt segments must describe the recovered pages, not the pre-crash
-// cache.
-TEST(ScanDifferentialTest, PostCrashScansMatch) {
-  struct Stack {
-    RumCounters counters;
-    BlockDevice base{512, &counters};
-    FaultyDevice faulty{&base};
-    CachingDevice cache{&faulty, 8};
-  };
-  Stack on_stack, off_stack;
-  LsmTree indexed(DiffOptions(LsmPolicy::kTiered, true), &on_stack.cache);
-  LsmTree fallback(DiffOptions(LsmPolicy::kTiered, false), &off_stack.cache);
-  ReferenceModel oracle;
-  const Key kKeys = 900;
-  for (Key k = 0; k < kKeys; ++k) {
-    Key key = (k * 37) % kKeys;  // Coprime stride: runs overlap.
-    ASSERT_TRUE(indexed.Insert(key, ValueFor(key)).ok());
-    ASSERT_TRUE(fallback.Insert(key, ValueFor(key)).ok());
-    oracle.Insert(key, ValueFor(key));
-  }
-  ASSERT_TRUE(indexed.Flush().ok());
-  ASSERT_TRUE(fallback.Flush().ok());
-  // Warm the index so its pre-crash segments exist and must survive (or be
-  // rebuilt consistently) across the crash.
-  std::vector<Entry> warm;
-  ASSERT_TRUE(indexed.Scan(0, kKeys, &warm).ok());
-  ASSERT_TRUE(on_stack.cache.FlushAll().ok());
-  ASSERT_TRUE(off_stack.cache.FlushAll().ok());
-
-  on_stack.cache.Crash();
-  off_stack.cache.Crash();
-
-  Rng rng(0xCCAA5ull);
-  for (int i = 0; i < 50; ++i) {
-    Key lo = rng.NextBelow(kKeys);
-    Key hi = lo + rng.NextBelow(200);
-    ASSERT_TRUE(TwinsAgree(&indexed, &fallback, oracle, lo, hi)) << i;
-  }
-  ASSERT_TRUE(TwinsAgree(&indexed, &fallback, oracle, 0, kMaxKey));
-  for (Key k = 0; k < kKeys; k += 7) {
-    ASSERT_TRUE(GetMatchesReference(&indexed, oracle, k));
-    ASSERT_TRUE(GetMatchesReference(&fallback, oracle, k));
   }
 }
 

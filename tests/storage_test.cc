@@ -621,6 +621,17 @@ TEST_F(HeapFileTest, PopBackOnEmptyFails) {
   EXPECT_EQ(heap_.PopBack().code(), Code::kOutOfRange);
 }
 
+// A sealed page a crash rolled back to zeroes holds no rows; unsealing it
+// must report Corruption rather than pop from an empty tail.
+TEST_F(HeapFileTest, PopBackIntoARolledBackPageIsCorruption) {
+  for (uint64_t i = 0; i < heap_.rows_per_page(); ++i) {
+    ASSERT_TRUE(heap_.Append(Entry{i, i}).ok());
+  }
+  ASSERT_EQ(device_.live_pages(), 1u);
+  ASSERT_TRUE(device_.Write(0, std::vector<uint8_t>(kBlock, 0)).ok());
+  EXPECT_EQ(heap_.PopBack().code(), Code::kCorruption);
+}
+
 TEST_F(HeapFileTest, ForEachVisitsEverythingInOrder) {
   for (uint64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(heap_.Append(Entry{i, i}).ok());
