@@ -351,7 +351,6 @@ void SweepAnalytics(const std::string& inner) {
 Options SatOptions() {
   Options options;
   options.block_size = 4096;
-  options.service.enabled = true;
   options.service.dispatch_overhead_us = 8;
   options.service.op_cost_us = 2;
   options.service.scan_cost_us = 16;

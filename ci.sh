@@ -60,11 +60,10 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
     python3 -m json.tool BENCH_wallclock_smoke.json >/dev/null &&
     python3 -m json.tool BENCH_concurrency.json >/dev/null &&
     echo "BENCH_wallclock_smoke.json + BENCH_concurrency.json parse OK")
-  # Disabled-layers overhead guard: with tracing, metrics, AND the service
-  # layer off (all defaults), the Get path must stay within 3% (geomean) of
-  # the committed BENCH_wallclock.json baseline. This is what makes
-  # "tracing is cheap when disabled" and "Options::service.enabled=false is
-  # a true no-op" enforced contracts rather than comments. Wall-clock
+  # Disabled-layers overhead guard: with tracing and metrics off (the
+  # defaults), the Get path must stay within 3% (geomean) of the committed
+  # BENCH_wallclock.json baseline. This is what makes "tracing is cheap
+  # when disabled" an enforced contract rather than a comment. Wall-clock
   # baselines are host-specific: set RUMLAB_SKIP_BENCH_GUARD=1 on hosts
   # that did not produce the committed baseline, and refresh the baseline
   # (run bench_wallclock, commit the JSON) when it moves for a good reason.
@@ -88,10 +87,9 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
       python3 bench/guard.py --family "${family}" --limit 1.03 \
         BENCH_wallclock.json build-ci/bench/BENCH_"${label}"_guard{1,2,3}.json
     }
-    # Get path with tracing, metrics AND the service layer off (all
-    # defaults): keeps "tracing is cheap when disabled" and
-    # "Options::service.enabled=false is a true no-op" enforced. MultiGet64
-    # rides along: the batched read path is a first-class Get path.
+    # Get path with tracing and metrics off (the defaults): keeps "tracing
+    # is cheap when disabled" enforced. MultiGet64 rides along: the batched
+    # read path is a first-class Get path.
     guard get '^(Get|MultiGet64)/'
     # The one-seek range scan (cross-run index + k-way merge) on the
     # structures it touches, plus the sorted ideal.
@@ -107,7 +105,7 @@ fi
 if [[ "${STAGE}" == "all" || "${STAGE}" == "tsan" ]]; then
   # The `tsan` label (tests/CMakeLists.txt) marks the tests with real
   # concurrency: worker threads, sharded stacks shared across threads,
-  # per-thread trace rings, the scheduler's lock discipline.
+  # per-thread trace rings.
   TSAN_FILTER="-L tsan"
   if [[ "${RUMLAB_CI_FULL_TSAN:-0}" == "1" ]]; then
     TSAN_FILTER=""

@@ -197,7 +197,6 @@ int RunServe(int argc, char** argv) {
   method->ResetStats();
 
   Options serve_options = options;
-  serve_options.service.enabled = true;
   serve_options.service.slo_us = 20000;
 
   WorkloadSpec spec = WorkloadSpec::Mixed(ops, n);

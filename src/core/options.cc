@@ -17,40 +17,28 @@ Status ValidateOptions(const Options& options) {
     return Status::InvalidArgument(
         "storage.retry.max_attempts must be in [1, 64]");
   }
-  for (const Options::Storage::Retry::OpPolicy* p :
-       {&options.storage.retry.read, &options.storage.retry.write,
-        &options.storage.retry.pin, &options.storage.retry.allocate,
-        &options.storage.retry.flush}) {
-    if (p->max_attempts > 64) {
-      return Status::InvalidArgument(
-          "storage.retry per-op max_attempts must be in [0, 64] "
-          "(0 = inherit)");
-    }
+  if (options.service.queue_capacity < 1) {
+    return Status::InvalidArgument("service.queue_capacity must be >= 1");
   }
-  if (options.service.enabled) {
-    if (options.service.queue_capacity < 1) {
-      return Status::InvalidArgument("service.queue_capacity must be >= 1");
-    }
-    if (options.service.batch_max_ops < 1) {
-      return Status::InvalidArgument("service.batch_max_ops must be >= 1");
-    }
-    if (options.service.op_cost_us < 1) {
-      return Status::InvalidArgument(
-          "service.op_cost_us must be >= 1 (zero-cost service makes "
-          "capacity infinite and queueing meaningless)");
-    }
-    if (options.service.admission &&
-        (options.service.codel_target_us < 1 ||
-         options.service.codel_interval_us < options.service.codel_target_us)) {
-      return Status::InvalidArgument(
-          "service.codel_target_us must be >= 1 and <= codel_interval_us");
-    }
-    if (options.service.rate_ops_per_sec < 0 ||
-        (options.service.rate_ops_per_sec > 0 &&
-         options.service.rate_burst_ops < 1)) {
-      return Status::InvalidArgument(
-          "service.rate_burst_ops must be >= 1 when the rate gate is on");
-    }
+  if (options.service.batch_max_ops < 1) {
+    return Status::InvalidArgument("service.batch_max_ops must be >= 1");
+  }
+  if (options.service.op_cost_us < 1) {
+    return Status::InvalidArgument(
+        "service.op_cost_us must be >= 1 (zero-cost service makes "
+        "capacity infinite and queueing meaningless)");
+  }
+  if (options.service.admission &&
+      (options.service.codel_target_us < 1 ||
+       options.service.codel_interval_us < options.service.codel_target_us)) {
+    return Status::InvalidArgument(
+        "service.codel_target_us must be >= 1 and <= codel_interval_us");
+  }
+  if (options.service.rate_ops_per_sec < 0 ||
+      (options.service.rate_ops_per_sec > 0 &&
+       options.service.rate_burst_ops < 1)) {
+    return Status::InvalidArgument(
+        "service.rate_burst_ops must be >= 1 when the rate gate is on");
   }
   if (options.btree.node_size != 0 &&
       options.btree.node_size < kMinPageBytes) {

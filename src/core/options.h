@@ -48,35 +48,19 @@ struct Options {
     /// model; kCorruption is never retried -- a checksum mismatch does not
     /// heal). Retries and the errors that triggered them are charged to the
     /// `retries`/`io_errors` counter pair; failed attempts move no bytes and
-    /// are never charged as traffic. An op class whose whole attempt budget
+    /// are never charged as traffic. An operation whose whole attempt budget
     /// (> 1 attempts) burns down without the kIOError clearing returns
     /// kUnavailable (with the total simulated backoff attached) instead of
     /// the last kIOError: "still retrying" and "dead" are distinguishable
     /// codes, which is what the request scheduler's deadline/degrade logic
-    /// keys on. Single-attempt (fail-fast) classes keep returning kIOError.
+    /// keys on. A single-attempt (fail-fast) policy keeps returning kIOError.
     struct Retry {
-      /// Total attempts per operation (1 = fail fast, no retry). The
-      /// fallback for any op class without its own override below.
+      /// Total attempts per operation (1 = fail fast, no retry).
       size_t max_attempts = 1;
       /// Simulated backoff before retry k (1-based): backoff_base_us << (k-1).
       /// Deterministic -- no clock is consulted; the accumulated simulated
       /// wait is reported by the RetryingDevice, not slept.
       uint64_t backoff_base_us = 100;
-
-      /// Per-op-class override: 0 means "inherit the shared knob". Reads
-      /// are usually worth more attempts than allocations (a read retry
-      /// may heal a transient; a failed allocation usually means pressure
-      /// a retry will not relieve), and the service layer's deadline logic
-      /// wants cheap ops to fail fast while the scan path keeps trying.
-      struct OpPolicy {
-        size_t max_attempts = 0;
-        uint64_t backoff_base_us = 0;
-      };
-      OpPolicy read;      ///< Device::Read (a cache fill from below)
-      OpPolicy write;     ///< Device::Write (a cache write-back)
-      OpPolicy pin;       ///< PinForRead / PinForWrite acquisition
-      OpPolicy allocate;  ///< Device::Allocate
-      OpPolicy flush;     ///< Device::FlushAll
     } retry;
   } storage;
 
@@ -275,13 +259,10 @@ struct Options {
   /// latency without bound. Time inside the scheduler is *virtual*
   /// (microsecond ticks advanced by a deterministic cost model), so queueing
   /// dynamics, deadline misses, and admission decisions replay exactly under
-  /// a fixed seed -- on any host, under any sanitizer.
+  /// a fixed seed -- on any host, under any sanitizer. These knobs configure
+  /// the RequestScheduler a caller constructs (directly or via RunOpenLoop);
+  /// MakeAccessMethod never wraps a method in one.
   struct Service {
-    /// Master switch. Off (the default), MakeAccessMethod returns the bare
-    /// method and the layer does not exist: the direct-call path is
-    /// byte-identical in RUM accounting (saturation_test enforces it).
-    bool enabled = false;
-
     /// Bounded per-shard request queue; an arrival finding it full is shed
     /// immediately (kResourceExhausted, storage untouched).
     size_t queue_capacity = 1024;

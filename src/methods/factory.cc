@@ -20,7 +20,6 @@
 #include "methods/skiplist/skiplist.h"
 #include "methods/trie/trie.h"
 #include "methods/zonemap/zonemap.h"
-#include "service/scheduled_method.h"
 
 namespace rum {
 
@@ -143,27 +142,17 @@ std::unique_ptr<AccessMethod> MakeImpl(std::string_view name,
   return nullptr;
 }
 
-/// Installs the service-layer front door around the finished stack when
-/// Options::service.enabled. Applied only at the public entry points -- the
-/// recursive MakeImpl never wraps inner shards, so one scheduler fronts the
-/// whole method.
-std::unique_ptr<AccessMethod> MaybeSchedule(
-    std::unique_ptr<AccessMethod> method, const Options& options) {
-  if (method == nullptr || !options.service.enabled) return method;
-  return std::make_unique<ScheduledMethod>(std::move(method), options);
-}
-
 }  // namespace
 
 std::unique_ptr<AccessMethod> MakeAccessMethod(std::string_view name,
                                                const Options& options) {
-  return MaybeSchedule(MakeImpl(name, options, nullptr), options);
+  return MakeImpl(name, options, nullptr);
 }
 
 std::unique_ptr<AccessMethod> MakeAccessMethod(std::string_view name,
                                                const Options& options,
                                                Device* device) {
-  return MaybeSchedule(MakeImpl(name, options, device), options);
+  return MakeImpl(name, options, device);
 }
 
 std::vector<std::string_view> AllAccessMethodNames() {

@@ -80,11 +80,9 @@ Result<ServiceReport> RunOpenLoop(AccessMethod* method,
         "bursty arrivals need burst_on_fraction in (0,1), burst_factor >= 1 "
         "and burst_period_us >= 1");
   }
-  if (!options.service.enabled) {
-    return Status::InvalidArgument(
-        "RunOpenLoop needs options.service.enabled (the scheduler is the "
-        "layer being driven)");
-  }
+  // A zero batch_max_ops would make every dispatch pop nothing and the
+  // drain loop spin forever.
+  if (Status s = ValidateOptions(options); !s.ok()) return s;
 
   // Same seed-split scheme as the closed-loop runner, plus one stream for
   // arrival gaps, so op/key/value sequences match a closed-loop run of the

@@ -40,8 +40,7 @@ struct ServiceReport {
 /// non-benign failure aborts the phase and returns that error.
 ///
 /// Requires spec.arrival != kClosedLoop, spec.offered_ops_per_sec > 0, and
-/// options.service.enabled (the scheduler is the layer under test; a
-/// disabled service layer has no queues to drive open-loop).
+/// options that pass ValidateOptions (its error is returned otherwise).
 Result<ServiceReport> RunOpenLoop(AccessMethod* method,
                                   const WorkloadSpec& spec,
                                   const Options& options);

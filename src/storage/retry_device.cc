@@ -24,36 +24,16 @@ uint64_t RetryingDevice::simulated_backoff_us() const {
   return backoff_us_.load(std::memory_order_relaxed);
 }
 
-RetryingDevice::Effective RetryingDevice::PolicyFor(TraceOp op) const {
-  const Options::Storage::Retry::OpPolicy* p = nullptr;
-  switch (op) {
-    case TraceOp::kRead: p = &policy_.read; break;
-    case TraceOp::kWrite: p = &policy_.write; break;
-    case TraceOp::kPin: p = &policy_.pin; break;
-    case TraceOp::kAllocate: p = &policy_.allocate; break;
-    case TraceOp::kFlush: p = &policy_.flush; break;
-    default: break;
-  }
-  Effective e{policy_.max_attempts, policy_.backoff_base_us};
-  if (p != nullptr) {
-    if (p->max_attempts > 0) e.attempts = p->max_attempts;
-    if (p->backoff_base_us > 0) e.backoff_base_us = p->backoff_base_us;
-  }
-  if (e.attempts == 0) e.attempts = 1;
-  return e;
-}
-
 template <typename Op>
 Status RetryingDevice::WithRetries(TraceOp traced_op, PageId page, Op&& op) {
-  Effective eff = PolicyFor(traced_op);
   uint64_t waited_us = 0;
   Status s;
-  for (size_t attempt = 1; attempt <= eff.attempts; ++attempt) {
+  for (size_t attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
     if (attempt > 1) {
       counters_->OnRetry();
       Trace::Emit(TraceKind::kRetryAttempt, traced_op, page, DataClass::kBase,
                   attempt);
-      uint64_t wait = eff.backoff_base_us << (attempt - 2);
+      uint64_t wait = policy_.backoff_base_us << (attempt - 2);
       waited_us += wait;
       backoff_us_.fetch_add(wait, std::memory_order_relaxed);
     }
@@ -71,10 +51,10 @@ Status RetryingDevice::WithRetries(TraceOp traced_op, PageId page, Op&& op) {
   // simulated backoff attached, so callers can distinguish "fail-fast
   // error" from "kept trying and gave up". Fail-fast policies (1 attempt)
   // keep the raw kIOError.
-  if (eff.attempts > 1) {
+  if (policy_.max_attempts > 1) {
     return StatusBuilder(Code::kUnavailable, s.message())
         .Detail("retry budget exhausted after " +
-                std::to_string(eff.attempts) + " attempts, " +
+                std::to_string(policy_.max_attempts) + " attempts, " +
                 std::to_string(waited_us) + "us simulated backoff");
   }
   return s;

@@ -20,10 +20,7 @@ namespace rum {
 /// Options::Storage::Retry.
 ///
 /// Each fallible operation (Allocate/Read/Write/FlushAll and pin
-/// acquisitions) is attempted up to `max_attempts` times; the per-op-class
-/// policies (retry.read/write/pin/allocate/flush) override the global
-/// attempts and backoff base for their class when non-zero (0 = inherit),
-/// so a stack can retry reads hard while failing writes fast. Only kIOError
+/// acquisitions) is attempted up to `max_attempts` times. Only kIOError
 /// is retried: a transient fault may clear on re-attempt, but kCorruption
 /// is a checksum mismatch on durable bytes and does not heal, and argument
 /// errors are the caller's bug. Every attempt that failed *with kIOError* charges
@@ -39,7 +36,7 @@ namespace rum {
 /// via simulated_backoff_us(). This keeps chaos runs fast and replays
 /// deterministic.
 ///
-/// Exhausting a real retry budget (effective attempts > 1) without the
+/// Exhausting a real retry budget (max_attempts > 1) without the
 /// fault clearing returns kUnavailable wrapping the last kIOError message,
 /// with the attempt count and total simulated backoff attached -- a
 /// terminal "kept trying and gave up" signal distinct from a fail-fast
@@ -79,13 +76,6 @@ class RetryingDevice : public Device {
   Status UnpinWrite(PageId, bool) override { return Status::OK(); }
 
  private:
-  /// The policy in force for one op class after per-class overrides.
-  struct Effective {
-    size_t attempts;
-    uint64_t backoff_base_us;
-  };
-  Effective PolicyFor(TraceOp op) const;
-
   /// Runs `op()` with the retry policy; `op` must be re-invocable.
   /// `traced_op`/`page` label the kRetryAttempt trace events.
   template <typename Op>

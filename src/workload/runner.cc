@@ -36,7 +36,7 @@ void ErrorTally::Count(const Status& s) {
       break;
     case Code::kResourceExhausted:
       // Service-layer admission control refused the request before storage
-      // was touched (ScheduledMethod / RequestScheduler shed).
+      // was touched (a RequestScheduler shed).
       ++shed;
       break;
     default:

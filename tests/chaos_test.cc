@@ -589,7 +589,6 @@ ServiceReport ServeThroughStorm(ErrorMode mode) {
   EXPECT_NE(method, nullptr);
   stack.faulty.SetPlan(RunnerPlan());
   Options options = SmallOptions();
-  options.service.enabled = true;
   options.service.queue_capacity = 64;
   WorkloadSpec spec = ChaosSpec(mode);
   spec.arrival = ArrivalProcess::kPoisson;
@@ -634,43 +633,6 @@ TEST(ChaosTest, SchedulerFaultStormReplaysByteIdentically) {
   ServiceReport a = ServeThroughStorm(ErrorMode::kSkipAndCount);
   ServiceReport b = ServeThroughStorm(ErrorMode::kSkipAndCount);
   EXPECT_EQ(a.ToJson(), b.ToJson());
-}
-
-// Closed-loop differential under the same storm: the service front door
-// (Options::service.enabled through the factory) must not change what the
-// workload observes -- identical error tallies, identical injected-fault
-// counts, byte-identical physical traffic.
-TEST(ChaosTest, ServiceFrontDoorIsTransparentUnderFaultStorm) {
-  auto run_once = [](bool service_enabled, ErrorTally* tally,
-                     CounterSnapshot* snap) {
-    ChaosStack stack;
-    Options options = SmallOptions();
-    options.service.enabled = service_enabled;
-    auto method = MakeAccessMethod("btree", options, &stack.cache);
-    ASSERT_NE(method, nullptr);
-    stack.faulty.SetPlan(RunnerPlan());
-    Result<RumProfile> r = WorkloadRunner::Run(
-        method.get(), ChaosSpec(ErrorMode::kSkipAndCount));
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    *tally = r.value().errors();
-    *snap = stack.counters.snapshot();
-  };
-
-  ErrorTally direct, fronted;
-  CounterSnapshot sd, sf;
-  run_once(false, &direct, &sd);
-  run_once(true, &fronted, &sf);
-
-  EXPECT_GT(direct.failed(), 0u);
-  EXPECT_EQ(direct.io_errors, fronted.io_errors);
-  EXPECT_EQ(direct.corruption, fronted.corruption);
-  EXPECT_EQ(direct.other, fronted.other);
-  EXPECT_EQ(direct.shed, fronted.shed);
-  EXPECT_EQ(sd.blocks_read, sf.blocks_read);
-  EXPECT_EQ(sd.blocks_written, sf.blocks_written);
-  EXPECT_EQ(sd.bytes_read_base, sf.bytes_read_base);
-  EXPECT_EQ(sd.bytes_written_base, sf.bytes_written_base);
-  EXPECT_EQ(sd.io_errors, sf.io_errors);
 }
 
 }  // namespace

@@ -259,27 +259,26 @@ TEST(FaultTest, CorruptPageCountIsCorruptionNotOverread) {
   }
 }
 
-// ---------------------------------------------- Per-op-class retry policy
+// ------------------------------------------------------ Retry exhaustion
 
-// Per-class retry overrides apply independently: reads retry to their own
-// budget while writes keep the global fail-fast policy, and an exhausted
-// real budget surfaces the terminal kUnavailable carrying the attempt count
-// and total simulated backoff.
-TEST(FaultTest, PerOpClassRetryPoliciesApplyIndependently) {
+// An exhausted real retry budget surfaces the terminal kUnavailable
+// carrying the attempt count and total simulated backoff, while a
+// fail-fast (1-attempt) device keeps the raw kIOError and never retries.
+TEST(FaultTest, ExhaustedRetryBudgetIsUnavailableWhileFailFastKeepsIoError) {
   RumCounters counters;
   BlockDevice base(512, &counters);
   FaultyDevice faulty(&base);
   Options options;
-  options.storage.retry.max_attempts = 1;    // Global: fail fast.
-  options.storage.retry.read.max_attempts = 4;
-  options.storage.retry.read.backoff_base_us = 5;
+  options.storage.retry.max_attempts = 4;
+  options.storage.retry.backoff_base_us = 5;
   RetryingDevice device(&faulty, options, &counters);
+  RetryingDevice fail_fast(&faulty, Options(), &counters);
 
   PageId p = testing_util::MustAllocate(device, DataClass::kBase);
   std::vector<uint8_t> data(512, 0x5a);
   ASSERT_TRUE(device.Write(p, data).ok());
 
-  // Permanent read outage: the read budget (4 attempts) is consumed and the
+  // Permanent read outage: the budget (4 attempts) is consumed and the
   // failure surfaces as kUnavailable with the budget attached.
   faulty.SetPlan(FaultPlan::Transient(1234, 0.0).WithRate(FaultOp::kRead, 1.0));
   std::vector<uint8_t> out;
@@ -292,12 +291,13 @@ TEST(FaultTest, PerOpClassRetryPoliciesApplyIndependently) {
   EXPECT_EQ(snap.io_errors, 4u);
   EXPECT_EQ(snap.retries, 3u);
 
-  // Writes inherit the fail-fast global policy: one attempt, raw kIOError
-  // (a 1-attempt policy never upgrades to kUnavailable), no new retries.
+  // One attempt, raw kIOError (a 1-attempt policy never upgrades to
+  // kUnavailable), no new retries.
   faulty.SetPlan(FaultPlan::Transient(1234, 0.0).WithRate(FaultOp::kWrite, 1.0));
-  Status w = device.Write(p, data);
+  Status w = fail_fast.Write(p, data);
   EXPECT_EQ(w.code(), Code::kIOError) << w.ToString();
   EXPECT_EQ(counters.snapshot().retries, 3u);
+  EXPECT_EQ(fail_fast.simulated_backoff_us(), 0u);
   EXPECT_EQ(device.simulated_backoff_us(), 35u);
 }
 

@@ -13,7 +13,7 @@
 #include "methods/lsm/compaction_policy.h"
 #include "methods/lsm/lsm_tree.h"
 #include "methods/sharded/sharded_method.h"
-#include "service/scheduled_method.h"
+#include "service/scheduler.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
 
@@ -72,8 +72,13 @@ void DrawRange(Rng* rng, Key key_range, Key* lo, Key* hi) {
 }
 
 /// Hits, duplicates, guaranteed misses past the key range, and the last
-/// deleted key (a tombstone candidate).
-std::vector<Key> DrawBatch(Rng* rng, Key key_range, Key last_deleted) {
+/// deleted key (a tombstone candidate). Half the duplicates repeat the last
+/// written key instead of an earlier slot: earlier slots are mostly misses,
+/// and a duplicate of a live key is what read coalescing must get right.
+/// Every slot draws the same number of values either way, so the rest of
+/// the stream does not depend on this choice.
+std::vector<Key> DrawBatch(Rng* rng, Key key_range, Key last_deleted,
+                           Key last_written) {
   uint64_t dice = rng->NextBelow(100);
   size_t n = dice < 35   ? 1
              : dice < 65 ? 2 + rng->NextBelow(7)
@@ -84,7 +89,8 @@ std::vector<Key> DrawBatch(Rng* rng, Key key_range, Key last_deleted) {
   for (size_t i = 0; i < n; ++i) {
     uint64_t kind = rng->NextBelow(10);
     if (kind == 0 && !keys.empty()) {
-      keys.push_back(keys[rng->NextBelow(keys.size())]);
+      uint64_t slot = rng->NextBelow(2 * keys.size());
+      keys.push_back(slot < keys.size() ? keys[slot] : last_written);
     } else if (kind == 1) {
       keys.push_back(key_range + rng->NextBelow(1000));
     } else if (kind == 2) {
@@ -232,11 +238,9 @@ class Model {
   return ::testing::AssertionSuccess();
 }
 
-/// Every LSM tree inside a (possibly scheduled, possibly sharded) method.
+/// Every LSM tree inside a (possibly sharded) method.
 void CollectTrees(AccessMethod* method, std::vector<LsmTree*>* out) {
-  if (auto* scheduled = dynamic_cast<ScheduledMethod*>(method)) {
-    CollectTrees(scheduled->inner(), out);
-  } else if (auto* sharded = dynamic_cast<ShardedMethod*>(method)) {
+  if (auto* sharded = dynamic_cast<ShardedMethod*>(method)) {
     for (size_t i = 0; i < sharded->partitions(); ++i) {
       CollectTrees(sharded->shard(i), out);
     }
@@ -275,7 +279,6 @@ class Runner {
   explicit Runner(Subject* subject) : s_(subject) {
     CollectTrees(m(), &trees_);
     suspect_.assign(trees_.size(), false);
-    scheduled_ = dynamic_cast<ScheduledMethod*>(m());
     // An LSM tree buffers mutations in memory and installs a flushed or
     // merged run only once every page of it is written, so a failed
     // mutation leaves its pages and in-memory state in agreement.
@@ -313,8 +316,7 @@ class Runner {
     }
     if (model_.lossy()) return ::testing::AssertionSuccess();
     std::vector<Entry> all;
-    Status st = m()->Scan(0, kMaxKey, &all);
-    ++requests_;
+    Status st = Scan(0, kMaxKey, &all);
     if (!st.ok()) return Outcome(st, "final Scan");
     if (auto r = CheckScan(model_, 0, kMaxKey, all); !r) {
       return r << " (final state)";
@@ -396,15 +398,91 @@ class Runner {
     return ::testing::AssertionFailure() << "unknown op kind";
   }
 
-  static Status Mutation(AccessMethod* method, const Op& op) {
-    switch (op.kind) {
-      case OpKind::kInsert:
-        return method->Insert(op.key, op.value);
-      case OpKind::kUpdate:
-        return method->Update(op.key, op.value);
-      default:
-        return method->Delete(op.key);
+  // The front door: each request goes to the scheduler when the subject
+  // has one, else straight to the method. Either way it counts as issued.
+
+  /// Submits `reqs` at the scheduler's current virtual time and serves
+  /// until idle, so they drain before the next op. A burst is submitted in
+  /// chunks no longer than a shard's queue, so none is shed for space.
+  /// Results come back in submission order.
+  std::vector<RequestResult> Serve(std::vector<Request> reqs) {
+    RequestScheduler* scheduler = s_->scheduler();
+    std::vector<RequestResult> results(reqs.size());
+    const uint64_t first = scheduler->stats().submitted;
+    scheduler->set_completion([&](const Request& req, const RequestResult& r) {
+      results[req.seq - first] = r;
+    });
+    const size_t chunk = s_->options().service.queue_capacity;
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      reqs[i].arrival_us = scheduler->now_us();
+      scheduler->Submit(std::move(reqs[i]));
+      if ((i + 1) % chunk == 0 || i + 1 == reqs.size()) {
+        scheduler->RunUntilIdle();
+      }
     }
+    scheduler->set_completion(nullptr);  // It refers to this frame.
+    return results;
+  }
+
+  static Request GetRequest(Key key) {
+    Request req;
+    req.op = RequestOp::kGet;
+    req.key = key;
+    return req;
+  }
+
+  Status Mutation(const Op& op) {
+    ++requests_;
+    if (s_->scheduler() == nullptr) {
+      switch (op.kind) {
+        case OpKind::kInsert:
+          return m()->Insert(op.key, op.value);
+        case OpKind::kUpdate:
+          return m()->Update(op.key, op.value);
+        default:
+          return m()->Delete(op.key);
+      }
+    }
+    Request req;
+    req.op = op.kind == OpKind::kInsert   ? RequestOp::kInsert
+             : op.kind == OpKind::kUpdate ? RequestOp::kUpdate
+                                          : RequestOp::kDelete;
+    req.key = op.key;
+    req.value = op.value;
+    return Serve({req})[0].status;
+  }
+
+  Result<Value> Get(Key key) {
+    ++requests_;
+    if (s_->scheduler() == nullptr) return m()->Get(key);
+    RequestResult r = Serve({GetRequest(key)})[0];
+    if (r.found) return r.value;
+    return r.status;
+  }
+
+  /// A scheduled batch fails with the first failed request's status.
+  Status MultiGet(const std::vector<Key>& keys, std::vector<Answer>* out) {
+    requests_ += keys.size();
+    if (s_->scheduler() == nullptr) return m()->MultiGet(keys, out);
+    std::vector<Request> reqs;
+    for (Key key : keys) reqs.push_back(GetRequest(key));
+    out->clear();
+    for (const RequestResult& r : Serve(std::move(reqs))) {
+      if (!r.status.ok() && !r.status.IsNotFound()) return r.status;
+      out->push_back(r.found ? Answer(r.value) : Answer());
+    }
+    return Status::OK();
+  }
+
+  Status Scan(Key lo, Key hi, std::vector<Entry>* out) {
+    ++requests_;
+    if (s_->scheduler() == nullptr) return m()->Scan(lo, hi, out);
+    Request req;
+    req.op = RequestOp::kScan;
+    req.key = lo;
+    req.scan_hi = hi;
+    req.scan_out = out;
+    return Serve({req})[0].status;
   }
 
   ::testing::AssertionResult Mutate(const Op& op) {
@@ -412,8 +490,7 @@ class Runner {
         op.kind == OpKind::kDelete ? Answer() : Answer(op.value);
     model_.Attempt(op.key, next);
     durable_ = false;
-    Status st = Mutation(m(), op);
-    ++requests_;
+    Status st = Mutation(op);
     if (st.ok()) {
       model_.Ack(op.key, next);
       return ::testing::AssertionSuccess();
@@ -424,8 +501,7 @@ class Runner {
   }
 
   ::testing::AssertionResult PointGet(Key key) {
-    Result<Value> got = m()->Get(key);
-    ++requests_;
+    Result<Value> got = Get(key);
     if (!got.ok() && !got.status().IsNotFound()) {
       return Outcome(got.status(), "Get");
     }
@@ -444,14 +520,12 @@ class Runner {
   /// state the model can only bound.
   ::testing::AssertionResult BatchGet(const std::vector<Key>& keys) {
     std::vector<Answer> out;
-    Status st = m()->MultiGet(keys, &out);
-    requests_ += keys.size();
+    Status st = MultiGet(keys, &out);
     std::vector<Answer> loop;
     Status loop_st;
     if (!armed_) {
       for (Key key : keys) {
-        Result<Value> got = m()->Get(key);
-        ++requests_;
+        Result<Value> got = Get(key);
         if (!got.ok() && !got.status().IsNotFound()) {
           loop_st = got.status();
           break;
@@ -492,8 +566,7 @@ class Runner {
 
   ::testing::AssertionResult RangeScan(Key lo, Key hi) {
     std::vector<Entry> got;
-    Status st = m()->Scan(lo, hi, &got);
-    ++requests_;
+    Status st = Scan(lo, hi, &got);
     if (!st.ok()) return Outcome(st, "Scan");
     return CheckScan(model_, lo, hi, got);
   }
@@ -562,8 +635,7 @@ class Runner {
   /// no read-back can vouch for in-memory state the pages do not show.
   ::testing::AssertionResult Resync() {
     std::vector<Entry> all;
-    Status st = m()->Scan(0, kMaxKey, &all);
-    ++requests_;
+    Status st = Scan(0, kMaxKey, &all);
     if (!st.ok()) return Outcome(st, "recovery Scan");
     if (auto r = CheckScan(model_, 0, kMaxKey, all); !r) {
       return r << " (recovered state)";
@@ -578,8 +650,7 @@ class Runner {
     for (const auto& [key, value] : state) probes.insert(key);
     for (const auto& [key, states] : model_.history()) probes.insert(key);
     for (Key key : probes) {
-      Result<Value> got = m()->Get(key);
-      ++requests_;
+      Result<Value> got = Get(key);
       if (!got.ok() && !got.status().IsNotFound()) {
         return Outcome(got.status(), "recovery Get");
       }
@@ -616,12 +687,15 @@ class Runner {
                << pinned << " page pins outlived the operation";
       }
     }
-    if (scheduled_ != nullptr) {
-      ServiceStats stats = scheduled_->service_stats();
-      if (!stats.LedgerHolds() || stats.submitted != requests_) {
+    if (RequestScheduler* scheduler = s_->scheduler()) {
+      // Closed loop with default admission: nothing may be shed or expire.
+      const ServiceStats& stats = scheduler->stats();
+      if (!stats.LedgerHolds() || stats.submitted != requests_ ||
+          stats.completed != stats.submitted) {
         return ::testing::AssertionFailure()
-               << "scheduler ledger: " << stats.submitted << " submitted for "
-               << requests_ << " requests issued, ledger "
+               << "scheduler ledger: " << stats.submitted << " submitted and "
+               << stats.completed << " completed for " << requests_
+               << " requests issued, ledger "
                << (stats.LedgerHolds() ? "closes" : "does not close");
       }
     }
@@ -688,7 +762,6 @@ class Runner {
   Model model_;
   std::vector<LsmTree*> trees_;
   std::vector<bool> suspect_;  ///< Policy bounds unchecked until a flush.
-  ScheduledMethod* scheduled_ = nullptr;
   uint64_t requests_ = 0;      ///< Front-door requests issued.
   bool armed_ = false;         ///< A fault plan is armed.
   bool damaged_ = false;       ///< Data may be lost; no adoption since.
@@ -897,6 +970,7 @@ std::vector<Op> Generate(uint64_t seed, const GenSpec& spec) {
   std::vector<Op> ops;
   ops.reserve(spec.ops);
   Key last_deleted = 0;
+  Key last_written = 0;
   size_t phase_left = 0;
   const Weights* weights = &kProfiles[0];
   while (ops.size() < spec.ops) {
@@ -912,6 +986,7 @@ std::vector<Op> Generate(uint64_t seed, const GenSpec& spec) {
       case OpKind::kUpdate:
         op.key = rng.NextBelow(spec.key_range);
         op.value = rng.Next();
+        last_written = op.key;
         break;
       case OpKind::kDelete:
         op.key = rng.NextBelow(spec.key_range);
@@ -921,7 +996,7 @@ std::vector<Op> Generate(uint64_t seed, const GenSpec& spec) {
         op.key = rng.NextBelow(spec.key_range);
         break;
       case OpKind::kMultiGet:
-        op.keys = DrawBatch(&rng, spec.key_range, last_deleted);
+        op.keys = DrawBatch(&rng, spec.key_range, last_deleted, last_written);
         break;
       case OpKind::kScan:
         DrawRange(&rng, spec.key_range, &op.key, &op.hi);
@@ -1083,36 +1158,37 @@ Subject::Subject(std::string_view method, const Features& features,
     : name_(method),
       stacked_(stacked),
       base_(512, &counters_),
-      faulty_(&base_) {
-  Options options = testing_util::SmallOptions();
-  options.lsm.cross_run_index = features.cross_run_index;
+      faulty_(&base_),
+      options_(testing_util::SmallOptions()) {
+  options_.lsm.cross_run_index = features.cross_run_index;
   // Small segments: scans cross segment boundaries and relayouts happen at
   // test-sized key counts.
-  options.lsm.cross_run_segment_entries = 32;
-  options.lsm.blocked_bloom = features.blocked_bloom;
-  options.lsm.compress_runs = features.compress;
-  options.service.enabled = features.service;
+  options_.lsm.cross_run_segment_entries = 32;
+  options_.lsm.blocked_bloom = features.blocked_bloom;
+  options_.lsm.compress_runs = features.compress;
   if (features.arbiter) {
     arbiter_ = std::make_unique<MemoryArbiter>(
         MemoryArbiter::Config{.budget_bytes = 64 << 10, .epoch_ops = 256});
-    options.memory.enabled = true;
-    options.memory.arbiter = arbiter_.get();
+    options_.memory.enabled = true;
+    options_.memory.arbiter = arbiter_.get();
   }
   if (features.sharded && name_.rfind("sharded-", 0) != 0) {
     name_ = "sharded-" + name_;
   }
-  if (!stacked_) {
-    method_ = MakeAccessMethod(name_, options);
-    return;
+  Device* top = nullptr;
+  if (stacked_) {
+    top = &faulty_;
+    if (features.cache) {
+      // Tiny on purpose: evictions and write-backs keep crossing the faulty
+      // layer.
+      cache_ = std::make_unique<CachingDevice>(&faulty_, 8, arbiter_.get());
+      top = cache_.get();
+    }
   }
-  Device* top = &faulty_;
-  if (features.cache) {
-    // Tiny on purpose: evictions and write-backs keep crossing the faulty
-    // layer.
-    cache_ = std::make_unique<CachingDevice>(&faulty_, 8, arbiter_.get());
-    top = cache_.get();
+  method_ = MakeAccessMethod(name_, options_, top);
+  if (features.service && method_ != nullptr) {
+    scheduler_ = std::make_unique<RequestScheduler>(method_.get(), options_);
   }
-  method_ = MakeAccessMethod(name_, options, top);
 }
 
 Subject::Subject(std::string_view method, const Options& options)
@@ -1120,7 +1196,8 @@ Subject::Subject(std::string_view method, const Options& options)
       stacked_(false),
       base_(512, &counters_),
       faulty_(&base_),
-      method_(MakeAccessMethod(name_, options)) {}
+      options_(options),
+      method_(MakeAccessMethod(name_, options_)) {}
 
 Subject::~Subject() = default;
 

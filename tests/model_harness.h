@@ -5,11 +5,12 @@
 //
 // One seeded generator emits a stream of Ops. A Runner applies them in
 // order to a Subject -- one factory method on a BlockDevice -> FaultyDevice
-// -> [CachingDevice] stack, shaped by a Features row -- and to a Model of
-// what the method may answer. After every step it checks the answer against
-// the model and the accounting identities: no pin outlives its operation,
-// the scheduler ledger closes, the arbiter conserves its budget, and every
-// LSM tree keeps its aux-MO ledger and merge-policy bounds.
+// -> [CachingDevice] stack, shaped by a Features row, optionally behind a
+// RequestScheduler -- and to a Model of what the method may answer. After
+// every step it checks the answer against the model and the accounting
+// identities: no pin outlives its operation, the scheduler ledger closes
+// with every request issued completed, the arbiter conserves its budget,
+// and every LSM tree keeps its aux-MO ledger and merge-policy bounds.
 //
 // Faults and crashes weaken the model only as far as they must. Until a
 // mutation fails or a crash drops dirty pages, every answer must be exact
@@ -53,6 +54,9 @@
 #include "storage/faulty_device.h"
 
 namespace rum {
+
+class RequestScheduler;
+
 namespace harness {
 
 enum class OpKind : uint8_t {
@@ -93,9 +97,10 @@ struct GenSpec {
 
 /// The one op generator. The stream moves through phases (write-heavy,
 /// tombstone-heavy, read-heavy) so one seed covers all three shapes. Keys
-/// are uniform in [0, key_range); MultiGet batches mix hits, duplicates,
-/// guaranteed misses and the last deleted key; scans take every range shape
-/// (narrow, lo == hi, empty gap past the domain, wide, up to kMaxKey).
+/// are uniform in [0, key_range); MultiGet batches mix hits, duplicates
+/// (half of them the last inserted or updated key, so some repeat a live
+/// key), guaranteed misses and the last deleted key; scans take every range
+/// shape (narrow, lo == hi, empty gap past the domain, wide, up to kMaxKey).
 std::vector<Op> Generate(uint64_t seed, const GenSpec& spec);
 
 /// "I k v; U k v; D k; G k; M k,k,...; S lo hi; F; C; R; P; X plan".
@@ -105,7 +110,10 @@ std::vector<Op> ParseOps(std::string_view text);
 /// One row of the feature matrix. Features that do not apply to a method
 /// (the LSM knobs on a B-tree, say) are inert for it.
 struct Features {
-  bool service = false;          ///< ScheduledMethod front door.
+  /// RequestScheduler front door, driven closed-loop: each op's requests
+  /// arrive at the scheduler's current virtual time and drain before the
+  /// next op; a MultiGet arrives as one burst of Gets.
+  bool service = false;
   bool arbiter = false;          ///< Global MemoryArbiter over the pools.
   bool sharded = false;          ///< "sharded-" prefix on the factory name.
   bool cross_run_index = false;  ///< LSM one-seek range-scan view.
@@ -137,6 +145,9 @@ class Subject {
   ~Subject();
 
   AccessMethod* method() const { return method_.get(); }
+  /// The front door before method(); null unless the `service` feature.
+  RequestScheduler* scheduler() const { return scheduler_.get(); }
+  const Options& options() const { return options_; }
   FaultyDevice& faulty() { return faulty_; }
   CachingDevice* cache() const { return cache_.get(); }
   MemoryArbiter* arbiter() const { return arbiter_.get(); }
@@ -151,7 +162,9 @@ class Subject {
   BlockDevice base_;
   FaultyDevice faulty_;
   std::unique_ptr<CachingDevice> cache_;
+  Options options_;
   std::unique_ptr<AccessMethod> method_;
+  std::unique_ptr<RequestScheduler> scheduler_;  // Fronts method_.
 };
 
 /// What a run exercised, summed so a test can assert its chaos was real.

@@ -1,7 +1,7 @@
 // Saturation and admission-control tests for the service layer
 // (src/service/): open-loop overload behavior, the request-conservation
 // ledger, scheduler mechanisms (priorities, group commit, read coalescing,
-// deadlines), and the closed-loop pass-through contract.
+// deadlines), and option validation.
 //
 // Everything here runs on the scheduler's *virtual* clock, so queueing
 // dynamics -- p99s, sheds, goodput -- are deterministic functions of the
@@ -15,11 +15,9 @@
 
 #include "methods/factory.h"
 #include "service/open_loop.h"
-#include "service/scheduled_method.h"
 #include "service/scheduler.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
-#include "workload/runner.h"
 #include "workload/spec.h"
 
 namespace rum {
@@ -33,7 +31,6 @@ constexpr uint64_t kSatSeed = 0x5A70ULL;
 /// every latency assertion below are stable against default changes.
 Options ServiceOptions() {
   Options options = SmallOptions();
-  options.service.enabled = true;
   options.service.dispatch_overhead_us = 8;
   options.service.op_cost_us = 2;
   options.service.scan_cost_us = 16;
@@ -57,9 +54,6 @@ WorkloadSpec SaturationSpec(uint64_t ops, double offered_ops_per_sec) {
 }
 
 std::unique_ptr<AccessMethod> PrefilledMethod() {
-  // The method itself is built with the service layer *disabled*: the
-  // open-loop scheduler under test is the RequestScheduler RunOpenLoop
-  // constructs, not a factory-installed wrapper.
   auto method = MakeAccessMethod("skiplist", SmallOptions());
   EXPECT_NE(method, nullptr);
   for (Key k = 0; k < (1 << 12); ++k) {
@@ -395,135 +389,55 @@ TEST(SaturationTest, RateGateShedsAtTheFrontDoor) {
   ExpectLedgerExact(scheduler.stats(), 5);
 }
 
-// --------------------------------------------- Closed-loop pass-through
-
-void ExpectSnapshotsEqual(const CounterSnapshot& a, const CounterSnapshot& b) {
-  EXPECT_EQ(a.bytes_read_base, b.bytes_read_base);
-  EXPECT_EQ(a.bytes_read_aux, b.bytes_read_aux);
-  EXPECT_EQ(a.bytes_written_base, b.bytes_written_base);
-  EXPECT_EQ(a.bytes_written_aux, b.bytes_written_aux);
-  EXPECT_EQ(a.blocks_read, b.blocks_read);
-  EXPECT_EQ(a.blocks_written, b.blocks_written);
-  EXPECT_EQ(a.space_base, b.space_base);
-  EXPECT_EQ(a.space_aux, b.space_aux);
-  EXPECT_EQ(a.logical_bytes_read, b.logical_bytes_read);
-  EXPECT_EQ(a.logical_bytes_written, b.logical_bytes_written);
-  EXPECT_EQ(a.point_queries, b.point_queries);
-  EXPECT_EQ(a.range_queries, b.range_queries);
-  EXPECT_EQ(a.inserts, b.inserts);
-  EXPECT_EQ(a.updates, b.updates);
-  EXPECT_EQ(a.deletes, b.deletes);
-  EXPECT_EQ(a.io_errors, b.io_errors);
-  EXPECT_EQ(a.retries, b.retries);
-}
-
-// Options::service.enabled installs a ScheduledMethod front door whose
-// closed-loop path is pure pass-through: the inner method's RUM accounting
-// and returned contents are byte-identical to the undecorated stack, and
-// disabled options produce the undecorated stack itself.
-TEST(SaturationTest, ClosedLoopServiceLayerIsByteIdenticalPassThrough) {
-  Options direct_options = SmallOptions();
-  Options service_options = SmallOptions();
-  service_options.service.enabled = true;
-
-  auto direct = MakeAccessMethod("btree", direct_options);
-  auto fronted = MakeAccessMethod("btree", service_options);
-  ASSERT_NE(direct, nullptr);
-  ASSERT_NE(fronted, nullptr);
-  // Disabled options return the bare method; enabled ones the decorator.
-  EXPECT_EQ(dynamic_cast<ScheduledMethod*>(direct.get()), nullptr);
-  auto* wrapper = dynamic_cast<ScheduledMethod*>(fronted.get());
-  ASSERT_NE(wrapper, nullptr);
-  EXPECT_EQ(fronted->name(), direct->name());
-
-  WorkloadSpec spec = WorkloadSpec::Mixed(5000, 1 << 12);
-  spec.seed = kSatSeed;
-  Result<RumProfile> rd = WorkloadRunner::Run(direct.get(), spec);
-  Result<RumProfile> rf = WorkloadRunner::Run(fronted.get(), spec);
-  ASSERT_TRUE(rd.ok()) << rd.status().ToString();
-  ASSERT_TRUE(rf.ok()) << rf.status().ToString();
-
-  ExpectSnapshotsEqual(rd.value().delta, rf.value().delta);
-  ExpectSnapshotsEqual(direct->stats(), fronted->stats());
-  ASSERT_EQ(direct->size(), fronted->size());
-  for (Key k = 0; k < (1 << 12); k += 3) {
-    Result<Value> a = direct->Get(k);
-    Result<Value> b = fronted->Get(k);
-    ASSERT_EQ(a.ok(), b.ok()) << "key " << k;
-    if (a.ok()) {
-      ASSERT_EQ(a.value(), b.value()) << "key " << k;
-    }
-  }
-
-  // The wrapper kept full books while staying transparent. The extra Gets
-  // above went through the front door too.
-  ServiceStats stats = wrapper->service_stats();
-  EXPECT_EQ(stats.submitted, stats.completed);
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_TRUE(stats.LedgerHolds());
-  EXPECT_GE(stats.submitted, spec.operations);
-}
-
-// Concurrent closed-loop traffic through the front door: four workers over
-// a sharded inner with the service layer on. BulkLoad bypasses the front
-// door as setup traffic, so the wrapper's ledger must account for exactly
-// the phase's operations with no lost increments -- this is the
-// configuration the TSan tier watches.
-TEST(SaturationTest, ConcurrentClosedLoopKeepsExactBooks) {
-  Options options = SmallOptions();
-  options.service.enabled = true;
-  options.sharded.shards = 4;
-  auto method = MakeAccessMethod("sharded-btree", options);
-  ASSERT_NE(method, nullptr);
-  auto* wrapper = dynamic_cast<ScheduledMethod*>(method.get());
-  ASSERT_NE(wrapper, nullptr);
-
-  WorkloadSpec spec;
-  spec.operations = 8000;
-  spec.key_range = 1u << 12;
-  spec.insert_fraction = 0.3;
-  spec.update_fraction = 0.2;
-  spec.delete_fraction = 0.1;
-  spec.scan_fraction = 0;  // Scans cross partitions; see runner.h.
-  spec.seed = kSatSeed;
-  spec.concurrency = 4;
-  Result<RumProfile> r = WorkloadRunner::LoadAndRun(method.get(), 1500, spec);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-
-  ServiceStats stats = wrapper->service_stats();
-  EXPECT_EQ(stats.submitted, spec.operations);
-  EXPECT_EQ(stats.completed, spec.operations);
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_TRUE(stats.LedgerHolds());
-  EXPECT_EQ(stats.total_us.count(), spec.operations);
-}
-
-// MultiGet batches through the closed-loop front door: every request of
-// every batch is counted in the ledger, and the batched_reads /
-// batch_size stats record one dispatch window per batch.
+// A burst of distinct Gets at one arrival drains as group-commit windows of
+// batch_max_ops, each served by one MultiGet: every request lands in the
+// ledger, and batched_reads / batch_size record one dispatch per window.
 TEST(SaturationTest, ScheduledBatchesKeepTheLedgerExact) {
-  auto method = MakeAccessMethod("btree", ServiceOptions());
+  auto method = MakeAccessMethod("btree", SmallOptions());
   ASSERT_NE(method, nullptr);
-  auto* wrapper = dynamic_cast<ScheduledMethod*>(method.get());
-  ASSERT_NE(wrapper, nullptr);
   for (Key k = 0; k < 200; ++k) {
     ASSERT_TRUE(method->Insert(k, ValueFor(k)).ok());
   }
+  Options options = UnitOptions();
+  options.service.batch_max_ops = 16;
+  RequestScheduler scheduler(method.get(), options);
+  uint64_t hits = 0;
+  scheduler.set_completion([&](const Request& rq, const RequestResult& r) {
+    EXPECT_EQ(r.outcome, RequestOutcome::kCompleted);
+    EXPECT_EQ(r.found, rq.key < 200) << rq.key;
+    if (r.found) {
+      EXPECT_EQ(r.value, ValueFor(rq.key));
+      ++hits;
+    }
+  });
+  for (Key k = 0; k < 64; ++k) {
+    ASSERT_TRUE(scheduler.Submit(GetRequest(k * 5)));
+  }
+  scheduler.RunUntilIdle();
 
-  std::vector<Key> keys;
-  for (Key k = 0; k < 64; ++k) keys.push_back(k * 5);
-  std::vector<std::optional<Value>> out;
-  ASSERT_TRUE(method->MultiGet(keys, &out).ok());
-  ASSERT_TRUE(method->MultiGet(keys, &out).ok());
+  const ServiceStats& stats = scheduler.stats();
+  ExpectLedgerExact(stats, 64);
+  EXPECT_EQ(stats.completed, 64u);
+  EXPECT_EQ(hits, 40u);
+  // Four windows of 16, each one MultiGet: the dispatch overhead is
+  // amortized across the window.
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.batched_ops, 64u);
+  EXPECT_EQ(stats.batched_reads, 4u);
+  EXPECT_EQ(stats.batch_size.count(), 4u);
+}
 
-  ServiceStats stats = wrapper->service_stats();
-  ExpectLedgerExact(stats, 200u + 128u);
-  EXPECT_EQ(stats.batched_reads, 2u);
-  EXPECT_EQ(stats.batch_size.count(), 2u);
-  EXPECT_EQ(stats.completed, 200u + 128u);
-  // One dispatch window per batch: overhead amortized across 64 ops.
-  EXPECT_EQ(stats.batches, 200u + 2u);
-  EXPECT_EQ(stats.batched_ops, 200u + 128u);
+// RunOpenLoop validates its options: with batch_max_ops 0 every dispatch
+// would pop nothing and the drain would never finish.
+TEST(SaturationTest, OpenLoopRejectsInvalidOptions) {
+  auto method = PrefilledMethod();
+  Options options = ServiceOptions();
+  options.service.batch_max_ops = 0;
+  Result<ServiceReport> r =
+      RunOpenLoop(method.get(), SaturationSpec(100, 10000), options);
+  ASSERT_EQ(r.status().code(), Code::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("batch_max_ops"), std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace
