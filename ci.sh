@@ -28,9 +28,11 @@ esac
 run_stage() {
   local name="$1" build_dir="$2" sanitize="$3" test_filter="$4"
   echo "=== ${name}: configure + build (${build_dir}) ==="
+  # Warnings fail the build (CMAKE_COMPILE_WARNING_AS_ERROR: CMake >= 3.24).
   cmake -B "${build_dir}" -S . \
     -DCMAKE_BUILD_TYPE="${5}" \
-    -DRUMLAB_SANITIZE="${sanitize}"
+    -DRUMLAB_SANITIZE="${sanitize}" \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build "${build_dir}" -j "${JOBS}"
   echo "=== ${name}: ctest ==="
   # A label or filter that selects nothing would pass vacuously.

@@ -53,11 +53,14 @@ class MemoryArbiter : public MemoryRegistrar {
   struct Config {
     /// The one global byte budget split across all registered pools.
     uint64_t budget_bytes = 0;
-    /// Logical ops (summed over all components) per replan epoch.
+    /// Logical ops (summed over all components) per replan epoch (>= 1).
     uint64_t epoch_ops = 8192;
-    /// Floor share each *present* kind keeps (<= 1/3; see Options::Memory).
+    /// Floor share each *present* kind keeps, so a cold component is never
+    /// starved to zero and can show fresh pressure. Clamped to [0, 1/3]:
+    /// three kinds share the budget, so higher floors cannot all hold.
     double min_share = 0.05;
-    /// Cap on total bytes moved per replan, as a fraction of the budget.
+    /// Cap on total bytes moved per replan, as a fraction of the budget
+    /// (hysteresis against alternating signals); clamped to (0, 1].
     double step_fraction = 0.25;
   };
 

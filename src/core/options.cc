@@ -137,20 +137,6 @@ Status ValidateOptions(const Options& options) {
           "memory.enabled requires memory.arbiter (the registrar the "
           "components' pools attach to)");
     }
-    if (options.memory.epoch_ops < 1) {
-      return Status::InvalidArgument("memory.epoch_ops must be >= 1");
-    }
-    if (options.memory.min_share < 0.0 ||
-        options.memory.min_share > 1.0 / 3.0) {
-      return Status::InvalidArgument(
-          "memory.min_share must be in [0, 1/3] (three pool kinds share "
-          "the budget; floors above 1/3 cannot all hold)");
-    }
-    if (options.memory.step_fraction <= 0.0 ||
-        options.memory.step_fraction > 1.0) {
-      return Status::InvalidArgument(
-          "memory.step_fraction must be in (0, 1]");
-    }
   }
   if (options.morphing.read_priority < 0 ||
       options.morphing.write_priority < 0 ||

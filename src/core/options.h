@@ -311,8 +311,9 @@ struct Options {
   /// Global adaptive memory arbitration (src/adaptive/memory_arbiter.h):
   /// one byte budget dynamically split across CachingDevice capacity, LSM
   /// memtable thresholds, and bloom/sketch filter memory, re-planned every
-  /// `epoch_ops` logical operations from marginal-benefit estimates (cache
-  /// miss bytes, flush/merge bytes, filter false-positive bytes).
+  /// epoch from marginal-benefit estimates (cache miss bytes, flush/merge
+  /// bytes, filter false-positive bytes). The budget, epoch length and
+  /// replan limits live in the arbiter (MemoryArbiter::Config).
   ///
   /// Off (the default), no pool registers and every component keeps its
   /// statically configured size -- the byte-identical static path that
@@ -323,17 +324,8 @@ struct Options {
   struct Memory {
     /// Master switch; requires `arbiter` to be set.
     bool enabled = false;
-    /// Logical operations between replans (the epoch tick).
-    uint64_t epoch_ops = 8192;
-    /// Floor share of the budget each pool *kind* keeps, so a cold
-    /// component is never starved to zero and can show fresh pressure.
-    double min_share = 0.05;
-    /// Fraction of the budget a kind's assignment may move per replan
-    /// (hysteresis: bounds thrash when signals alternate).
-    double step_fraction = 0.25;
     /// The registrar components register with. Borrowed: the arbiter must
-    /// outlive every method constructed with these options. The budget
-    /// itself lives in the arbiter (MemoryArbiter::Config::budget_bytes).
+    /// outlive every method constructed with these options.
     MemoryRegistrar* arbiter = nullptr;
   } memory;
 

@@ -4,20 +4,10 @@
 
 namespace rum {
 
-BloomZoneColumn::BloomZoneColumn(const Options& options)
-    : options_(options),
-      owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
-                                       &counters())) {
-  MaybeRegisterPool();
-}
-
 BloomZoneColumn::BloomZoneColumn(const Options& options, Device* device)
     : options_(options),
-      device_(device),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+      device_(device, options.block_size, &counters()),
+      heap_(std::make_unique<HeapFile>(device_.get(), DataClass::kBase,
                                        &counters())) {
   MaybeRegisterPool();
 }

@@ -10,7 +10,7 @@
 #include "core/memory_budget.h"
 #include "core/options.h"
 #include "methods/sketch/bloom_filter.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 #include "storage/heap_file.h"
 
 namespace rum {
@@ -38,8 +38,7 @@ namespace rum {
 /// (existing zones re-filter at the next Rebuild).
 class BloomZoneColumn : public AccessMethod, public MemoryPool {
  public:
-  explicit BloomZoneColumn(const Options& options);
-  BloomZoneColumn(const Options& options, Device* device);
+  explicit BloomZoneColumn(const Options& options, Device* device = nullptr);
 
   ~BloomZoneColumn() override;
 
@@ -103,8 +102,7 @@ class BloomZoneColumn : public AccessMethod, public MemoryPool {
   }
 
   Options options_;
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   std::unique_ptr<HeapFile> heap_;
   std::vector<Zone> zones_;
   std::unordered_set<RowId> deleted_rows_;

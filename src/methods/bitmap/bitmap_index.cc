@@ -5,26 +5,12 @@
 
 namespace rum {
 
-BitmapIndex::BitmapIndex(const Options& options)
-    : owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      update_friendly_(options.bitmap.update_friendly),
-      merge_threshold_(options.bitmap.delta_merge_threshold),
-      key_domain_(options.bitmap.key_domain),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
-                                       &counters())) {
-  bins_.resize(std::max<size_t>(1, options.bitmap.cardinality));
-  bin_width_ = std::max<Key>(1, key_domain_ / bins_.size());
-  RecountAuxSpace();
-}
-
 BitmapIndex::BitmapIndex(const Options& options, Device* device)
-    : device_(device),
+    : device_(device, options.block_size, &counters()),
       update_friendly_(options.bitmap.update_friendly),
       merge_threshold_(options.bitmap.delta_merge_threshold),
       key_domain_(options.bitmap.key_domain),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+      heap_(std::make_unique<HeapFile>(device_.get(), DataClass::kBase,
                                        &counters())) {
   bins_.resize(std::max<size_t>(1, options.bitmap.cardinality));
   bin_width_ = std::max<Key>(1, key_domain_ / bins_.size());

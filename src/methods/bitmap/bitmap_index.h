@@ -8,7 +8,7 @@
 #include "core/access_method.h"
 #include "core/options.h"
 #include "methods/bitmap/wah.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 #include "storage/heap_file.h"
 
 namespace rum {
@@ -32,8 +32,7 @@ namespace rum {
 /// `bitmap.delta_merge_threshold` pending updates accumulate.
 class BitmapIndex : public AccessMethod {
  public:
-  explicit BitmapIndex(const Options& options);
-  BitmapIndex(const Options& options, Device* device);
+  explicit BitmapIndex(const Options& options, Device* device = nullptr);
 
   ~BitmapIndex() override;
 
@@ -76,8 +75,7 @@ class BitmapIndex : public AccessMethod {
   /// Locates the live row holding `key`, if any (charged).
   Result<RowId> FindRow(Key key);
 
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   bool update_friendly_;
   size_t merge_threshold_;
   Key key_domain_;

@@ -14,21 +14,9 @@ size_t EffectiveNodeSize(const Options& options) {
 }
 }  // namespace
 
-BTree::BTree(const Options& options)
-    : owned_device_(std::make_unique<BlockDevice>(EffectiveNodeSize(options),
-                                                  &counters())),
-      device_(owned_device_.get()),
-      node_size_(EffectiveNodeSize(options)),
-      leaf_capacity_(BTreeLeaf::CapacityFor(node_size_)),
-      inner_capacity_(BTreeInner::CapacityFor(node_size_)),
-      bulk_fill_(options.btree.bulk_fill),
-      split_fraction_(options.btree.split_fraction) {
-  assert(leaf_capacity_ >= 2 && inner_capacity_ >= 2);
-}
-
 BTree::BTree(const Options& options, Device* device)
-    : device_(device),
-      node_size_(device->block_size()),
+    : device_(device, EffectiveNodeSize(options), &counters()),
+      node_size_(device_->block_size()),
       leaf_capacity_(BTreeLeaf::CapacityFor(node_size_)),
       inner_capacity_(BTreeInner::CapacityFor(node_size_)),
       bulk_fill_(options.btree.bulk_fill),

@@ -1,14 +1,13 @@
 #ifndef RUMLAB_METHODS_BTREE_BTREE_H_
 #define RUMLAB_METHODS_BTREE_BTREE_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/options.h"
 #include "methods/btree/btree_node.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 
 namespace rum {
 
@@ -27,8 +26,7 @@ namespace rum {
 /// entries, tuning for sequential vs random insert patterns).
 class BTree : public AccessMethod {
  public:
-  explicit BTree(const Options& options);
-  BTree(const Options& options, Device* device);
+  explicit BTree(const Options& options, Device* device = nullptr);
 
   ~BTree() override;
 
@@ -85,8 +83,7 @@ class BTree : public AccessMethod {
   /// parent; cascades when a parent empties.
   Status RemoveFromParent(std::vector<PathStep>& path, size_t level);
 
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   size_t node_size_;
   size_t leaf_capacity_;
   size_t inner_capacity_;

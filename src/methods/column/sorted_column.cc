@@ -25,16 +25,9 @@ size_t LowerBoundInPage(std::span<const uint8_t> block, size_t n, Key key) {
 }
 }  // namespace
 
-SortedColumn::SortedColumn(const Options& options)
-    : owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      capacity_(PageFormat::CapacityFor(options.block_size)),
-      sparse_(options.column.sparse_index) {}
-
 SortedColumn::SortedColumn(const Options& options, Device* device)
-    : device_(device),
-      capacity_(PageFormat::CapacityFor(device->block_size())),
+    : device_(device, options.block_size, &counters()),
+      capacity_(PageFormat::CapacityFor(device_->block_size())),
       sparse_(options.column.sparse_index) {}
 
 void SortedColumn::RecountAuxSpace() {

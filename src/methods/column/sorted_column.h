@@ -1,12 +1,11 @@
 #ifndef RUMLAB_METHODS_COLUMN_SORTED_COLUMN_H_
 #define RUMLAB_METHODS_COLUMN_SORTED_COLUMN_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/options.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 
 namespace rum {
 
@@ -31,8 +30,7 @@ namespace rum {
 /// minimum.
 class SortedColumn : public AccessMethod {
  public:
-  explicit SortedColumn(const Options& options);
-  SortedColumn(const Options& options, Device* device);
+  explicit SortedColumn(const Options& options, Device* device = nullptr);
 
   ~SortedColumn() override;
 
@@ -65,8 +63,7 @@ class SortedColumn : public AccessMethod {
 
   void RecountAuxSpace();
 
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   size_t capacity_;  // Entries per page.
   bool sparse_;
   std::vector<PageId> pages_;

@@ -10,16 +10,9 @@ Status StopIteration() { return Status(Code::kAlreadyExists, "stop"); }
 bool IsStop(const Status& s) { return s.code() == Code::kAlreadyExists; }
 }  // namespace
 
-UnsortedColumn::UnsortedColumn(const Options& options)
-    : owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
-                                       &counters())) {}
-
-UnsortedColumn::UnsortedColumn(const Options& /*options*/, Device* device)
-    : device_(device),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+UnsortedColumn::UnsortedColumn(const Options& options, Device* device)
+    : device_(device, options.block_size, &counters()),
+      heap_(std::make_unique<HeapFile>(device_.get(), DataClass::kBase,
                                        &counters())) {}
 
 UnsortedColumn::~UnsortedColumn() = default;

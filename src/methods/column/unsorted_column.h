@@ -6,7 +6,7 @@
 
 #include "core/access_method.h"
 #include "core/options.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 #include "storage/heap_file.h"
 
 namespace rum {
@@ -21,10 +21,7 @@ namespace rum {
 /// layout; `Append` provides the blind O(1) path used for bulk ingest.
 class UnsortedColumn : public AccessMethod {
  public:
-  /// Creates a column on its own simulated device.
-  explicit UnsortedColumn(const Options& options);
-  /// Creates a column on a borrowed device (e.g. under a cache).
-  UnsortedColumn(const Options& options, Device* device);
+  explicit UnsortedColumn(const Options& options, Device* device = nullptr);
 
   ~UnsortedColumn() override;
 
@@ -46,8 +43,7 @@ class UnsortedColumn : public AccessMethod {
   /// Linear scan for a key; returns the row or kInvalidRowId.
   Result<RowId> FindRow(Key key);
 
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   std::unique_ptr<HeapFile> heap_;
 };
 

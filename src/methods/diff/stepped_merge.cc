@@ -7,14 +7,8 @@
 
 namespace rum {
 
-SteppedMergeTree::SteppedMergeTree(const Options& options)
-    : options_(options),
-      owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()) {}
-
 SteppedMergeTree::SteppedMergeTree(const Options& options, Device* device)
-    : options_(options), device_(device) {}
+    : options_(options), device_(device, options.block_size, &counters()) {}
 
 SteppedMergeTree::~SteppedMergeTree() = default;
 
@@ -89,7 +83,7 @@ Status SteppedMergeTree::SealBuffer() {
   }
   if (!records.empty()) {
     std::unique_ptr<SortedRun> run;
-    Status s = SortedRun::Build(device_, &counters(), records,
+    Status s = SortedRun::Build(device_.get(), &counters(), records,
                                 /*bloom_bits_per_key=*/0, &run);
     if (!s.ok()) return s;
     levels_[0].push_back(std::move(run));
@@ -113,7 +107,7 @@ Status SteppedMergeTree::SealBuffer() {
     if (levels_.size() <= level + 1) levels_.resize(level + 2);
     if (!merged.empty()) {
       std::unique_ptr<SortedRun> run;
-      Status s = SortedRun::Build(device_, &counters(), merged,
+      Status s = SortedRun::Build(device_.get(), &counters(), merged,
                                   /*bloom_bits_per_key=*/0, &run);
       if (!s.ok()) return s;
       levels_[level + 1].push_back(std::move(run));
@@ -199,7 +193,7 @@ Status SteppedMergeTree::BulkLoad(std::span<const Entry> entries) {
   }
   if (levels_.size() <= level) levels_.resize(level + 1);
   std::unique_ptr<SortedRun> run;
-  s = SortedRun::Build(device_, &counters(), records,
+  s = SortedRun::Build(device_.get(), &counters(), records,
                        /*bloom_bits_per_key=*/0, &run);
   if (!s.ok()) return s;
   levels_[level].push_back(std::move(run));

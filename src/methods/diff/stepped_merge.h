@@ -8,7 +8,7 @@
 #include "core/access_method.h"
 #include "core/options.h"
 #include "methods/lsm/sorted_run.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 
 namespace rum {
 
@@ -24,8 +24,7 @@ namespace rum {
 /// filters isolates that effect (compare with LsmTree in the benches).
 class SteppedMergeTree : public AccessMethod {
  public:
-  explicit SteppedMergeTree(const Options& options);
-  SteppedMergeTree(const Options& options, Device* device);
+  explicit SteppedMergeTree(const Options& options, Device* device = nullptr);
 
   ~SteppedMergeTree() override;
 
@@ -52,8 +51,7 @@ class SteppedMergeTree : public AccessMethod {
   bool IsLastPopulated(size_t level) const;
 
   Options options_;
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
 
   std::vector<LogRecord> buffer_;  // Unsorted, newest last.
   std::vector<std::vector<std::unique_ptr<SortedRun>>> levels_;

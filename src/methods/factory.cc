@@ -23,20 +23,9 @@
 
 namespace rum {
 
-namespace {
-
-/// Constructs with an external device when one was supplied and the method
-/// supports it; otherwise the method owns a private BlockDevice.
-template <typename Method>
-std::unique_ptr<AccessMethod> MakeBacked(const Options& options,
-                                         Device* device) {
-  if (device != nullptr) return std::make_unique<Method>(options, device);
-  return std::make_unique<Method>(options);
-}
-
-std::unique_ptr<AccessMethod> MakeImpl(std::string_view name,
-                                       const Options& options,
-                                       Device* device) {
+std::unique_ptr<AccessMethod> MakeAccessMethod(std::string_view name,
+                                               const Options& options,
+                                               Device* device) {
   if (!ValidateOptions(options).ok()) return nullptr;
   // "sharded-<inner>" wraps options.sharded.shards instances of <inner> in
   // a ShardedMethod (hash partitioning + per-shard locking). All shards
@@ -53,106 +42,95 @@ std::unique_ptr<AccessMethod> MakeImpl(std::string_view name,
     std::vector<std::unique_ptr<AccessMethod>> shards;
     shards.reserve(options.sharded.shards);
     for (size_t i = 0; i < options.sharded.shards; ++i) {
-      auto method = MakeImpl(inner, options, device);
+      auto method = MakeAccessMethod(inner, options, device);
       if (method == nullptr) return nullptr;
       shards.push_back(std::move(method));
     }
     return std::make_unique<ShardedMethod>(std::string(name),
                                            std::move(shards));
   }
-  if (name == "btree") return MakeBacked<BTree>(options, device);
-  if (name == "hash") return MakeBacked<HashIndex>(options, device);
-  if (name == "zonemap") return MakeBacked<ZoneMapColumn>(options, device);
+  if (name == "btree") return std::make_unique<BTree>(options, device);
+  if (name == "hash") return std::make_unique<HashIndex>(options, device);
+  if (name == "zonemap") {
+    return std::make_unique<ZoneMapColumn>(options, device);
+  }
   if (name == "lsm-leveled") {
     Options opts = options;
     opts.lsm.policy = LsmPolicy::kLeveled;
-    return MakeBacked<LsmTree>(opts, device);
+    return std::make_unique<LsmTree>(opts, device);
   }
   if (name == "lsm-tiered") {
     Options opts = options;
     opts.lsm.policy = LsmPolicy::kTiered;
-    return MakeBacked<LsmTree>(opts, device);
+    return std::make_unique<LsmTree>(opts, device);
   }
   if (name == "lsm-lazy") {
     Options opts = options;
     opts.lsm.policy = LsmPolicy::kLazyLeveled;
-    return MakeBacked<LsmTree>(opts, device);
+    return std::make_unique<LsmTree>(opts, device);
   }
   if (name == "lsm-hybrid") {
     Options opts = options;
     opts.lsm.policy = LsmPolicy::kHybrid;
-    return MakeBacked<LsmTree>(opts, device);
+    return std::make_unique<LsmTree>(opts, device);
   }
   if (name == "lsm-compressed") {
     Options opts = options;
     opts.lsm.policy = LsmPolicy::kLeveled;
     opts.lsm.compress_runs = true;
-    return MakeBacked<LsmTree>(opts, device);
+    return std::make_unique<LsmTree>(opts, device);
   }
   if (name == "sorted-column") {
-    return MakeBacked<SortedColumn>(options, device);
+    return std::make_unique<SortedColumn>(options, device);
   }
   if (name == "unsorted-column") {
-    return MakeBacked<UnsortedColumn>(options, device);
+    return std::make_unique<UnsortedColumn>(options, device);
   }
   if (name == "skiplist") return std::make_unique<SkipListMethod>(options);
   if (name == "trie") return std::make_unique<Trie>(options);
   if (name == "bitmap") {
     Options opts = options;
     opts.bitmap.update_friendly = false;
-    return MakeBacked<BitmapIndex>(opts, device);
+    return std::make_unique<BitmapIndex>(opts, device);
   }
   if (name == "bitmap-delta") {
     Options opts = options;
     opts.bitmap.update_friendly = true;
-    return MakeBacked<BitmapIndex>(opts, device);
+    return std::make_unique<BitmapIndex>(opts, device);
   }
   if (name == "cracking") return std::make_unique<CrackedColumn>(options);
   if (name == "stepped-merge") {
-    return MakeBacked<SteppedMergeTree>(options, device);
+    return std::make_unique<SteppedMergeTree>(options, device);
   }
   if (name == "bloom-zones") {
-    return MakeBacked<BloomZoneColumn>(options, device);
+    return std::make_unique<BloomZoneColumn>(options, device);
   }
-  if (name == "imprints") return MakeBacked<ImprintsColumn>(options, device);
+  if (name == "imprints") {
+    return std::make_unique<ImprintsColumn>(options, device);
+  }
   if (name == "pbt") return std::make_unique<PartitionedBTree>(options);
   if (name == "sparse-index") {
     Options opts = options;
     opts.column.sparse_index = true;
-    return MakeBacked<SortedColumn>(opts, device);
+    return std::make_unique<SortedColumn>(opts, device);
   }
-  if (name == "hot-cold") return std::make_unique<HotColdStore>(options);
+  if (name == "hot-cold") {
+    return std::make_unique<HotColdStore>(options, device);
+  }
   if (name == "absorbed-btree") {
     return std::make_unique<UpdateAbsorber>(
-        device != nullptr ? std::make_unique<BTree>(options, device)
-                          : std::make_unique<BTree>(options),
-        options);
+        std::make_unique<BTree>(options, device), options);
   }
   if (name == "absorbed-bitmap") {
     Options opts = options;
     opts.bitmap.update_friendly = false;  // The absorber buffers instead.
     return std::make_unique<UpdateAbsorber>(
-        device != nullptr ? std::make_unique<BitmapIndex>(opts, device)
-                          : std::make_unique<BitmapIndex>(opts),
-        options);
+        std::make_unique<BitmapIndex>(opts, device), options);
   }
   if (name == "magic-array") return std::make_unique<MagicArray>(options);
   if (name == "pure-log") return std::make_unique<PureLog>(options);
   if (name == "dense-array") return std::make_unique<DenseArray>(options);
   return nullptr;
-}
-
-}  // namespace
-
-std::unique_ptr<AccessMethod> MakeAccessMethod(std::string_view name,
-                                               const Options& options) {
-  return MakeImpl(name, options, nullptr);
-}
-
-std::unique_ptr<AccessMethod> MakeAccessMethod(std::string_view name,
-                                               const Options& options,
-                                               Device* device) {
-  return MakeImpl(name, options, device);
 }
 
 std::vector<std::string_view> AllAccessMethodNames() {

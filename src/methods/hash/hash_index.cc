@@ -12,20 +12,11 @@ namespace {
 constexpr double kMaxLoad = 0.7;
 }  // namespace
 
-HashIndex::HashIndex(const Options& options)
-    : owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      slots_per_page_(PageFormat::CapacityFor(options.block_size)),
-      fanout_(options.hash.directory_fanout),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
-                                       &counters())) {}
-
 HashIndex::HashIndex(const Options& options, Device* device)
-    : device_(device),
-      slots_per_page_(PageFormat::CapacityFor(device->block_size())),
+    : device_(device, options.block_size, &counters()),
+      slots_per_page_(PageFormat::CapacityFor(device_->block_size())),
       fanout_(options.hash.directory_fanout),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+      heap_(std::make_unique<HeapFile>(device_.get(), DataClass::kBase,
                                        &counters())) {}
 
 HashIndex::~HashIndex() = default;

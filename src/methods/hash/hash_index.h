@@ -6,7 +6,7 @@
 
 #include "core/access_method.h"
 #include "core/options.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 #include "storage/heap_file.h"
 
 namespace rum {
@@ -27,8 +27,7 @@ namespace rum {
 /// and no subsequent growth this behaves as Table 1's perfect hash.
 class HashIndex : public AccessMethod {
  public:
-  explicit HashIndex(const Options& options);
-  HashIndex(const Options& options, Device* device);
+  explicit HashIndex(const Options& options, Device* device = nullptr);
 
   ~HashIndex() override;
 
@@ -82,8 +81,7 @@ class HashIndex : public AccessMethod {
   Status BuildDirectory(size_t slots);
   Status Rehash(size_t new_slots);
 
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   size_t slots_per_page_;
   double fanout_;
 

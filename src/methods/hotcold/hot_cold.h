@@ -12,6 +12,8 @@
 
 namespace rum {
 
+class Device;
+
 /// The paper's "dynamic RUM balance" (Section 5) applied at key
 /// granularity: a store that keeps its *hot* keys in a read-optimized
 /// in-memory table and its cold mass in a write/space-optimized LSM,
@@ -29,9 +31,12 @@ namespace rum {
 /// (write-back, dirty-tracked). When the table exceeds
 /// `hot_cold.hot_capacity`, a sampled-coldest victim is written back to
 /// the LSM. Scans merge the hot overlay with the cold structure.
+///
+/// The cold LSM stores its pages on `device` when one is given (see
+/// LsmTree); the hot table and sketch stay in memory.
 class HotColdStore : public AccessMethod {
  public:
-  explicit HotColdStore(const Options& options);
+  explicit HotColdStore(const Options& options, Device* device = nullptr);
   ~HotColdStore() override;
 
   std::string_view name() const override { return "hot-cold"; }

@@ -4,20 +4,10 @@
 
 namespace rum {
 
-ImprintsColumn::ImprintsColumn(const Options& options)
-    : options_(options),
-      owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
-                                       &counters())) {
-  bin_width_ = std::max<Key>(1, options_.bitmap.key_domain / kBins);
-}
-
 ImprintsColumn::ImprintsColumn(const Options& options, Device* device)
     : options_(options),
-      device_(device),
-      heap_(std::make_unique<HeapFile>(device_, DataClass::kBase,
+      device_(device, options.block_size, &counters()),
+      heap_(std::make_unique<HeapFile>(device_.get(), DataClass::kBase,
                                        &counters())) {
   bin_width_ = std::max<Key>(1, options_.bitmap.key_domain / kBins);
 }

@@ -7,7 +7,7 @@
 
 #include "core/access_method.h"
 #include "core/options.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 #include "storage/heap_file.h"
 
 namespace rum {
@@ -32,8 +32,7 @@ namespace rum {
 /// bins (one machine word per imprint).
 class ImprintsColumn : public AccessMethod {
  public:
-  explicit ImprintsColumn(const Options& options);
-  ImprintsColumn(const Options& options, Device* device);
+  explicit ImprintsColumn(const Options& options, Device* device = nullptr);
 
   ~ImprintsColumn() override;
 
@@ -69,8 +68,7 @@ class ImprintsColumn : public AccessMethod {
   Result<RowId> FindRow(Key key);
 
   Options options_;
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   std::unique_ptr<HeapFile> heap_;
   Key bin_width_;
   std::vector<uint64_t> imprints_;  // One mask per heap block.

@@ -8,26 +8,10 @@
 
 namespace rum {
 
-LsmTree::LsmTree(const Options& options)
-    : options_(options),
-      policy_(CompactionPolicy::Make(options.lsm.policy)),
-      owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      memtable_(
-          std::make_unique<SkipListMap>(options.skiplist, &mem_counters_)) {
-  if (options_.lsm.cross_run_index) {
-    index_ = std::make_unique<CrossRunIndex>(
-        &counters(), options_.lsm.cross_run_segment_entries);
-  }
-  InitMetrics();
-  MaybeRegisterPools();
-}
-
 LsmTree::LsmTree(const Options& options, Device* device)
     : options_(options),
       policy_(CompactionPolicy::Make(options.lsm.policy)),
-      device_(device),
+      device_(device, options.block_size, &counters()),
       memtable_(
           std::make_unique<SkipListMap>(options.skiplist, &mem_counters_)) {
   if (options_.lsm.cross_run_index) {
@@ -154,7 +138,7 @@ Status LsmTree::BuildRun(size_t level, std::vector<LogRecord> records) {
   std::unique_ptr<SortedRun> run;
   // bloom_bits_per_key() (the live knob), not the configured value: the
   // arbiter re-budgets filters at exactly this rebuild boundary.
-  Status s = SortedRun::Build(device_, &counters(), records,
+  Status s = SortedRun::Build(device_.get(), &counters(), records,
                               bloom_bits_per_key(), &run,
                               options_.lsm.fence_entries,
                               options_.lsm.compress_runs,

@@ -14,7 +14,7 @@
 #include "methods/lsm/cross_run_index.h"
 #include "methods/lsm/sorted_run.h"
 #include "methods/skiplist/skiplist.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 
 namespace rum {
 
@@ -66,8 +66,7 @@ struct LsmMemoryFootprint {
 /// every deep merge.
 class LsmTree : public AccessMethod, public CompactionContext {
  public:
-  explicit LsmTree(const Options& options);
-  LsmTree(const Options& options, Device* device);
+  explicit LsmTree(const Options& options, Device* device = nullptr);
 
   ~LsmTree() override;
 
@@ -261,8 +260,7 @@ class LsmTree : public AccessMethod, public CompactionContext {
 
   Options options_;
   std::unique_ptr<CompactionPolicy> policy_;
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
 
   RumCounters mem_counters_;  // The memtable's separate accounting.
   std::unique_ptr<SkipListMap> memtable_;

@@ -25,6 +25,10 @@ namespace rum {
 /// The structure interpolates between a B-tree (1 partition) and a
 /// tiered-LSM-like shape (many partitions): the partition count is the
 /// RUM dial.
+///
+/// Each partition tree stores its pages on a private device. A merge
+/// retires whole trees, and a BTree cannot yet free its pages back to a
+/// shared device, so pbt takes no device from its caller.
 class PartitionedBTree : public AccessMethod {
  public:
   explicit PartitionedBTree(const Options& options);

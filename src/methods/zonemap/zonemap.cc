@@ -7,19 +7,9 @@
 
 namespace rum {
 
-ZoneMapColumn::ZoneMapColumn(const Options& options)
-    : owned_device_(
-          std::make_unique<BlockDevice>(options.block_size, &counters())),
-      device_(owned_device_.get()),
-      page_capacity_(PageFormat::CapacityFor(options.block_size)),
-      zone_capacity_(options.zonemap.zone_entries) {
-  zones_.push_back(Zone{kMinKey, kMaxKey, kMinKey, 0, {}});
-  RecountAuxSpace();
-}
-
 ZoneMapColumn::ZoneMapColumn(const Options& options, Device* device)
-    : device_(device),
-      page_capacity_(PageFormat::CapacityFor(device->block_size())),
+    : device_(device, options.block_size, &counters()),
+      page_capacity_(PageFormat::CapacityFor(device_->block_size())),
       zone_capacity_(options.zonemap.zone_entries) {
   zones_.push_back(Zone{kMinKey, kMaxKey, kMinKey, 0, {}});
   RecountAuxSpace();

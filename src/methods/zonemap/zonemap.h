@@ -1,12 +1,11 @@
 #ifndef RUMLAB_METHODS_ZONEMAP_ZONEMAP_H_
 #define RUMLAB_METHODS_ZONEMAP_ZONEMAP_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/options.h"
-#include "storage/block_device.h"
+#include "methods/method_device.h"
 
 namespace rum {
 
@@ -26,8 +25,7 @@ namespace rum {
 /// best case O(N/P/B) when a single partition is read.
 class ZoneMapColumn : public AccessMethod {
  public:
-  explicit ZoneMapColumn(const Options& options);
-  ZoneMapColumn(const Options& options, Device* device);
+  explicit ZoneMapColumn(const Options& options, Device* device = nullptr);
 
   ~ZoneMapColumn() override;
 
@@ -73,8 +71,7 @@ class ZoneMapColumn : public AccessMethod {
 
   void RecountAuxSpace();
 
-  std::unique_ptr<BlockDevice> owned_device_;
-  Device* device_;
+  MethodDevice device_;
   size_t page_capacity_;
   size_t zone_capacity_;
   std::vector<Zone> zones_;

@@ -146,11 +146,6 @@ std::vector<uint8_t>* BlockDevice::mutable_page_unaccounted(PageId page) {
   return &pages_[page].bytes;
 }
 
-const std::vector<uint8_t>* BlockDevice::page_unaccounted(PageId page) const {
-  if (!CheckLive(page).ok()) return nullptr;
-  return &pages_[page].bytes;
-}
-
 Status BlockDevice::ChargeRead(PageId page) const {
   Status s = CheckLive(page);
   if (!s.ok()) return s;
@@ -164,24 +159,6 @@ Status BlockDevice::ChargeWrite(PageId page) {
   if (!s.ok()) return s;
   counters_->OnWrite(pages_[page].cls, block_size_);
   counters_->OnBlockWrite();
-  return Status::OK();
-}
-
-Status BlockDevice::Reclassify(PageId page, DataClass cls) {
-  Status s = CheckLive(page);
-  if (!s.ok()) return s;
-  PageSlot& slot = pages_[page];
-  if (slot.cls == cls) return Status::OK();
-  counters_->AdjustSpace(slot.cls, -static_cast<int64_t>(block_size_));
-  counters_->AdjustSpace(cls, static_cast<int64_t>(block_size_));
-  if (slot.cls == DataClass::kBase) {
-    --live_base_;
-    ++live_aux_;
-  } else {
-    --live_aux_;
-    ++live_base_;
-  }
-  slot.cls = cls;
   return Status::OK();
 }
 

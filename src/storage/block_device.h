@@ -59,18 +59,8 @@ class BlockDevice : public Device {
   Status PinForWrite(PageId page, PageWriteGuard* out) override;
 
   /// Direct mutable access to a page's backing bytes WITHOUT accounting.
-  /// Only for tests and for internal assembly of a block that is charged
-  /// separately via Charge{Read,Write}.
+  /// Only for tests that corrupt pages in place.
   std::vector<uint8_t>* mutable_page_unaccounted(PageId page);
-  const std::vector<uint8_t>* page_unaccounted(PageId page) const;
-
-  /// Explicitly charges a block read/write of page `page` without moving
-  /// bytes (used by zero-copy in-simulator paths).
-  Status ChargeRead(PageId page) const;
-  Status ChargeWrite(PageId page);
-
-  /// Reclassifies a live page (e.g. when a buffer becomes part of an index).
-  Status Reclassify(PageId page, DataClass cls);
 
   /// Crash simulation: the bottom of the stack holds no volatile state, so
   /// only open pins are abandoned (their late releases become no-ops).
@@ -99,6 +89,10 @@ class BlockDevice : public Device {
   };
 
   Status CheckLive(PageId page) const;
+  /// Charge one block read/write of the page's class: the one accounting
+  /// step behind Read/Write, a read pin and a dirty write release.
+  Status ChargeRead(PageId page) const;
+  Status ChargeWrite(PageId page);
 
   size_t block_size_;
   RumCounters* counters_;  // Not owned.

@@ -185,8 +185,8 @@ Status FaultyDevice::FlushAll() {
 Status FaultyDevice::PinForRead(PageId page, PageReadGuard* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (torn_.count(page) != 0) return TornStatus(page, "PinForRead");
-  // Pin-read acquisition is a charged read, so it consumes the budget --
-  // exactly like the legacy ChargeRead at pin time.
+  // Pin-read acquisition is a charged read, so it consumes the budget
+  // exactly like a Read.
   Status s = MaybeFault(FaultOp::kPin, page, true);
   if (!s.ok()) return s;
   PageReadGuard base_guard;

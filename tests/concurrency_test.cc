@@ -26,6 +26,7 @@ namespace {
 
 using testing_util::ConcurrentReferenceModel;
 using testing_util::GetMatchesReference;
+using testing_util::MethodParamName;
 using testing_util::ScanMatchesReference;
 using testing_util::SmallOptions;
 
@@ -188,7 +189,9 @@ TEST_P(ConcurrencyTest, ReadersSeeConsistentStateUnderWrites) {
             ASSERT_GE(out[j].key, lo);
             ASSERT_LE(out[j].key, hi);
             ASSERT_EQ(out[j].value, ValueFor(out[j].key));
-            if (j > 0) ASSERT_LT(out[j - 1].key, out[j].key);
+            if (j > 0) {
+              ASSERT_LT(out[j - 1].key, out[j].key);
+            }
           }
           // Unmutated even keys must all be present in the observed range.
           size_t evens = 0;
@@ -444,13 +447,7 @@ TEST(ConcurrencyRunnerTest, DegradedSkipsMergeDeterministicallyAcrossWorkers) {
 INSTANTIATE_TEST_SUITE_P(
     ShardedInners, ConcurrencyTest,
     ::testing::Values("btree", "hash", "skiplist", "lsm-leveled"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    MethodParamName);
 
 }  // namespace
 }  // namespace rum

@@ -16,8 +16,8 @@
 
 #include <gtest/gtest.h>
 
-#include "methods/factory.h"
 #include "tests/model_harness.h"
+#include "tests/testing_util.h"
 
 namespace rum {
 namespace {
@@ -29,22 +29,13 @@ using harness::PairwiseFeatureRows;
 using harness::ParseFeatures;
 using harness::ParseOps;
 using harness::Report;
+using testing_util::AllMethodNames;
+using testing_util::MethodTestName;
 
 constexpr uint64_t kSeeds[] = {0xA11CEull, 0xB0B5EEDull, 0xC0FFEE42ull};
 
-std::vector<std::string> AllMethodNames() {
-  std::vector<std::string> names;
-  for (std::string_view name : AllAccessMethodNames()) {
-    names.emplace_back(name);
-  }
-  return names;
-}
-
-std::string TestName(std::string name, const std::string& suffix) {
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name + "_" + suffix;
+std::string TestName(const std::string& name, const std::string& suffix) {
+  return MethodTestName(name) + "_" + suffix;
 }
 
 // ------------------------------------------------------ The feature matrix

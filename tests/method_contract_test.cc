@@ -5,19 +5,24 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/access_method.h"
+#include "core/counters.h"
 #include "methods/factory.h"
+#include "storage/block_device.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
 
 namespace rum {
 namespace {
 
+using testing_util::AllMethodNames;
 using testing_util::GetMatchesReference;
+using testing_util::MethodParamName;
 using testing_util::ReferenceModel;
 using testing_util::ScanMatchesReference;
 using testing_util::SmallOptions;
@@ -224,20 +229,31 @@ TEST_P(MethodContractTest, StatsAreSane) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, MethodContractTest,
-    ::testing::Values("btree", "hash", "zonemap", "lsm-leveled",
-                      "lsm-tiered", "lsm-lazy", "lsm-hybrid", "lsm-compressed", "sorted-column", "unsorted-column",
-                      "skiplist", "trie", "bitmap", "bitmap-delta",
-                      "cracking", "stepped-merge", "bloom-zones", "imprints", "hot-cold", "pbt", "sparse-index", "absorbed-btree", "absorbed-bitmap",
-                      "magic-array", "pure-log", "dense-array",
-                      "sharded-btree", "sharded-hash", "sharded-skiplist",
-                      "sharded-lsm-leveled"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    ::testing::ValuesIn(AllMethodNames()), MethodParamName);
+
+// The factory's device contract: every method with pages stores them on the
+// device it is given. The in-memory methods have no pages; pbt keeps each
+// partition tree on a private device, because a merge retires whole trees
+// and a BTree cannot free its pages back to a shared device.
+TEST(FactoryDeviceTest, DeviceBackedMethodsStoreOnTheGivenDevice) {
+  const std::set<std::string_view> kNoDevice = {
+      "skiplist", "trie",        "cracking",         "magic-array",
+      "pure-log", "dense-array", "sharded-skiplist", "pbt"};
+  for (std::string_view name : AllAccessMethodNames()) {
+    Options options = SmallOptions();
+    RumCounters counters;
+    BlockDevice device(options.block_size, &counters);
+    std::unique_ptr<AccessMethod> method =
+        MakeAccessMethod(name, options, &device);
+    ASSERT_NE(method, nullptr) << name;
+    for (Key k = 0; k < 600; ++k) {
+      ASSERT_TRUE(method->Insert(k, k + 1).ok()) << name;
+    }
+    ASSERT_TRUE(method->Flush().ok()) << name;
+    EXPECT_EQ(device.live_pages() > 0, !kNoDevice.contains(name))
+        << name << " left " << device.live_pages() << " pages on the device";
+  }
+}
 
 }  // namespace
 }  // namespace rum

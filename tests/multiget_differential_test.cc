@@ -16,8 +16,8 @@
 
 #include <gtest/gtest.h>
 
-#include "methods/factory.h"
 #include "tests/model_harness.h"
+#include "tests/testing_util.h"
 #include "workload/distribution.h"
 
 namespace rum {
@@ -28,16 +28,10 @@ using harness::Op;
 using harness::OpKind;
 using harness::ParseFeatures;
 using harness::Report;
+using testing_util::AllMethodNames;
+using testing_util::MethodTestName;
 
 constexpr uint64_t kSeeds[] = {0xA11CEull, 0xB0B5EEDull, 0xC0FFEE42ull};
-
-std::vector<std::string> AllMethodNames() {
-  std::vector<std::string> names;
-  for (std::string_view name : AllAccessMethodNames()) {
-    names.emplace_back(name);
-  }
-  return names;
-}
 
 class MultiGetParityTest
     : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
@@ -93,11 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(AllMethodNames()),
                        ::testing::Range<size_t>(0, 3)),
     [](const ::testing::TestParamInfo<std::tuple<std::string, size_t>>& info) {
-      std::string name = std::get<0>(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return MethodTestName(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

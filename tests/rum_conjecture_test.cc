@@ -14,6 +14,8 @@
 namespace rum {
 namespace {
 
+using testing_util::AllMethodNames;
+using testing_util::MethodParamName;
 using testing_util::SmallOptions;
 
 // Tolerance for "reached the theoretical optimum of 1.0". Block slack and
@@ -50,18 +52,7 @@ TEST_P(RumConjectureTest, NoMethodIsOptimalOnAllThreeOverheads) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, RumConjectureTest,
-    ::testing::Values("btree", "hash", "zonemap", "lsm-leveled",
-                      "lsm-tiered", "lsm-lazy", "lsm-hybrid", "lsm-compressed", "sorted-column", "unsorted-column",
-                      "skiplist", "trie", "bitmap", "bitmap-delta",
-                      "cracking", "stepped-merge", "bloom-zones", "imprints", "hot-cold", "pbt", "sparse-index", "absorbed-btree", "absorbed-bitmap",
-                      "magic-array", "pure-log", "dense-array"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    ::testing::ValuesIn(AllMethodNames()), MethodParamName);
 
 // Proposition 1: optimal reads imply non-optimal space (and a 2x write for
 // the paper's value-change operation, tested in methods_test).

@@ -14,6 +14,8 @@
 namespace rum {
 namespace {
 
+using testing_util::AllMethodNames;
+using testing_util::MethodParamName;
 using testing_util::SmallOptions;
 
 class StatsInvariantsTest : public ::testing::TestWithParam<std::string> {
@@ -112,21 +114,7 @@ TEST_P(StatsInvariantsTest, ResetClearsTrafficKeepsSpace) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, StatsInvariantsTest,
-    ::testing::Values("btree", "hash", "zonemap", "lsm-leveled",
-                      "lsm-tiered", "lsm-lazy", "lsm-hybrid", "lsm-compressed", "sorted-column", "unsorted-column",
-                      "skiplist", "trie", "bitmap", "bitmap-delta",
-                      "cracking", "stepped-merge", "bloom-zones",
-                      "imprints", "hot-cold", "pbt", "sparse-index",
-                      "absorbed-btree", "absorbed-bitmap", "pure-log",
-                      "dense-array", "sharded-btree", "sharded-hash",
-                      "sharded-skiplist", "sharded-lsm-leveled"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    ::testing::ValuesIn(AllMethodNames()), MethodParamName);
 
 }  // namespace
 }  // namespace rum

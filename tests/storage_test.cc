@@ -166,16 +166,6 @@ TEST(BlockDeviceTest, FreeWhilePinnedRejected) {
   EXPECT_TRUE(device.Free(p).ok());
 }
 
-TEST(BlockDeviceTest, ReclassifyMovesSpace) {
-  RumCounters counters;
-  BlockDevice device(kBlock, &counters);
-  PageId p = testing_util::MustAllocate(device, DataClass::kBase);
-  ASSERT_TRUE(device.Reclassify(p, DataClass::kAux).ok());
-  EXPECT_EQ(counters.snapshot().space_base, 0u);
-  EXPECT_EQ(counters.snapshot().space_aux, kBlock);
-  EXPECT_EQ(device.live_pages(DataClass::kAux), 1u);
-}
-
 TEST(PageFormatTest, RoundTrip) {
   std::vector<Entry> entries = {{1, 10}, {2, 20}, {300, 3000}};
   std::vector<uint8_t> block(kBlock, 0xff);

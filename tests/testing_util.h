@@ -3,17 +3,44 @@
 
 #include <map>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/access_method.h"
 #include "core/options.h"
+#include "methods/factory.h"
 #include "storage/device.h"
 #include "workload/distribution.h"
 
 namespace rum {
 namespace testing_util {
+
+/// Every factory name, as the parameter list of the suites that run over
+/// the whole catalog.
+inline std::vector<std::string> AllMethodNames() {
+  std::vector<std::string> names;
+  for (std::string_view name : AllAccessMethodNames()) {
+    names.emplace_back(name);
+  }
+  return names;
+}
+
+/// A factory name as a gtest name: '-' is spelled '_'.
+inline std::string MethodTestName(std::string name) {
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
+/// The gtest name of a suite case parameterized by a factory name.
+inline std::string MethodParamName(
+    const ::testing::TestParamInfo<std::string>& info) {
+  return MethodTestName(info.param);
+}
 
 /// Allocates a page, asserting success. For tests running against stacks
 /// with no allocation faults armed, where failure is a test bug.
