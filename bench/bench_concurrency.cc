@@ -636,11 +636,14 @@ void SweepMemoryPressure() {
 
 int main(int argc, char** argv) {
   // --smoke: a fast configuration for CI that still produces the full JSON
-  // schema (fewer ops, same sweep shape).
+  // schema (fewer ops, same sweep shape). It writes its own file, so it
+  // never replaces a committed full sweep.
+  const char* out_path = "BENCH_concurrency.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       rum::g_preload = 2000;
       rum::g_ops = 5000;
+      out_path = "BENCH_concurrency_smoke.json";
     }
   }
   // Metrics on for the whole sweep: callback gauges come and go with each
@@ -662,6 +665,6 @@ int main(int argc, char** argv) {
       "shards, then flattens; amplifications stay within noise of the\n"
       "1-thread row because the merged counters are exact regardless of\n"
       "interleaving.\n");
-  rum::WriteJson("BENCH_concurrency.json");
+  rum::WriteJson(out_path);
   return 0;
 }

@@ -404,19 +404,27 @@ Registration registration;
 // results to BENCH_wallclock.json (google-benchmark's JSON schema, with the
 // RO/UO/MO counters attached per benchmark) for machine consumption
 // alongside the console table. A --benchmark_filter run never writes that
-// default path: a partial run must not replace the full baseline.
+// default path, and neither does a --benchmark_list_tests run (which would
+// truncate it): a partial run must not replace the full baseline. The JSON
+// context names the compiler and rumlab's own build type; pass
+// --benchmark_context=rumlab_commit=<sha> to name the commit too.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
-  bool filtered = false;
+  bool partial = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);
     if (arg.rfind("--benchmark_out", 0) == 0) has_out = true;
-    if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
+    if (arg.rfind("--benchmark_filter", 0) == 0) partial = true;
+    if (arg.rfind("--benchmark_list_tests", 0) == 0 &&
+        arg != "--benchmark_list_tests=false" &&
+        arg != "--benchmark_list_tests=0") {
+      partial = true;
+    }
   }
   std::string out_flag = "--benchmark_out=BENCH_wallclock.json";
   std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out && !filtered) {
+  if (!has_out && !partial) {
     args.push_back(out_flag.data());
     args.push_back(format_flag.data());
   }
@@ -425,6 +433,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(effective_argc, args.data())) {
     return 1;
   }
+  benchmark::AddCustomContext("rumlab_compiler", RUMLAB_COMPILER);
+  benchmark::AddCustomContext("rumlab_build_type", RUMLAB_BUILD_TYPE);
   const bool metrics = std::getenv("RUMLAB_BENCH_METRICS") != nullptr;
   if (metrics) rum::MetricsRegistry::Global().set_enabled(true);
   benchmark::RunSpecifiedBenchmarks();

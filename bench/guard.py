@@ -12,6 +12,13 @@ mean of the ratios exceeds --limit, when no baseline row matches, or when
 a matching baseline row is missing from any fresh run -- so a renamed or
 dropped benchmark cannot shrink the guard silently. Run the fresh passes
 with --benchmark_filter set to the same regex as --family.
+
+    python3 bench/guard.py --listed names.txt BENCH_wallclock.json
+
+Row presence, timing nothing: `names.txt` holds what
+`bench_wallclock --benchmark_list_tests=true` prints, and it must name
+exactly the baseline's rows. Fails on a baseline row no benchmark produces
+any more, and on a benchmark the baseline has no row for.
 """
 import argparse
 import json
@@ -27,16 +34,41 @@ def real_times(path, family):
             if family.search(b["name"]) and b.get("real_time")}
 
 
+def check_presence(baseline_path, listed_path):
+    with open(baseline_path) as f:
+        baseline = {b["name"] for b in json.load(f).get("benchmarks", [])}
+    with open(listed_path) as f:
+        listed = {line.strip() for line in f if line.strip()}
+    gone = sorted(baseline - listed)
+    new = sorted(listed - baseline)
+    if gone:
+        print("baseline rows no benchmark produces: " + ", ".join(gone))
+    if new:
+        print("benchmarks without a baseline row: " + ", ".join(new))
+    if gone or new:
+        sys.exit("presence FAILED: regenerate the baseline from one "
+                 "unfiltered run")
+    print(f"presence OK: {len(baseline)} rows")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--family", required=True,
+    parser.add_argument("--family",
                         help="regex of the benchmark names to guard")
     parser.add_argument("--limit", type=float, default=1.03,
                         help="largest allowed geomean of fresh/baseline")
+    parser.add_argument("--listed",
+                        help="benchmark names, one a line: check row "
+                        "presence instead of timing")
     parser.add_argument("baseline", help="committed baseline JSON")
-    parser.add_argument("fresh", nargs="+", help="fresh run JSON files")
+    parser.add_argument("fresh", nargs="*", help="fresh run JSON files")
     args = parser.parse_args()
 
+    if args.listed:
+        check_presence(args.baseline, args.listed)
+        return
+    if not args.family or not args.fresh:
+        parser.error("--family and at least one fresh run are required")
     family = re.compile(args.family)
     baseline = real_times(args.baseline, family)
     if not baseline:

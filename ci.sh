@@ -51,24 +51,38 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   echo "=== release: machine-readable bench smoke ==="
   # The two JSON-emitting benches must run and produce parseable output; no
   # thresholds are enforced here (wall-clock is not comparable across CI
-  # hosts), only the schema contract. The filtered wall-clock run names its
-  # own output file: only an unfiltered run may write BENCH_wallclock.json.
+  # hosts), only the schema contract. Both smoke runs write their own files:
+  # only an unfiltered run may write BENCH_wallclock.json, and only a full
+  # sweep BENCH_concurrency.json.
   (cd build-ci/bench &&
     ./bench_wallclock --benchmark_filter='(Get|Insert)/(btree|lsm-leveled)$' \
       --benchmark_min_time=0.02 \
+      --benchmark_context=rumlab_commit="$(git rev-parse HEAD 2>/dev/null ||
+        echo unknown)" \
       --benchmark_out=BENCH_wallclock_smoke.json \
       --benchmark_out_format=json >/dev/null &&
     ./bench_concurrency --smoke >/dev/null &&
     python3 -m json.tool BENCH_wallclock_smoke.json >/dev/null &&
-    python3 -m json.tool BENCH_concurrency.json >/dev/null &&
-    echo "BENCH_wallclock_smoke.json + BENCH_concurrency.json parse OK")
+    python3 -m json.tool BENCH_concurrency_smoke.json >/dev/null &&
+    echo "BENCH_wallclock_smoke.json + BENCH_concurrency_smoke.json parse OK")
+  # Row presence: the benchmarks bench_wallclock lists must be exactly the
+  # baseline's rows, both ways. It times nothing, so it runs even when the
+  # wall-clock guards below are skipped.
+  echo "=== release: baseline row presence ==="
+  build-ci/bench/bench_wallclock --benchmark_list_tests=true \
+    >build-ci/bench/BENCH_wallclock_list.txt
+  python3 bench/guard.py --listed build-ci/bench/BENCH_wallclock_list.txt \
+    BENCH_wallclock.json
   # Disabled-layers overhead guard: with tracing and metrics off (the
   # defaults), the Get path must stay within 3% (geomean) of the committed
   # BENCH_wallclock.json baseline. This is what makes "tracing is cheap
   # when disabled" an enforced contract rather than a comment. Wall-clock
   # baselines are host-specific: set RUMLAB_SKIP_BENCH_GUARD=1 on hosts
   # that did not produce the committed baseline, and refresh the baseline
-  # (run bench_wallclock, commit the JSON) when it moves for a good reason.
+  # when it moves for a good reason: from the repository root run
+  #   build-ci/bench/bench_wallclock \
+  #     --benchmark_context=rumlab_commit="$(git rev-parse HEAD)"
+  # (unfiltered, so it rewrites BENCH_wallclock.json) and commit the JSON.
   if [[ "${RUMLAB_SKIP_BENCH_GUARD:-0}" == "1" ]]; then
     echo "=== release: bench guard skipped (RUMLAB_SKIP_BENCH_GUARD=1) ==="
   else

@@ -3,128 +3,77 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/types.h"
+#include "methods/lsm/compaction_policy.h"
 #include "storage/append_log.h"
 
 namespace rum {
 
 namespace {
 
-/// Record-count shadow of the LSM level structure: levels[i] holds the
-/// record count of each run at level i, newest last. Mirrors the trigger
-/// rules in methods/lsm/compaction_policy.cc exactly (for distinct keys a
-/// merge's output size is the sum of its inputs, so record arithmetic is
-/// exact structure).
-struct SimState {
-  std::vector<std::vector<uint64_t>> levels;
-  uint64_t built_records = 0;  ///< Records written across all run builds.
-  uint64_t built_blocks = 0;   ///< Whole blocks those builds charged.
+/// The compaction policies' context over record counts: a run is its
+/// record count (levels_[i] newest last), and building one charges whole
+/// blocks. For distinct keys a merge's output is the sum of its inputs, so
+/// replaying a policy here yields the tree's exact layout.
+class RecordCountContext final : public CompactionContext {
+ public:
+  RecordCountContext(const Options::Lsm& lsm, size_t records_per_page)
+      : lsm_(lsm), records_per_page_(records_per_page) {}
+
+  const Options::Lsm& lsm_options() const override { return lsm_; }
+  size_t level_count() const override { return levels_.size(); }
+  size_t runs_at(size_t level) const override {
+    return level < levels_.size() ? levels_[level].size() : 0;
+  }
+  uint64_t newest_run_records(size_t level) const override {
+    return levels_[level].back();
+  }
+
+  Status AddFlushRun() override {
+    Build(0, lsm_.memtable_entries);
+    return Status::OK();
+  }
+  Status MergeLevel(size_t level, size_t dest, bool with_memtable,
+                    bool absorb_next) override {
+    if (levels_.size() <= dest) levels_.resize(dest + 1);
+    uint64_t merged = with_memtable ? lsm_.memtable_entries : 0;
+    for (uint64_t n : levels_[level]) merged += n;
+    levels_[level].clear();
+    if (absorb_next && runs_at(level + 1) > 0) {
+      merged += levels_[level + 1].back();
+      levels_[level + 1].pop_back();
+    }
+    Build(dest, merged);
+    return Status::OK();
+  }
+  void MoveRunDown(size_t level) override {
+    if (levels_.size() <= level + 1) levels_.resize(level + 2);
+    levels_[level + 1].push_back(levels_[level].back());
+    levels_[level].pop_back();
+  }
+
+  const std::vector<std::vector<uint64_t>>& levels() const { return levels_; }
+  uint64_t built_records() const { return built_records_; }
+  uint64_t built_blocks() const { return built_blocks_; }
+
+ private:
+  void Build(size_t level, uint64_t n) {
+    if (levels_.size() <= level) levels_.resize(level + 1);
+    if (n == 0) return;
+    built_records_ += n;
+    built_blocks_ += (n + records_per_page_ - 1) / records_per_page_;
+    levels_[level].push_back(n);
+  }
+
+  const Options::Lsm& lsm_;
+  size_t records_per_page_;
+  std::vector<std::vector<uint64_t>> levels_;
+  uint64_t built_records_ = 0;  ///< Records written across all run builds.
+  uint64_t built_blocks_ = 0;   ///< Whole blocks those builds charged.
 };
-
-struct SimParams {
-  uint64_t memtable = 0;
-  uint64_t ratio = 0;
-  size_t records_per_page = 0;
-  size_t tiered_levels = 0;  ///< Leveled/tiered boundary for ComposedPolicy.
-};
-
-uint64_t LevelTargetOf(const SimParams& p, size_t level) {
-  uint64_t target = p.memtable;
-  for (size_t i = 0; i <= level; ++i) target *= p.ratio;
-  return target;
-}
-
-bool SimIsLastPopulated(const SimState& s, size_t level) {
-  for (size_t i = level + 1; i < s.levels.size(); ++i) {
-    if (!s.levels[i].empty()) return false;
-  }
-  return true;
-}
-
-size_t SimLastPopulated(const SimState& s) {
-  for (size_t i = s.levels.size(); i-- > 0;) {
-    if (!s.levels[i].empty()) return i;
-  }
-  return s.levels.size();
-}
-
-void SimBuild(SimState* s, const SimParams& p, size_t level, uint64_t n) {
-  if (s->levels.size() <= level) s->levels.resize(level + 1);
-  if (n == 0) return;
-  s->built_records += n;
-  s->built_blocks += (n + p.records_per_page - 1) / p.records_per_page;
-  s->levels[level].push_back(n);
-}
-
-uint64_t SimDrainLevel(SimState* s, size_t level) {
-  uint64_t n = 0;
-  for (uint64_t run : s->levels[level]) n += run;
-  s->levels[level].clear();
-  return n;
-}
-
-/// One flush under the composed (leveled/tiered/hybrid) discipline.
-void SimComposedFlush(SimState* s, const SimParams& p) {
-  auto tiered = [&](size_t level) { return level < p.tiered_levels; };
-  if (s->levels.empty()) s->levels.resize(1);
-  if (tiered(0)) {
-    SimBuild(s, p, 0, p.memtable);
-  } else {
-    uint64_t merged = p.memtable + SimDrainLevel(s, 0);
-    SimBuild(s, p, 0, merged);
-  }
-  for (size_t level = 0; level < s->levels.size(); ++level) {
-    if (s->levels[level].empty()) continue;
-    if (tiered(level)) {
-      if (s->levels[level].size() < p.ratio) continue;
-      uint64_t merged = SimDrainLevel(s, level);
-      if (s->levels.size() <= level + 1) s->levels.resize(level + 2);
-      if (!tiered(level + 1)) merged += SimDrainLevel(s, level + 1);
-      SimBuild(s, p, level + 1, merged);
-    } else {
-      if (s->levels[level].back() <= LevelTargetOf(p, level)) continue;
-      uint64_t merged = SimDrainLevel(s, level);
-      if (s->levels.size() <= level + 1) s->levels.resize(level + 2);
-      merged += SimDrainLevel(s, level + 1);
-      SimBuild(s, p, level + 1, merged);
-    }
-  }
-}
-
-/// One flush under lazy leveling.
-void SimLazyFlush(SimState* s, const SimParams& p) {
-  if (s->levels.empty()) s->levels.resize(1);
-  SimBuild(s, p, 0, p.memtable);
-  for (size_t level = 0; level < s->levels.size(); ++level) {
-    if (s->levels[level].size() < p.ratio) continue;
-    uint64_t merged = SimDrainLevel(s, level);
-    if (s->levels.size() <= level + 1) s->levels.resize(level + 2);
-    if (!s->levels[level + 1].empty() && SimIsLastPopulated(*s, level + 1)) {
-      merged += SimDrainLevel(s, level + 1);
-    }
-    SimBuild(s, p, level + 1, merged);
-  }
-  // Normalize: the last populated level holds exactly one run.
-  while (true) {
-    size_t last = SimLastPopulated(*s);
-    if (last >= s->levels.size() || s->levels[last].size() <= 1) break;
-    uint64_t merged = SimDrainLevel(s, last);
-    SimBuild(s, p, last, merged);
-  }
-  // Relocate an oversized bottom run (pointer move: nothing charged).
-  for (size_t last = SimLastPopulated(*s); last < s->levels.size(); ++last) {
-    if (s->levels[last].size() != 1 ||
-        s->levels[last].back() <= LevelTargetOf(p, last)) {
-      break;
-    }
-    uint64_t run = s->levels[last].back();
-    s->levels[last].clear();
-    if (s->levels.size() <= last + 1) s->levels.resize(last + 2);
-    s->levels[last + 1].push_back(run);
-  }
-}
 
 size_t CeilDiv(uint64_t a, uint64_t b) {
   return static_cast<size_t>((a + b - 1) / b);
@@ -166,40 +115,20 @@ LsmCostPrediction PredictLsmCost(LsmPolicy policy, uint64_t entries,
   out.policy = policy;
   if (entries == 0) return out;
 
-  SimParams p;
-  p.memtable = lsm.memtable_entries;
-  p.ratio = lsm.size_ratio;
-  p.records_per_page =
+  const size_t records_per_page =
       (options.block_size - sizeof(uint64_t)) / LogRecord::kWireSize;
-  switch (policy) {
-    case LsmPolicy::kLeveled:
-      p.tiered_levels = 0;
-      break;
-    case LsmPolicy::kTiered:
-      p.tiered_levels = static_cast<size_t>(-1);
-      break;
-    case LsmPolicy::kHybrid:
-      p.tiered_levels = lsm.hybrid_tiered_levels;
-      break;
-    case LsmPolicy::kLazyLeveled:
-      break;  // Own flush routine below.
-  }
 
-  // ---- Structure layer: replay the flush cascade in record counts.
-  SimState s;
-  uint64_t flushes = entries / p.memtable;
-  for (uint64_t f = 0; f < flushes; ++f) {
-    if (policy == LsmPolicy::kLazyLeveled) {
-      SimLazyFlush(&s, p);
-    } else {
-      SimComposedFlush(&s, p);
-    }
+  // ---- Structure layer: replay the policy's flush cascade in record counts.
+  RecordCountContext layout(lsm, records_per_page);
+  std::unique_ptr<CompactionPolicy> cascade = CompactionPolicy::Make(policy);
+  for (uint64_t f = 0; f < entries / lsm.memtable_entries; ++f) {
+    (void)cascade->HandleFlush(&layout);  // Record counts cannot fail.
   }
 
   uint64_t resident = 0;
   size_t populated_levels = 0;
   std::vector<uint64_t> run_sizes;  // Probe order: level-major, newest first.
-  for (const auto& level : s.levels) {
+  for (const auto& level : layout.levels()) {
     if (!level.empty()) ++populated_levels;
     for (size_t i = level.size(); i-- > 0;) run_sizes.push_back(level[i]);
     for (uint64_t n : level) resident += n;
@@ -218,7 +147,7 @@ LsmCostPrediction PredictLsmCost(LsmPolicy policy, uint64_t entries,
                 1, static_cast<size_t>(bits_per_key * 0.6931471805599453 +
                                        0.5));
   const size_t pages_per_fence = std::max<size_t>(
-      1, CeilDiv(lsm.fence_entries, p.records_per_page));
+      1, CeilDiv(lsm.fence_entries, records_per_page));
 
   // Update amplification. Every insert pays the memtable (entry bytes plus
   // two 8-byte pointer splices per expected tower level 1/(1-p)), then its
@@ -226,10 +155,10 @@ LsmCostPrediction PredictLsmCost(LsmPolicy policy, uint64_t entries,
   const double expect_height =
       1.0 / (1.0 - std::min(0.99, options.skiplist.promote_probability));
   const double memtable_bytes = kEntrySize + 16.0 * expect_height;
-  double written =
-      static_cast<double>(entries) * memtable_bytes +
-      static_cast<double>(s.built_blocks) * block +
-      static_cast<double>(s.built_records) * static_cast<double>(bloom_probes);
+  double written = static_cast<double>(entries) * memtable_bytes +
+                   static_cast<double>(layout.built_blocks()) * block +
+                   static_cast<double>(layout.built_records()) *
+                       static_cast<double>(bloom_probes);
   out.update_amp = written / (static_cast<double>(entries) * kEntrySize);
 
   // Read amplification for a uniform point hit: each resident run before
@@ -239,7 +168,7 @@ LsmCostPrediction PredictLsmCost(LsmPolicy policy, uint64_t entries,
   double prefix_negative = 8.0;  // Empty-memtable probe: one pointer read.
   double expected_read = 0;
   for (uint64_t n : run_sizes) {
-    size_t pages = CeilDiv(n, p.records_per_page);
+    size_t pages = CeilDiv(n, records_per_page);
     size_t group = std::min(pages_per_fence, pages);
     size_t fences = CeilDiv(pages, pages_per_fence);
     double fence_bytes = 8.0 * static_cast<double>(Log2Probes(fences));
@@ -275,7 +204,7 @@ LsmCostPrediction PredictLsmCost(LsmPolicy policy, uint64_t entries,
   {
     const double window = static_cast<double>(
         std::min<uint64_t>(LsmCostPrediction::kRangeScanRecords, resident));
-    const double rpp = static_cast<double>(p.records_per_page);
+    const double rpp = static_cast<double>(records_per_page);
     double scan_read = 8.0;  // Empty-memtable window visit: one pointer.
     if (lsm.cross_run_index) {
       // One charged segment binary search, one offset-table consult, then
@@ -296,7 +225,7 @@ LsmCostPrediction PredictLsmCost(LsmPolicy policy, uint64_t entries,
       // Per run: fence binary search, then the walk starts at the fence
       // group's first page -- (g-1)/2 slack pages before lo on average.
       for (uint64_t n : run_sizes) {
-        size_t pages = CeilDiv(n, p.records_per_page);
+        size_t pages = CeilDiv(n, records_per_page);
         size_t group = std::min(pages_per_fence, pages);
         size_t fences = CeilDiv(pages, pages_per_fence);
         double w_r =
@@ -314,7 +243,7 @@ LsmCostPrediction PredictLsmCost(LsmPolicy policy, uint64_t entries,
   // Bloom bytes and in-memory fences, over live entry bytes.
   double space = 0;
   for (uint64_t n : run_sizes) {
-    size_t pages = CeilDiv(n, p.records_per_page);
+    size_t pages = CeilDiv(n, records_per_page);
     size_t fences = CeilDiv(pages, pages_per_fence);
     space += static_cast<double>(pages) * block;
     if (bits_per_key > 0) {

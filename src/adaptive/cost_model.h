@@ -44,15 +44,15 @@ struct LsmCostPrediction {
 /// specialized to this simulator's accounting).
 ///
 /// The model has two layers:
-///  1. *Structure*: an exact record-count recurrence of the policy's flush
-///     cascade (`entries / memtable_entries` flushes through the same
-///     trigger rules CompactionPolicy implements) yields per-level run
-///     sizes and the total records every run build wrote. Closed forms for
-///     the totals are the classic ones -- with L = log_T(N/M) levels,
-///     records are rewritten ~L(T+1)/2 times under leveled, ~L under
-///     tiered, ~(L-1) + (T+1)/2 under lazy leveling, and
-///     ~k + (L-k)(T+1)/2 under a hybrid with k tiered levels -- the
-///     recurrence just also captures partially-filled levels exactly.
+///  1. *Structure*: `entries / memtable_entries` flushes through the
+///     policy's own CompactionPolicy::HandleFlush, over a CompactionContext
+///     whose runs are record counts. That yields per-level run sizes and
+///     the total records every run build wrote, exactly as the tree lays
+///     them out. Closed forms for the totals are the classic ones -- with
+///     L = log_T(N/M) levels, records are rewritten ~L(T+1)/2 times under
+///     leveled, ~L under tiered, ~(L-1) + (T+1)/2 under lazy leveling, and
+///     ~k + (L-k)(T+1)/2 under a hybrid with k tiered levels -- the replay
+///     just also captures partially-filled levels exactly.
 ///  2. *Accounting*: structure maps to bytes with the simulator's charge
 ///     rates: records pack (block_size-8)/17 per block and builds charge
 ///     whole blocks; Bloom construction charges one auxiliary byte per

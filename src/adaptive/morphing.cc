@@ -48,12 +48,12 @@ std::unique_ptr<AccessMethod> MorphingAccessMethod::MakeDelegate(
   Options opts = options_;
   switch (shape) {
     case MorphShape::kWriteLog: {
-      opts.stepped.buffer_entries = options_.morphing.batch_entries;
+      opts.stepped.buffer_entries = kBatchEntries;
       return std::make_unique<SteppedMergeTree>(opts);
     }
     case MorphShape::kBalanced: {
       opts.lsm.policy = LsmPolicy::kLeveled;
-      opts.lsm.memtable_entries = options_.morphing.batch_entries;
+      opts.lsm.memtable_entries = kBatchEntries;
       return std::make_unique<LsmTree>(opts);
     }
     case MorphShape::kReadTree:

@@ -66,6 +66,10 @@ class MorphingAccessMethod : public AccessMethod {
   static MorphShape ChooseShape(double read, double write, double space);
 
  private:
+  /// Entries per internal batch: the stepped shape's buffer and the
+  /// leveled shape's memtable.
+  static constexpr size_t kBatchEntries = 4096;
+
   std::unique_ptr<AccessMethod> MakeDelegate(MorphShape shape) const;
   Status Morph(MorphShape next);
 

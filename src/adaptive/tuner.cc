@@ -3,26 +3,9 @@
 #include <algorithm>
 
 #include "adaptive/cost_model.h"
+#include "methods/lsm/compaction_policy.h"
 
 namespace rum {
-
-namespace {
-
-std::string_view PolicyName(LsmPolicy policy) {
-  switch (policy) {
-    case LsmPolicy::kLeveled:
-      return "leveled";
-    case LsmPolicy::kTiered:
-      return "tiered";
-    case LsmPolicy::kLazyLeveled:
-      return "lazy-leveled";
-    case LsmPolicy::kHybrid:
-      return "hybrid";
-  }
-  return "?";
-}
-
-}  // namespace
 
 TuningAction OnlineTuner::Observe(std::string_view method_name,
                                   const Options& current,
@@ -67,7 +50,8 @@ TuningAction OnlineTuner::Observe(std::string_view method_name,
       if (pick != current.lsm.policy) {
         action.options.lsm.policy = pick;
         action.reason = std::string("read+write pain: cost model picks ") +
-                        std::string(PolicyName(pick)) + " merging";
+                        std::string(CompactionPolicy::Make(pick)->name()) +
+                        " merging";
         action.changed = true;
         return action;
       }

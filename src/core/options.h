@@ -223,9 +223,6 @@ struct Options {
     size_t hot_capacity = 4096;
     /// Sketch estimate at which a key is promoted to the hot table.
     uint64_t promote_estimate = 3;
-    /// Count-Min sketch dimensions.
-    size_t sketch_width = 1024;
-    size_t sketch_depth = 4;
   } hot_cold;
 
   // ------------------------------------------------------------- Sharding
@@ -336,8 +333,6 @@ struct Options {
     double read_priority = 1.0 / 3;
     double write_priority = 1.0 / 3;
     double space_priority = 1.0 / 3;
-    /// Entries per internal batch.
-    size_t batch_entries = 4096;
   } morphing;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "methods/lsm/compaction_policy.h"
-
 namespace rum {
 
 SteppedMergeTree::SteppedMergeTree(const Options& options, Device* device)

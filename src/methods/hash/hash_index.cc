@@ -369,12 +369,12 @@ Status HashIndex::BulkLoad(std::span<const Entry> entries) {
     cached_page_[ref.offset] = Entry{e.key, row.value()};
     cached_dirty_ = true;
     ++used_slots_;
+    ++live_;  // Counted per slot, so a failed load leaves them in step.
   }
   s = StoreSlotPage(cached_index_);
   if (!s.ok()) return s;
   s = heap_->Flush();
   if (!s.ok()) return s;
-  live_ = entries.size();
   counters().OnLogicalWrite(static_cast<uint64_t>(entries.size()) *
                             kEntrySize);
   return Status::OK();

@@ -9,8 +9,7 @@ namespace rum {
 HotColdStore::HotColdStore(const Options& options, Device* device)
     : options_(options),
       cold_(std::make_unique<LsmTree>(options, device)),
-      sketch_(std::make_unique<CountMinSketch>(options.hot_cold.sketch_width,
-                                               options.hot_cold.sketch_depth,
+      sketch_(std::make_unique<CountMinSketch>(kSketchWidth, kSketchDepth,
                                                &own_)) {}
 
 HotColdStore::~HotColdStore() = default;

@@ -65,6 +65,9 @@ class HotColdStore : public AccessMethod {
   /// Approximate in-memory footprint of one hot entry (key, value, flag,
   /// hash-map overhead).
   static constexpr uint64_t kHotEntrySize = 32;
+  /// Count-Min sketch dimensions: counters per row, and rows.
+  static constexpr size_t kSketchWidth = 1024;
+  static constexpr size_t kSketchDepth = 4;
 
   /// Records one access and promotes the key if it is hot enough.
   /// `known_value`/`have_value` let callers promote without a re-read.

@@ -2,104 +2,39 @@
 
 #include <limits>
 
-#include "core/types.h"
-
 namespace rum {
 
-std::vector<LogRecord> MergeLogStreams(
-    std::vector<std::vector<LogRecord>> streams, bool drop_tombstones) {
-  // Streams are ordered newest first; a newer version of a key shadows all
-  // older ones.
-  std::vector<size_t> pos(streams.size(), 0);
-  std::vector<LogRecord> out;
-  while (true) {
-    Key best = kMaxKey;
-    size_t winner = streams.size();
-    bool any = false;
-    for (size_t i = 0; i < streams.size(); ++i) {
-      if (pos[i] >= streams[i].size()) continue;
-      Key k = streams[i][pos[i]].key;
-      if (!any || k < best) {
-        best = k;
-        winner = i;
-        any = true;
-      }
-    }
-    if (!any) break;
-    LogRecord chosen = streams[winner][pos[winner]];
-    // Skip every (older) duplicate of this key.
-    for (size_t i = 0; i < streams.size(); ++i) {
-      while (pos[i] < streams[i].size() && streams[i][pos[i]].key == best) {
-        ++pos[i];
-      }
-    }
-    if (drop_tombstones && chosen.op == LogOp::kDelete) continue;
-    out.push_back(chosen);
-  }
-  return out;
+uint64_t CompactionContext::LevelTarget(size_t level) const {
+  uint64_t target = lsm_options().memtable_entries;
+  for (size_t i = 0; i <= level; ++i) target *= lsm_options().size_ratio;
+  return target;
 }
 
-Status GatherSortedRun(SortedRun* run, std::vector<LogRecord>* records) {
-  records->reserve(records->size() + run->record_count());
-  // Charged: compaction reads every input page.
-  return run->VisitAll([&](const LogRecord& r) { records->push_back(r); });
+bool CompactionContext::IsLastPopulated(size_t level) const {
+  for (size_t i = level + 1; i < level_count(); ++i) {
+    if (runs_at(i) > 0) return false;
+  }
+  return true;
 }
 
-Status MergeSortedRuns(const std::vector<SortedRun*>& inputs,
-                       bool drop_tombstones, std::vector<LogRecord>* merged) {
-  std::vector<std::vector<LogRecord>> streams(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    Status s = GatherSortedRun(inputs[i], &streams[i]);
-    if (!s.ok()) return s;
+size_t CompactionContext::LastPopulated() const {
+  for (size_t i = level_count(); i-- > 0;) {
+    if (runs_at(i) > 0) return i;
   }
-  *merged = MergeLogStreams(std::move(streams), drop_tombstones);
-  return Status::OK();
+  return level_count();
 }
 
 namespace {
-
-using Levels = std::vector<std::vector<std::unique_ptr<SortedRun>>>;
-
-uint64_t TotalRecords(const std::vector<SortedRun*>& runs) {
-  uint64_t n = 0;
-  for (const SortedRun* run : runs) n += run->record_count();
-  return n;
-}
-
-/// All of one level's runs, newest first (runs are stored newest last).
-std::vector<SortedRun*> LevelRunsNewestFirst(const Levels& levels,
-                                             size_t level) {
-  std::vector<SortedRun*> runs;
-  runs.reserve(levels[level].size());
-  for (size_t i = levels[level].size(); i-- > 0;) {
-    runs.push_back(levels[level][i].get());
-  }
-  return runs;
-}
-
-Status DestroyLevel(CompactionContext* ctx, Levels* levels, size_t level) {
-  for (auto& run : (*levels)[level]) {
-    ctx->NoteRunRetiring(run.get());
-    Status s = run->Destroy();
-    if (!s.ok()) return s;
-  }
-  (*levels)[level].clear();
-  return Status::OK();
-}
-
-/// Index of the deepest populated level, or levels.size() when empty.
-size_t LastPopulatedIndex(const Levels& levels) {
-  for (size_t i = levels.size(); i-- > 0;) {
-    if (!levels[i].empty()) return i;
-  }
-  return levels.size();
-}
 
 /// Leveled, tiered, and hybrid are one discipline parameterized by how many
 /// shallow levels merge tiered: 0 = leveled everywhere, SIZE_MAX = tiered
 /// everywhere, H = CobbleDB-style per-level composition.
 class ComposedPolicy : public CompactionPolicy {
  public:
+  /// Sentinel: read the tiered/leveled boundary from Options::lsm at use
+  /// time (the hybrid policy), so re-tuning the knob needs no new object.
+  static constexpr size_t kFromOptions = std::numeric_limits<size_t>::max() - 1;
+
   ComposedPolicy(LsmPolicy kind, std::string_view name, size_t tiered_levels)
       : kind_(kind), name_(name), tiered_levels_(tiered_levels) {}
 
@@ -112,85 +47,35 @@ class ComposedPolicy : public CompactionPolicy {
     return ctx.lsm_options().size_ratio - 1;
   }
 
-  Status HandleFlush(CompactionContext* ctx,
-                     std::vector<LogRecord> records) override {
-    Levels& levels = ctx->levels();
+  Status HandleFlush(CompactionContext* ctx) const override {
     const size_t ratio = ctx->lsm_options().size_ratio;
+    // A tiered level 0 takes the flush as a new run; a leveled one merges
+    // it into its resident run straight from memory.
+    Status s = Tiered(0, *ctx)
+                   ? ctx->AddFlushRun()
+                   : ctx->MergeLevel(0, 0, /*with_memtable=*/true,
+                                     /*absorb_next=*/false);
+    if (!s.ok()) return s;
 
-    if (Tiered(0, *ctx)) {
-      // The flush becomes a new level-0 run.
-      Status s = ctx->BuildRun(0, std::move(records));
-      if (!s.ok()) return s;
-    } else {
-      // Merge the flush into level 0 directly from memory (the memtable is
-      // the newest stream).
-      std::vector<std::vector<LogRecord>> streams;
-      streams.push_back(std::move(records));
-      if (!levels[0].empty()) {
-        SortedRun* resident = levels[0].back().get();
-        ctx->NoteCompaction(1, resident->record_count());
-        streams.emplace_back();
-        Status g = GatherSortedRun(resident, &streams.back());
-        if (!g.ok()) return g;
-        Status d = DestroyLevel(ctx, &levels, 0);
-        if (!d.ok()) return d;
-      }
-      std::vector<LogRecord> merged =
-          MergeLogStreams(std::move(streams), ctx->IsLastPopulated(0));
-      Status s = ctx->BuildRun(0, std::move(merged));
-      if (!s.ok()) return s;
-    }
-
-    // Cascade. BuildRun may extend the level array; the loop bound follows.
-    for (size_t level = 0; level < levels.size(); ++level) {
-      if (levels[level].empty()) continue;
+    // Cascade. A merge may allocate a level; the loop bound follows.
+    for (size_t level = 0; level < ctx->level_count(); ++level) {
+      const size_t runs = ctx->runs_at(level);
+      if (runs == 0) continue;
       if (Tiered(level, *ctx)) {
-        if (levels[level].size() < ratio) continue;
-        std::vector<SortedRun*> inputs = LevelRunsNewestFirst(levels, level);
-        if (levels.size() <= level + 1) levels.resize(level + 2);
+        if (runs < ratio) continue;
         // A leveled destination absorbs its resident run in the same merge;
         // a tiered destination just gains a run.
-        bool absorb = !Tiered(level + 1, *ctx) && !levels[level + 1].empty();
-        if (absorb) {
-          inputs.push_back(levels[level + 1].back().get());
-        }
-        bool drop = absorb ? ctx->IsLastPopulated(level + 1)
-                           : ctx->IsLastPopulated(level);
-        ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-        std::vector<LogRecord> merged;
-        Status s = MergeSortedRuns(inputs, drop, &merged);
-        if (!s.ok()) return s;
-        s = DestroyLevel(ctx, &levels, level);
-        if (!s.ok()) return s;
-        if (absorb) {
-          s = DestroyLevel(ctx, &levels, level + 1);
-          if (!s.ok()) return s;
-        }
-        s = ctx->BuildRun(level + 1, std::move(merged));
-        if (!s.ok()) return s;
+        s = ctx->MergeLevel(level, level + 1, /*with_memtable=*/false,
+                            /*absorb_next=*/!Tiered(level + 1, *ctx));
       } else {
         // Leveled level: one run, pushed down when it overflows its target.
-        if (levels[level].back()->record_count() <= ctx->LevelTarget(level)) {
+        if (ctx->newest_run_records(level) <= ctx->LevelTarget(level)) {
           continue;
         }
-        std::vector<SortedRun*> inputs;
-        inputs.push_back(levels[level].back().get());
-        if (levels.size() <= level + 1) levels.resize(level + 2);
-        if (!levels[level + 1].empty()) {
-          inputs.push_back(levels[level + 1].back().get());
-        }
-        ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-        std::vector<LogRecord> merged;
-        Status s =
-            MergeSortedRuns(inputs, ctx->IsLastPopulated(level + 1), &merged);
-        if (!s.ok()) return s;
-        s = DestroyLevel(ctx, &levels, level);
-        if (!s.ok()) return s;
-        s = DestroyLevel(ctx, &levels, level + 1);
-        if (!s.ok()) return s;
-        s = ctx->BuildRun(level + 1, std::move(merged));
-        if (!s.ok()) return s;
+        s = ctx->MergeLevel(level, level + 1, /*with_memtable=*/false,
+                            /*absorb_next=*/true);
       }
+      if (!s.ok()) return s;
     }
     return Status::OK();
   }
@@ -203,14 +88,6 @@ class ComposedPolicy : public CompactionPolicy {
     return level < boundary;
   }
 
-  friend class CompactionPolicy;
-
- public:
-  /// Sentinel: read the tiered/leveled boundary from Options::lsm at use
-  /// time (the hybrid policy), so re-tuning the knob needs no new object.
-  static constexpr size_t kFromOptions = std::numeric_limits<size_t>::max() - 1;
-
- private:
   LsmPolicy kind_;
   std::string_view name_;
   size_t tiered_levels_;
@@ -227,75 +104,42 @@ class LazyLeveledPolicy : public CompactionPolicy {
 
   size_t MaxRunsAt(size_t level, const CompactionContext& ctx)
       const override {
-    const Levels& levels =
-        const_cast<CompactionContext&>(ctx).levels();
-    if (level == LastPopulatedIndex(levels)) return 1;
+    if (level == ctx.LastPopulated()) return 1;
     return ctx.lsm_options().size_ratio - 1;
   }
 
-  Status HandleFlush(CompactionContext* ctx,
-                     std::vector<LogRecord> records) override {
-    Levels& levels = ctx->levels();
+  Status HandleFlush(CompactionContext* ctx) const override {
     const size_t ratio = ctx->lsm_options().size_ratio;
-
-    Status s = ctx->BuildRun(0, std::move(records));
+    Status s = ctx->AddFlushRun();
     if (!s.ok()) return s;
 
     // Cascade full tiered levels; the last populated level absorbs into its
     // single resident run instead of gaining one.
-    for (size_t level = 0; level < levels.size(); ++level) {
-      if (levels[level].size() < ratio) continue;
-      std::vector<SortedRun*> inputs = LevelRunsNewestFirst(levels, level);
-      if (levels.size() <= level + 1) levels.resize(level + 2);
+    for (size_t level = 0; level < ctx->level_count(); ++level) {
+      if (ctx->runs_at(level) < ratio) continue;
       bool absorb =
-          !levels[level + 1].empty() && ctx->IsLastPopulated(level + 1);
-      if (absorb) {
-        inputs.push_back(levels[level + 1].back().get());
-      }
-      bool drop = absorb ? ctx->IsLastPopulated(level + 1)
-                         : ctx->IsLastPopulated(level);
-      ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-      std::vector<LogRecord> merged;
-      s = MergeSortedRuns(inputs, drop, &merged);
-      if (!s.ok()) return s;
-      s = DestroyLevel(ctx, &levels, level);
-      if (!s.ok()) return s;
-      if (absorb) {
-        s = DestroyLevel(ctx, &levels, level + 1);
-        if (!s.ok()) return s;
-      }
-      s = ctx->BuildRun(level + 1, std::move(merged));
+          ctx->runs_at(level + 1) > 0 && ctx->IsLastPopulated(level + 1);
+      s = ctx->MergeLevel(level, level + 1, /*with_memtable=*/false, absorb);
       if (!s.ok()) return s;
     }
 
     // Restore the lazy invariant: the last populated level holds exactly
     // one run. Multiple runs appear there when it is level 0 early in the
     // tree's life, or when tombstone GC emptied everything below it.
-    while (true) {
-      size_t last = LastPopulatedIndex(levels);
-      if (last >= levels.size() || levels[last].size() <= 1) break;
-      std::vector<SortedRun*> inputs = LevelRunsNewestFirst(levels, last);
-      ctx->NoteCompaction(inputs.size(), TotalRecords(inputs));
-      std::vector<LogRecord> merged;
-      s = MergeSortedRuns(inputs, ctx->IsLastPopulated(last), &merged);
-      if (!s.ok()) return s;
-      s = DestroyLevel(ctx, &levels, last);
-      if (!s.ok()) return s;
-      s = ctx->BuildRun(last, std::move(merged));
+    for (size_t last = ctx->LastPopulated(); ctx->runs_at(last) > 1;
+         last = ctx->LastPopulated()) {
+      s = ctx->MergeLevel(last, last, /*with_memtable=*/false,
+                          /*absorb_next=*/false);
       if (!s.ok()) return s;
     }
 
-    // Deepen: an oversized bottom run is relocated (a pointer move, no
-    // I/O) so level indices keep tracking the T^level size progression.
-    for (size_t last = LastPopulatedIndex(levels); last < levels.size();
+    // Deepen: an oversized bottom run is relocated (no I/O) so level
+    // indices keep tracking the T^level size progression.
+    for (size_t last = ctx->LastPopulated();
+         ctx->runs_at(last) == 1 &&
+         ctx->newest_run_records(last) > ctx->LevelTarget(last);
          ++last) {
-      if (levels[last].size() != 1 ||
-          levels[last].back()->record_count() <= ctx->LevelTarget(last)) {
-        break;
-      }
-      if (levels.size() <= last + 1) levels.resize(last + 2);
-      levels[last + 1].push_back(std::move(levels[last].back()));
-      levels[last].clear();
+      ctx->MoveRunDown(last);
     }
     return Status::OK();
   }

@@ -86,21 +86,6 @@ size_t LsmTree::total_runs() const {
   return n;
 }
 
-uint64_t LsmTree::LevelTarget(size_t level) const {
-  uint64_t target = options_.lsm.memtable_entries;
-  for (size_t i = 0; i <= level; ++i) {
-    target *= options_.lsm.size_ratio;
-  }
-  return target;
-}
-
-bool LsmTree::IsLastPopulated(size_t level) const {
-  for (size_t i = level + 1; i < levels_.size(); ++i) {
-    if (!levels_[i].empty()) return false;
-  }
-  return true;
-}
-
 Status LsmTree::Put(Key key, Value value, bool tombstone) {
   counters().OnLogicalWrite(kEntrySize);
   memtable_->Put(key, value, tombstone);
@@ -150,40 +135,85 @@ Status LsmTree::BuildRun(size_t level, std::vector<LogRecord> records) {
   return Status::OK();
 }
 
-void LsmTree::NoteRunRetiring(SortedRun* run) {
-  if (index_ != nullptr) index_->OnRunRetiring(run);
+Status LsmTree::AddFlushRun() { return BuildRun(0, std::move(sealed_)); }
+
+Status LsmTree::MergeLevel(size_t level, size_t dest, bool with_memtable,
+                           bool absorb_next) {
+  if (levels_.size() <= dest) levels_.resize(dest + 1);
+  // Run inputs, newest first: the level's runs, then the absorbed run of
+  // the level below. The sealed memtable, when merged, is newer still.
+  std::vector<SortedRun*> inputs;
+  for (size_t i = levels_[level].size(); i-- > 0;) {
+    inputs.push_back(levels_[level][i].get());
+  }
+  const bool absorb = absorb_next && runs_at(level + 1) > 0;
+  if (absorb) inputs.push_back(levels_[level + 1].back().get());
+  const bool drop_tombstones = IsLastPopulated(absorb_next ? level + 1 : level);
+  if (!inputs.empty()) {
+    uint64_t input_records = 0;
+    for (const SortedRun* run : inputs) input_records += run->record_count();
+    ++compactions_;
+    compaction_input_records_ += input_records;
+    compaction_counter_->Increment();
+    compaction_records_counter_->Increment(input_records);
+    merge_bytes_.fetch_add(input_records * kEntrySize,
+                           std::memory_order_relaxed);
+  }
+  std::vector<std::vector<LogRecord>> streams;
+  if (with_memtable) streams.push_back(std::move(sealed_));
+  for (SortedRun* run : inputs) {
+    streams.emplace_back();
+    Status s = GatherSortedRun(run, &streams.back());
+    if (!s.ok()) return s;
+  }
+  // Retire before building: the level's runs oldest first, then the
+  // absorbed one.
+  for (auto& run : levels_[level]) {
+    Status s = RetireRun(run.get());
+    if (!s.ok()) return s;
+  }
+  levels_[level].clear();
+  if (absorb) {
+    Status s = RetireRun(levels_[level + 1].back().get());
+    if (!s.ok()) return s;
+    levels_[level + 1].pop_back();
+  }
+  return BuildRun(dest, MergeLogStreams(std::move(streams), drop_tombstones));
 }
 
-void LsmTree::NoteCompaction(size_t input_runs, uint64_t input_records) {
-  (void)input_runs;
-  ++compactions_;
-  compaction_input_records_ += input_records;
-  compaction_counter_->Increment();
-  compaction_records_counter_->Increment(input_records);
-  merge_bytes_.fetch_add(input_records * kEntrySize,
-                         std::memory_order_relaxed);
+void LsmTree::MoveRunDown(size_t level) {
+  // Not a retirement: the run object, and so the cross-run index's stored
+  // cursor offsets into it, survive the move.
+  if (levels_.size() <= level + 1) levels_.resize(level + 2);
+  levels_[level + 1].push_back(std::move(levels_[level].back()));
+  levels_[level].pop_back();
+}
+
+Status LsmTree::RetireRun(SortedRun* run) {
+  if (index_ != nullptr) index_->OnRunRetiring(run);
+  return run->Destroy();
 }
 
 Status LsmTree::FlushMemtable() {
   if (memtable_->record_count() == 0) return Status::OK();
-  std::vector<LogRecord> records;
-  records.reserve(memtable_->record_count());
+  sealed_.reserve(memtable_->record_count());
   memtable_->VisitAllUnaccounted([&](const SkipListMap::Record& r) {
-    records.push_back(LogRecord{
+    sealed_.push_back(LogRecord{
         r.key, r.value, r.tombstone ? LogOp::kDelete : LogOp::kPut});
   });
   memtable_->Clear();
   Trace::Emit(TraceKind::kLsmFlush, TraceOp::kFlush, kInvalidPageId,
-              DataClass::kBase, records.size());
+              DataClass::kBase, sealed_.size());
 
-  if (levels_.empty()) levels_.resize(1);
   ++flushes_;
   flush_counter_->Increment();
   // The memtable pool's benefit signal: bytes this flush pushes into the
   // merge machinery (a bigger buffer would have absorbed more first).
-  merge_bytes_.fetch_add(records.size() * kEntrySize,
+  merge_bytes_.fetch_add(sealed_.size() * kEntrySize,
                          std::memory_order_relaxed);
-  return policy_->HandleFlush(this, std::move(records));
+  Status s = policy_->HandleFlush(this);
+  sealed_ = std::vector<LogRecord>();  // No buffer outlives a flush.
+  return s;
 }
 
 Result<Value> LsmTree::Get(Key key) {

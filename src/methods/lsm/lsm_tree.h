@@ -50,10 +50,13 @@ struct LsmMemoryFootprint {
 /// `lsm.size_ratio`). The merge discipline is a pluggable CompactionPolicy
 /// strategy (Section 5's "dynamic merge depth" knob, selected by
 /// `lsm.policy`): leveled, tiered, lazy-leveled, or per-level hybrid --
-/// see LsmPolicy in core/options.h for the tradeoffs. The tree implements
-/// CompactionContext, handing the policy its level structure plus charged
-/// BuildRun/merge services; cost_model.h predicts each policy's RO/UO/MO
-/// and cost_model_test pins prediction against the measured counters.
+/// see LsmPolicy in core/options.h for the tradeoffs. The policy decides
+/// over run and record counts; the tree implements CompactionContext's
+/// three moves over its real runs, so every merge gathers its inputs
+/// newest first (charged reads), retires them, then builds its output
+/// (charged writes). cost_model.h replays the same policy over record
+/// counts to predict its RO/UO/MO, and cost_model_test pins prediction
+/// against the measured counters.
 ///
 /// Each run carries fence pointers and an optional Bloom filter
 /// (`lsm.bloom_bits_per_key`) -- the paper's "logs enhanced by
@@ -103,10 +106,6 @@ class LsmTree : public AccessMethod, public CompactionContext {
   CounterSnapshot stats() const override;
   void ResetStats() override;
 
-  /// Number of levels currently holding runs.
-  size_t level_count() const { return levels_.size(); }
-  /// Runs at a level (0 <= level < level_count()).
-  size_t runs_at(size_t level) const { return levels_[level].size(); }
   /// Total runs across all levels.
   size_t total_runs() const;
 
@@ -115,25 +114,33 @@ class LsmTree : public AccessMethod, public CompactionContext {
   /// Memtable flushes since construction.
   uint64_t flushes() const { return flushes_; }
   /// Merges of existing on-device runs since construction (flush-run
-  /// builds excluded). Also mirrored into the process-wide MetricsRegistry
-  /// counters "lsm.flushes" / "lsm.compactions" / "lsm.compaction_records"
-  /// -- the signals OnlineTuner reads to re-tune the policy.
+  /// builds excluded). Flushes and compactions are also mirrored into the
+  /// process-wide MetricsRegistry counters "lsm.flushes" /
+  /// "lsm.compactions" / "lsm.compaction_records".
   uint64_t compactions() const { return compactions_; }
   /// Records read out of existing runs by those merges.
   uint64_t compaction_input_records() const {
     return compaction_input_records_;
   }
 
-  // CompactionContext (the services a policy reorganizes):
+  // CompactionContext queries (the moves are private: only the policy
+  // makes them, during a flush).
   const Options::Lsm& lsm_options() const override { return options_.lsm; }
-  std::vector<std::vector<std::unique_ptr<SortedRun>>>& levels() override {
+  size_t level_count() const override { return levels_.size(); }
+  size_t runs_at(size_t level) const override {
+    return level < levels_.size() ? levels_[level].size() : 0;
+  }
+  uint64_t newest_run_records(size_t level) const override {
+    return levels_[level].back()->record_count();
+  }
+
+  /// The runs, level by level, newest last.
+  const std::vector<std::vector<std::unique_ptr<SortedRun>>>& levels() const {
     return levels_;
   }
-  uint64_t LevelTarget(size_t level) const override;
-  bool IsLastPopulated(size_t level) const override;
-  Status BuildRun(size_t level, std::vector<LogRecord> records) override;
-  void NoteCompaction(size_t input_runs, uint64_t input_records) override;
-  void NoteRunRetiring(SortedRun* run) override;
+  /// Builds a run from `records` and appends it at `level` (charged device
+  /// writes + filter/fence space). Empty input is a no-op.
+  Status BuildRun(size_t level, std::vector<LogRecord> records);
 
   /// The cross-run sorted view, or nullptr when lsm.cross_run_index is
   /// off (tests inspect segment counts and charged space through this).
@@ -240,6 +247,15 @@ class LsmTree : public AccessMethod, public CompactionContext {
   /// Registers the pools with Options::memory.arbiter when enabled.
   void MaybeRegisterPools();
 
+  // CompactionContext moves over the real runs.
+  Status AddFlushRun() override;
+  Status MergeLevel(size_t level, size_t dest, bool with_memtable,
+                    bool absorb_next) override;
+  void MoveRunDown(size_t level) override;
+  /// A merge input leaves the tree: its cross-run-index segments are
+  /// invalidated, then its pages freed.
+  Status RetireRun(SortedRun* run);
+
   /// One write-buffered record enters the tree.
   Status Put(Key key, Value value, bool tombstone);
   /// Seals the memtable and hands it to the policy.
@@ -264,9 +280,11 @@ class LsmTree : public AccessMethod, public CompactionContext {
 
   RumCounters mem_counters_;  // The memtable's separate accounting.
   std::unique_ptr<SkipListMap> memtable_;
+  // The sealed memtable while the policy runs; its first move consumes it.
+  std::vector<LogRecord> sealed_;
   // The REMIX-style cross-run sorted view (nullptr when disabled). Charges
-  // its segment space to counters() as auxiliary MO; maintained by the
-  // BuildRun/NoteRunRetiring hooks, consulted only by Scan.
+  // its segment space to counters() as auxiliary MO; maintained by
+  // BuildRun and RetireRun, consulted only by Scan.
   std::unique_ptr<CrossRunIndex> index_;
   // levels_[i] = runs at level i, newest last. Level 0 is the flush target.
   std::vector<std::vector<std::unique_ptr<SortedRun>>> levels_;

@@ -646,4 +646,54 @@ Status SortedRun::VisitAll(
   return Status::OK();
 }
 
+std::vector<LogRecord> MergeLogStreams(
+    std::vector<std::vector<LogRecord>> streams, bool drop_tombstones) {
+  // Streams are ordered newest first; a newer version of a key shadows all
+  // older ones.
+  std::vector<size_t> pos(streams.size(), 0);
+  std::vector<LogRecord> out;
+  while (true) {
+    Key best = kMaxKey;
+    size_t winner = streams.size();
+    bool any = false;
+    for (size_t i = 0; i < streams.size(); ++i) {
+      if (pos[i] >= streams[i].size()) continue;
+      Key k = streams[i][pos[i]].key;
+      if (!any || k < best) {
+        best = k;
+        winner = i;
+        any = true;
+      }
+    }
+    if (!any) break;
+    LogRecord chosen = streams[winner][pos[winner]];
+    // Skip every (older) duplicate of this key.
+    for (size_t i = 0; i < streams.size(); ++i) {
+      while (pos[i] < streams[i].size() && streams[i][pos[i]].key == best) {
+        ++pos[i];
+      }
+    }
+    if (drop_tombstones && chosen.op == LogOp::kDelete) continue;
+    out.push_back(chosen);
+  }
+  return out;
+}
+
+Status GatherSortedRun(SortedRun* run, std::vector<LogRecord>* records) {
+  records->reserve(records->size() + run->record_count());
+  // Charged: compaction reads every input page.
+  return run->VisitAll([&](const LogRecord& r) { records->push_back(r); });
+}
+
+Status MergeSortedRuns(const std::vector<SortedRun*>& inputs,
+                       bool drop_tombstones, std::vector<LogRecord>* merged) {
+  std::vector<std::vector<LogRecord>> streams(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    Status s = GatherSortedRun(inputs[i], &streams[i]);
+    if (!s.ok()) return s;
+  }
+  *merged = MergeLogStreams(std::move(streams), drop_tombstones);
+  return Status::OK();
+}
+
 }  // namespace rum

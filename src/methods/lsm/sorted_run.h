@@ -220,6 +220,19 @@ class SortedRun {
   std::vector<size_t> mg_groups_;
 };
 
+/// Merges sorted record streams (newest first) into one; drops shadowed
+/// versions, and tombstones too when `drop_tombstones`.
+std::vector<LogRecord> MergeLogStreams(
+    std::vector<std::vector<LogRecord>> streams, bool drop_tombstones);
+
+/// Appends one run's records to `records` (charged: compaction reads every
+/// input page). A failed page read is returned, never merged around.
+Status GatherSortedRun(SortedRun* run, std::vector<LogRecord>* records);
+
+/// Gathers `inputs` (newest first, charged reads) and merges them.
+Status MergeSortedRuns(const std::vector<SortedRun*>& inputs,
+                       bool drop_tombstones, std::vector<LogRecord>* merged);
+
 }  // namespace rum
 
 #endif  // RUMLAB_METHODS_LSM_SORTED_RUN_H_

@@ -41,19 +41,22 @@ Result<RowId> HeapFile::Append(const Entry& entry) {
     if (!s.ok()) return s;
   }
   tail_.push_back(entry);
-  RowId row = row_count_++;
   if (tail_.size() == rows_per_page_) {
     Status s = WriteTail();
-    if (!s.ok()) return s;
+    if (!s.ok()) {
+      // A failed append appends nothing: a full tail must not take more.
+      tail_.pop_back();
+      return s;
+    }
     sealed_.push_back(tail_page_);
     tail_page_ = kInvalidPageId;
     tail_.clear();
   }
-  return row;
+  return row_count_++;
 }
 
 Result<Entry> HeapFile::At(RowId row) {
-  if (row >= row_count_) return Status::OutOfRange("row beyond heap");
+  if (row >= row_count_) return Status::Corruption("row beyond heap");
   size_t page_index = static_cast<size_t>(row / rows_per_page_);
   size_t slot = static_cast<size_t>(row % rows_per_page_);
   if (page_index < sealed_.size()) {
@@ -73,7 +76,7 @@ Result<Entry> HeapFile::At(RowId row) {
 }
 
 Status HeapFile::Set(RowId row, const Entry& entry) {
-  if (row >= row_count_) return Status::OutOfRange("row beyond heap");
+  if (row >= row_count_) return Status::Corruption("row beyond heap");
   size_t page_index = static_cast<size_t>(row / rows_per_page_);
   size_t slot = static_cast<size_t>(row % rows_per_page_);
   if (page_index < sealed_.size()) {
@@ -126,11 +129,14 @@ Status HeapFile::PopBack() {
 
 Status HeapFile::ForEach(
     const std::function<Status(RowId, const Entry&)>& visit) {
-  RowId row = 0;
   std::vector<Entry> entries;
   for (size_t p = 0; p < sealed_.size(); ++p) {
     Status s = LoadPage(p, &entries);
     if (!s.ok()) return s;
+    // Ids come from the page's position, not a running count: a page a
+    // crash rolled back may hold fewer rows, and the rows after it keep
+    // their own ids.
+    RowId row = static_cast<RowId>(p) * rows_per_page_;
     for (const Entry& e : entries) {
       s = visit(row++, e);
       if (!s.ok()) return s;
@@ -138,6 +144,7 @@ Status HeapFile::ForEach(
   }
   if (!tail_.empty()) {
     counters_->OnRead(cls_, static_cast<uint64_t>(tail_.size()) * kEntrySize);
+    RowId row = static_cast<RowId>(sealed_.size()) * rows_per_page_;
     for (const Entry& e : tail_) {
       Status s = visit(row++, e);
       if (!s.ok()) return s;
@@ -153,7 +160,7 @@ Status HeapFile::ForRows(
   std::vector<Entry> entries;
   size_t loaded_page = static_cast<size_t>(-1);
   for (RowId row : rows) {
-    if (row >= row_count_) return Status::OutOfRange("row beyond heap");
+    if (row >= row_count_) return Status::Corruption("row beyond heap");
     size_t page_index = static_cast<size_t>(row / rows_per_page_);
     size_t slot = static_cast<size_t>(row % rows_per_page_);
     if (page_index < sealed_.size()) {

@@ -35,11 +35,13 @@ class HeapFile {
 
   ~HeapFile();
 
-  /// Appends an entry, returning its RowId.
+  /// Appends an entry, returning its RowId. On failure nothing is
+  /// appended.
   Result<RowId> Append(const Entry& entry);
 
   /// Reads the entry at `row` (one page read; tail rows served from memory
-  /// and charged by bytes).
+  /// and charged by bytes). Rows come from the caller's own structures, so
+  /// one past the heap is Corruption here and in Set and ForRows.
   Result<Entry> At(RowId row);
 
   /// Overwrites the entry at `row` in place (read-modify-write of one page

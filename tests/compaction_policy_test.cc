@@ -103,8 +103,7 @@ TEST(CompactionPolicyTest, MetricsCountersTrackFlushesAndCompactions) {
   EXPECT_EQ(tree.flushes(), 10u);
   EXPECT_GT(tree.compactions(), 0u);
   EXPECT_GT(tree.compaction_input_records(), 0u);
-  // The process-wide registry counters mirror the per-tree tallies -- the
-  // signal stream the OnlineTuner consumes.
+  // The process-wide registry counters mirror the per-tree tallies.
   EXPECT_EQ(flushes->value() - flushes_before, tree.flushes());
   EXPECT_EQ(compactions->value() - compactions_before, tree.compactions());
 }

@@ -225,6 +225,53 @@ TEST(CostModelValidationTest, RangeRoMatchesMeasurementWithTheIndexOnAndOff) {
   }
 }
 
+// The structure layer replays the policy over record counts; after every
+// flush of a real tree its layout must equal the replay of that many
+// flushes. Covers every policy, hybrid boundaries other than the default,
+// and two size ratios, at every intermediate state rather than a few sizes.
+TEST(CostModelTest, LayoutMatchesTheTreeAfterEveryFlush) {
+  constexpr uint64_t kFlushes = 400;
+  struct Shape {
+    LsmPolicy policy;
+    size_t hybrid_tiered_levels;
+  };
+  const Shape kShapes[] = {
+      {LsmPolicy::kLeveled, 0},     {LsmPolicy::kTiered, 0},
+      {LsmPolicy::kLazyLeveled, 0}, {LsmPolicy::kHybrid, 1},
+      {LsmPolicy::kHybrid, 2},      {LsmPolicy::kHybrid, 3},
+  };
+  for (size_t ratio : {2, 4}) {
+    for (const Shape& shape : kShapes) {
+      Options options = SmallOptions();
+      options.lsm.size_ratio = ratio;
+      options.lsm.policy = shape.policy;
+      options.lsm.hybrid_tiered_levels = shape.hybrid_tiered_levels;
+      const uint64_t memtable = options.lsm.memtable_entries;
+      const std::string label = std::string(PolicyLabel(shape.policy)) +
+                                " hybrid_tiered_levels=" +
+                                std::to_string(shape.hybrid_tiered_levels) +
+                                " ratio=" + std::to_string(ratio);
+      LsmTree tree(options);
+      for (uint64_t flush = 1; flush <= kFlushes; ++flush) {
+        for (uint64_t i = (flush - 1) * memtable; i < flush * memtable; ++i) {
+          ASSERT_TRUE(tree.Insert(KeyAt(i), i).ok());
+        }
+        ASSERT_EQ(tree.flushes(), flush) << label;
+        size_t levels = 0;
+        for (size_t level = 0; level < tree.level_count(); ++level) {
+          if (tree.runs_at(level) > 0) ++levels;
+        }
+        LsmCostPrediction predicted =
+            PredictLsmCost(shape.policy, flush * memtable, options);
+        ASSERT_EQ(static_cast<size_t>(predicted.levels), levels)
+            << label << " after flush " << flush;
+        ASSERT_EQ(static_cast<size_t>(predicted.runs), tree.total_runs())
+            << label << " after flush " << flush;
+      }
+    }
+  }
+}
+
 TEST(CostModelTest, PickLsmPolicyPricesScanPain) {
   Options options = SmallOptions();
   options.lsm.bloom_bits_per_key = 0;

@@ -1,13 +1,15 @@
 // The differential tier, on the model-based harness (tests/model_harness.h).
 // Every factory method runs one seeded op stream -- Insert, Update, Delete,
 // Get, MultiGet, Scan, Flush, Crash, ResetStats, arbiter replans and
-// fault-plan switches -- under each row of a pairwise feature matrix, and
-// is checked against the std::map model and the accounting identities after
-// every op. A failure prints its shrunk, replayable op list.
+// fault-plan switches, opened by a bulk load in some streams -- under each
+// row of a pairwise feature matrix, and is checked against the std::map
+// model and the accounting identities after every op. A failure prints its
+// shrunk, replayable op list.
 //
 // Also here: one long fault-free stream per method (the model stays exact
 // throughout), exact recovery from a crash right after a durable flush, and
-// the crash-point sweep (crash at charged I/O k for every k). MultiGet
+// the crash-point sweeps (crash at charged I/O k for every k, after a
+// durable load and from a bulk load). MultiGet
 // charge parity is multiget_differential_test; the LSM scan tier is
 // scan_differential_test.
 #include <string>
@@ -188,11 +190,31 @@ TEST_P(CrashPointTest, RecoversAtEveryCrashPoint) {
   std::vector<Op> prefix = ParseOps(load + "F");
   std::vector<Op> suffix = harness::Generate(
       kSeeds[2], GenSpec{.ops = 60, .key_range = 256, .faults = false,
-                         .crashes = false});
+                         .crashes = false, .bulk_load = false});
   size_t points = 0;
   EXPECT_TRUE(harness::CrashPointSweep(
       name, ParseFeatures(cache ? "cache" : "plain"), prefix, suffix,
       &points));
+  RecordProperty("crash_points", static_cast<int>(points));
+  EXPECT_GT(points, 0u);
+}
+
+// The same sweep from an empty method whose first op is a bulk load: 230
+// keys, past an LSM's 192-record level 0, so the run lands a level deeper.
+// A few reads and writes and a flush follow, so crash points fall inside
+// the bulk load and inside the writes and the flush after it.
+TEST_P(CrashPointTest, RecoversAtEveryCrashPointFromABulkLoad) {
+  const auto& [name, cache] = GetParam();
+  std::vector<Op> suffix = ParseOps("B 0 229 7");
+  for (Op& op : harness::Generate(
+           kSeeds[2], GenSpec{.ops = 10, .key_range = 256, .faults = false,
+                              .crashes = false, .bulk_load = false})) {
+    suffix.push_back(std::move(op));
+  }
+  suffix.push_back(ParseOps("F")[0]);
+  size_t points = 0;
+  EXPECT_TRUE(harness::CrashPointSweep(
+      name, ParseFeatures(cache ? "cache" : "plain"), {}, suffix, &points));
   RecordProperty("crash_points", static_cast<int>(points));
   EXPECT_GT(points, 0u);
 }
@@ -209,8 +231,8 @@ INSTANTIATE_TEST_SUITE_P(
 // --------------------------------------------- Shrunk repros of bugs found
 
 // Each stream below is the harness's shrunk output for a bug it found. At
-// the commit before the fix, the first hangs, the last crashes and the
-// others answer wrongly.
+// the commit before the fix, the first hangs, the fourth crashes and the
+// others answer wrongly or with the wrong error.
 
 // The only leaf never reached the device; after the crash its zeroed image
 // linked to page 0 -- itself -- and the recovery Scan walked the leaf chain
@@ -278,6 +300,42 @@ TEST(ShrunkReproTest, HashDirectoryBuildFailureKeepsTheOldDirectory) {
       "sharded-hash", ParseFeatures("plain"),
       ParseOps("X 2; U 490 14390418913118569989; "
                "I 239 6853720080395459357; I 1986 5250064980099101649")));
+}
+
+// Found by the bulk-load crash sweep. A heap append whose page write failed
+// kept its row, so the full tail page took the next append past its end;
+// rows then resolved to the wrong slot, and a Delete left a directory slot
+// naming a row past the heap, answered with OutOfRange -- the code the
+// runner and the scheduler treat as a bounded-domain refusal. A failed
+// append now appends nothing.
+TEST(ShrunkReproTest, FailedHeapAppendAppendsNothing) {
+  EXPECT_TRUE(harness::Run(
+      "hash", ParseFeatures("plain"),
+      ParseOps("B 0 229 7; D 221; D 101; D 154; D 43; D 8; D 76; D 51; "
+               "D 113; D 229; D 172; D 143; D 99; D 50; X 2; D 166; "
+               "I 249 9863839449189135359; I 232 7869849889519996167; "
+               "D 179; D 227; U 232 14702195171194129023")));
+}
+
+// Found on unsorted-column (DifferentialTest row 4) by a stream that opened
+// with a bulk load; reduced by hand from its shrunk failure. The crash
+// dropped the sealed heap page, and the heap's full scan numbered the rows
+// after it from a running count, so the Update of key 31 addressed row 0:
+// Corruption with no fault armed, or another key's row overwritten. Row
+// ids now come from each page's position.
+TEST(ShrunkReproTest, RowIdsSurviveARolledBackHeapPage) {
+  std::string text;
+  for (Key k = 0; k < 32; ++k) text += "I " + std::to_string(k) + " 1; ";
+  EXPECT_TRUE(harness::Run("unsorted-column", ParseFeatures("cache"),
+                           ParseOps(text + "C; U 31 7")));
+}
+
+// Found by the bulk-load crash sweep. A crash dropped the directory write
+// that repointed a moved heap row, so a slot named a row past the heap: the
+// recovery Get answered OutOfRange. A row past the heap is now Corruption.
+TEST(ShrunkReproTest, HashSlotPastTheHeapAfterACrashIsCorruption) {
+  EXPECT_TRUE(harness::Run("hash", ParseFeatures("cache"),
+                           ParseOps("B 0 229 7; S 115 116; D 95; C")));
 }
 
 }  // namespace

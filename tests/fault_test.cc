@@ -216,6 +216,24 @@ TEST(FaultTest, MidBulkLoadFailureSurfaces) {
   EXPECT_EQ(s.code(), Code::kIOError);
 }
 
+// A hash bulk load that fails part-way keeps the slots it wrote, so its
+// entry count must cover exactly those: a count left at 0 wraps around on
+// the next Delete of a loaded key.
+TEST(FaultTest, FailedHashBulkLoadCountsTheKeysItWrote) {
+  RumCounters counters;
+  BlockDevice base(512, &counters);
+  FaultyDevice device(&base);
+  auto hash = MakeAccessMethod("hash", SmallOptions(), &device);
+  std::vector<Entry> entries = MakeSortedEntries(500);
+  device.InjectFailureAfter(60);  // Past the directory build.
+  ASSERT_EQ(hash->BulkLoad(entries).code(), Code::kIOError);
+  device.ClearFaults();
+  size_t found = 0;
+  for (const Entry& e : entries) found += hash->Get(e.key).ok() ? 1 : 0;
+  EXPECT_GT(found, 0u);
+  EXPECT_EQ(hash->size(), found);
+}
+
 TEST(FaultTest, InjectedErrorsCarryDeviceContext) {
   RumCounters counters;
   BlockDevice base(512, &counters);

@@ -71,14 +71,18 @@ enum class OpKind : uint8_t {
   kResetStats,
   kReplan,      ///< Forces a memory-arbiter replan (no-op without one).
   kFaults,      ///< Arms FaultPlanFor(plan) on the FaultyDevice.
+  /// BulkLoad of keys key..hi, the i-th taking value + i. Goes to the
+  /// method directly, never through the scheduler; only a stream's first
+  /// op, since a bulk load needs an empty method.
+  kBulkLoad,
 };
-inline constexpr size_t kOpKinds = 11;
+inline constexpr size_t kOpKinds = 12;
 
 struct Op {
   OpKind kind = OpKind::kGet;
-  Key key = 0;        ///< Point ops; Scan's lo.
-  Key hi = 0;         ///< Scan's hi.
-  Value value = 0;    ///< Insert/Update.
+  Key key = 0;        ///< Point ops; Scan's and BulkLoad's lo.
+  Key hi = 0;         ///< Scan's and BulkLoad's hi.
+  Value value = 0;    ///< Insert/Update; BulkLoad's first value.
   uint32_t plan = 0;  ///< kFaults: index for FaultPlanFor (0 disarms).
   std::vector<Key> keys;  ///< MultiGet batch.
 };
@@ -89,10 +93,13 @@ inline constexpr uint32_t kFaultPlans = 4;
 FaultPlan FaultPlanFor(uint32_t plan);
 
 struct GenSpec {
-  size_t ops = 800;
+  size_t ops = 800;  ///< Ops after the opening bulk load, if any.
   Key key_range = 1u << 12;
   bool faults = true;   ///< Emit kFaults ops.
   bool crashes = true;  ///< Emit kCrash ops.
+  /// Open one stream in four with a kBulkLoad of up to key_range / 4
+  /// keys. Off for a stream that does not start on an empty method.
+  bool bulk_load = true;
 };
 
 /// The one op generator. The stream moves through phases (write-heavy,
@@ -101,9 +108,13 @@ struct GenSpec {
 /// (half of them the last inserted or updated key, so some repeat a live
 /// key), guaranteed misses and the last deleted key; scans take every range
 /// shape (narrow, lo == hi, empty gap past the domain, wide, up to kMaxKey).
+/// Whether the stream opens with a bulk load, and its range, come from a
+/// second stream derived from the seed, so the other ops are the same
+/// either way.
 std::vector<Op> Generate(uint64_t seed, const GenSpec& spec);
 
-/// "I k v; U k v; D k; G k; M k,k,...; S lo hi; F; C; R; P; X plan".
+/// "I k v; U k v; D k; G k; M k,k,...; S lo hi; F; C; R; P; X plan;
+/// B lo hi v".
 std::string FormatOps(std::span<const Op> ops);
 std::vector<Op> ParseOps(std::string_view text);
 
