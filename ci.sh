@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# rumlab CI: the tier-1 suite in Release, then the same suite under
-# AddressSanitizer, then the concurrency tier under ThreadSanitizer.
+# rumlab CI: the tier-1 suite in Release (plus the table benches' stdout
+# against bench/golden/), then the same suite under AddressSanitizer, then
+# the concurrency tier under ThreadSanitizer.
 #
 #   ./ci.sh            # all three stages
 #   ./ci.sh release    # just the Release build + tests
@@ -48,6 +49,26 @@ run_stage() {
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   run_stage "release" "build-ci" "" "" "Release"
+  echo "=== release: table bench output vs bench/golden ==="
+  # The table benches run on simulated devices with seeded workloads, so
+  # their stdout is deterministic: it is committed in bench/golden/ and must
+  # match byte for byte. When a change moves a number on purpose, rebuild
+  # build-ci and regenerate every golden from the repository root with
+  #   for f in bench/golden/*.txt; do
+  #     build-ci/bench/"$(basename "$f" .txt)" >"$f"; done
+  # then review the diff before committing it.
+  TABLE_BENCHES=(bench_props bench_table1 bench_fig1_rum_space
+    bench_fig2_hierarchy bench_fig3_tunable bench_ablation_bloom
+    bench_ablation_compaction bench_ablation_cracking bench_ablation_bitmap
+    bench_ablation_filters bench_ablation_hotcold bench_wizard)
+  for bench in "${TABLE_BENCHES[@]}"; do
+    if ! "build-ci/bench/${bench}" | diff -u "bench/golden/${bench}.txt" -;
+    then
+      echo "release: ${bench} stdout differs from bench/golden/${bench}.txt" >&2
+      exit 1
+    fi
+  done
+  echo "${#TABLE_BENCHES[@]} table benches match bench/golden/"
   echo "=== release: machine-readable bench smoke ==="
   # The two JSON-emitting benches must run and produce parseable output; no
   # thresholds are enforced here (wall-clock is not comparable across CI

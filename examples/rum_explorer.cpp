@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 
+#include "core/metrics.h"
 #include "core/trace.h"
 #include "methods/factory.h"
 #include "service/open_loop.h"
@@ -78,11 +79,10 @@ int RunTrace(int argc, char** argv) {
   options.block_size = 4096;
   options.bitmap.key_domain = n;
   options.extremes.magic_array_domain = 4 * n;
-  options.observability.trace = true;
-  options.observability.metrics = true;
-  // Observability switches must be thrown before the stack is built so the
+  // Tracing and metrics must be on before the stack is built so the
   // devices' MetricsGroups register their gauges.
-  ApplyObservability(options);
+  Trace::Enable(size_t{1} << 14);
+  MetricsRegistry::Global().set_enabled(true);
 
   RumCounters device_counters;
   BlockDevice base(options.block_size, &device_counters);

@@ -8,7 +8,7 @@
 
 #include "core/types.h"
 #include "methods/lsm/compaction_policy.h"
-#include "storage/append_log.h"
+#include "methods/lsm/sorted_run.h"
 
 namespace rum {
 

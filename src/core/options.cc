@@ -126,11 +126,6 @@ Status ValidateOptions(const Options& options) {
     return Status::InvalidArgument(
         "absorber.qf_remainder_bits must be in [1, 32]");
   }
-  if (options.observability.trace &&
-      options.observability.trace_events_per_thread < 1) {
-    return Status::InvalidArgument(
-        "observability.trace_events_per_thread must be >= 1 when tracing");
-  }
   if (options.memory.enabled) {
     if (options.memory.arbiter == nullptr) {
       return Status::InvalidArgument(

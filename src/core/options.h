@@ -234,21 +234,6 @@ struct Options {
     size_t shards = 4;
   } sharded;
 
-  // --------------------------------------------------------- Observability
-  struct Observability {
-    /// Emit structured TraceEvents from the device stack into per-thread
-    /// ring buffers (see core/trace.h). Off, the entire cost is one relaxed
-    /// bool load per would-be event -- the disabled-path contract enforced
-    /// by trace_test and the ci.sh bench guard.
-    bool trace = false;
-    /// Ring capacity per emitting thread; wraparound keeps the newest
-    /// events and counts the dropped ones.
-    size_t trace_events_per_thread = size_t{1} << 14;
-    /// Let device/method instances register callback gauges and histograms
-    /// into the process-wide MetricsRegistry for JSON export.
-    bool metrics = false;
-  } observability;
-
   // ------------------------------------------------------ Service front-end
   /// The request-scheduler service layer (src/service/): a front-end between
   /// workload drivers and access methods that absorbs overload instead of

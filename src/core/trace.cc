@@ -4,9 +4,6 @@
 #include <memory>
 #include <mutex>
 
-#include "core/metrics.h"
-#include "core/options.h"
-
 namespace rum {
 
 std::string_view TraceKindName(TraceKind kind) {
@@ -152,15 +149,6 @@ uint64_t Trace::dropped_events() {
   uint64_t dropped = 0;
   for (const auto& ring : state.rings) dropped += ring->overwritten;
   return dropped;
-}
-
-void ApplyObservability(const Options& options) {
-  MetricsRegistry::Global().set_enabled(options.observability.metrics);
-  if (options.observability.trace) {
-    Trace::Enable(options.observability.trace_events_per_thread);
-  } else {
-    Trace::Disable();
-  }
 }
 
 }  // namespace rum

@@ -11,8 +11,6 @@
 
 namespace rum {
 
-struct Options;
-
 /// What happened. Kinds cover the full device stack plus the LSM background
 /// machinery, so a drained trace replays a run's physical story: cache
 /// dynamics, pin lifetimes, injected faults, retries, crashes, compactions.
@@ -127,11 +125,6 @@ class Trace {
   static void EmitActive(TraceKind kind, TraceOp op, PageId page,
                          DataClass cls, uint64_t detail);
 };
-
-/// Applies `options.observability` to the process-wide Trace and
-/// MetricsRegistry switches. Call once before building the method/device
-/// stack (callback instruments only register while metrics are enabled).
-void ApplyObservability(const Options& options);
 
 }  // namespace rum
 

@@ -71,13 +71,11 @@ void LsmTree::InitMetrics() {
   compaction_counter_ = registry.FindOrCreateCounter("lsm.compactions");
   compaction_records_counter_ =
       registry.FindOrCreateCounter("lsm.compaction_records");
-  if (options_.observability.metrics) {
-    metrics_.Init("lsm");
-    metrics_.Gauge("levels", [this] { return levels_.size(); });
-    metrics_.Gauge("runs", [this] { return total_runs(); });
-    metrics_.Gauge("flushes", [this] { return flushes_; });
-    metrics_.Gauge("compactions", [this] { return compactions_; });
-  }
+  metrics_.Init("lsm");
+  metrics_.Gauge("levels", [this] { return levels_.size(); });
+  metrics_.Gauge("runs", [this] { return total_runs(); });
+  metrics_.Gauge("flushes", [this] { return flushes_; });
+  metrics_.Gauge("compactions", [this] { return compactions_; });
 }
 
 size_t LsmTree::total_runs() const {

@@ -14,10 +14,25 @@
 #include "core/types.h"
 #include "methods/sketch/blocked_bloom.h"
 #include "methods/sketch/bloom_filter.h"
-#include "storage/append_log.h"
 #include "storage/device.h"
 
 namespace rum {
+
+/// Operation carried by one log record.
+enum class LogOp : uint8_t {
+  kPut = 0,
+  kDelete = 1,
+};
+
+/// One record of a sorted run or a write buffer: an upsert or a tombstone.
+struct LogRecord {
+  Key key = 0;
+  Value value = 0;
+  LogOp op = LogOp::kPut;
+
+  /// On-device footprint of one record: key + value + op byte.
+  static constexpr size_t kWireSize = sizeof(Key) + sizeof(Value) + 1;
+};
 
 /// Per-batch filter-probe scratch shared across the runs of one MultiGet:
 /// probe offsets per pending key, pre-reduced for one filter geometry and

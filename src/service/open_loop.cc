@@ -5,6 +5,7 @@
 
 #include "service/scheduler.h"
 #include "workload/distribution.h"
+#include "workload/op.h"
 
 namespace rum {
 
@@ -64,38 +65,15 @@ std::string ServiceReport::ToJson() const {
 Result<ServiceReport> RunOpenLoop(AccessMethod* method,
                                   const WorkloadSpec& spec,
                                   const Options& options) {
-  if (spec.arrival == ArrivalProcess::kClosedLoop) {
-    return Status::InvalidArgument(
-        "RunOpenLoop requires an open-loop arrival process "
-        "(use WorkloadRunner for closed loop)");
-  }
-  if (!(spec.offered_ops_per_sec > 0)) {
-    return Status::InvalidArgument(
-        "open-loop specs need offered_ops_per_sec > 0");
-  }
-  if (spec.arrival == ArrivalProcess::kBursty &&
-      (spec.burst_on_fraction <= 0 || spec.burst_on_fraction >= 1 ||
-       spec.burst_factor < 1 || spec.burst_period_us < 1)) {
-    return Status::InvalidArgument(
-        "bursty arrivals need burst_on_fraction in (0,1), burst_factor >= 1 "
-        "and burst_period_us >= 1");
-  }
+  if (Status s = ValidateSpec(spec, /*open_loop=*/true); !s.ok()) return s;
   // A zero batch_max_ops would make every dispatch pop nothing and the
   // drain loop spin forever.
   if (Status s = ValidateOptions(options); !s.ok()) return s;
 
-  // Same seed-split scheme as the closed-loop runner, plus one stream for
-  // arrival gaps, so op/key/value sequences match a closed-loop run of the
-  // same spec.
-  KeyGenerator keys(spec.distribution, spec.key_range, spec.seed + 1,
-                    spec.zipf_theta);
-  Rng op_rng(spec.seed + 2);
-  Rng value_rng(spec.seed + 3);
+  // The closed-loop runner's op stream for the same spec and seed, plus one
+  // stream for arrival gaps.
+  OpGenerator ops(spec, spec.seed);
   Rng arrival_rng(spec.seed + 4);
-
-  Key scan_width = static_cast<Key>(static_cast<double>(spec.key_range) *
-                                    spec.scan_selectivity);
-  if (scan_width == 0) scan_width = 1;
 
   RequestScheduler scheduler(method, options, spec.error_mode);
   ErrorTally tally;
@@ -129,27 +107,13 @@ Result<ServiceReport> RunOpenLoop(AccessMethod* method,
     double rate = RateAt(spec, t_us);
     t_us += -std::log(1.0 - u) * 1e6 / rate;
 
-    double dice = op_rng.NextDouble();
+    Op op = ops.Next();
     Request req;
+    req.op = op.kind;
+    req.key = op.key;
+    req.value = op.value;
+    req.scan_hi = op.scan_hi;
     req.arrival_us = static_cast<uint64_t>(t_us);
-    req.key = keys.Next();
-    if (dice < spec.insert_fraction) {
-      req.op = RequestOp::kInsert;
-      req.value = value_rng.Next();
-    } else if (dice < spec.insert_fraction + spec.update_fraction) {
-      req.op = RequestOp::kUpdate;
-      req.value = value_rng.Next();
-    } else if (dice < spec.insert_fraction + spec.update_fraction +
-                          spec.delete_fraction) {
-      req.op = RequestOp::kDelete;
-    } else if (dice < spec.insert_fraction + spec.update_fraction +
-                          spec.delete_fraction + spec.scan_fraction) {
-      req.op = RequestOp::kScan;
-      req.scan_hi = req.key > kMaxKey - scan_width ? kMaxKey
-                                                   : req.key + scan_width;
-    } else {
-      req.op = RequestOp::kGet;
-    }
     scheduler.Submit(std::move(req));
     if (!abort_error.ok()) return abort_error;
   }

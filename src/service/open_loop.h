@@ -32,15 +32,16 @@ struct ServiceReport {
 /// of completions* -- the only shape under which offered load can exceed
 /// capacity, which is what admission control exists to survive.
 ///
-/// The operation mix, key distribution, and error policy are the same ones
-/// the closed-loop WorkloadRunner uses (op dice, KeyGenerator, benign-status
-/// tolerance, kSkipAndCount/kDegrade tallies). Sheds land in
-/// ErrorTally::shed; degraded-service mutation withholding happens inside
-/// the scheduler, before storage is touched. Under kAbort the first
-/// non-benign failure aborts the phase and returns that error.
+/// The operations are the closed-loop WorkloadRunner's: the same
+/// OpGenerator stream for the spec and seed, run through the same executor,
+/// benign-status rule and degrade gate (workload/op.h), with
+/// kSkipAndCount/kDegrade tallies. Sheds land in ErrorTally::shed;
+/// degraded-service mutation withholding happens inside the scheduler,
+/// before storage is touched. Under kAbort the first failure aborts the
+/// phase and returns that error.
 ///
-/// Requires spec.arrival != kClosedLoop, spec.offered_ops_per_sec > 0, and
-/// options that pass ValidateOptions (its error is returned otherwise).
+/// Requires a spec that passes ValidateSpec(spec, /*open_loop=*/true) and
+/// options that pass ValidateOptions; their error is returned otherwise.
 Result<ServiceReport> RunOpenLoop(AccessMethod* method,
                                   const WorkloadSpec& spec,
                                   const Options& options);

@@ -8,39 +8,16 @@
 #include "core/metrics.h"
 #include "core/status.h"
 #include "core/types.h"
+#include "workload/op.h"
 
 namespace rum {
 
-/// The operation a request asks of the access method. Mirrors the
-/// AccessMethod surface minus bulk creation (BulkLoad/Flush are setup
-/// traffic, not request traffic, and bypass the scheduler).
-enum class RequestOp : uint8_t {
-  kGet = 0,
-  kScan,
-  kInsert,
-  kUpdate,
-  kDelete,
-};
-
-inline bool IsMutationOp(RequestOp op) {
-  return op == RequestOp::kInsert || op == RequestOp::kUpdate ||
-         op == RequestOp::kDelete;
-}
-
-/// The service layer's failure classification, mirroring the workload
-/// runner's benign-status policy: point-query misses (kNotFound) and
-/// bounded-domain refusals (kOutOfRange) are part of normal service.
-inline bool IsRequestFailure(RequestOp op, const Status& s) {
-  if (s.ok()) return false;
-  switch (op) {
-    case RequestOp::kGet:
-      return s.code() != Code::kNotFound && s.code() != Code::kOutOfRange;
-    case RequestOp::kScan:
-      return true;
-    default:
-      return s.code() != Code::kOutOfRange;
-  }
-}
+/// The operation a request asks of the access method: the workload op
+/// vocabulary (workload/op.h), so the scheduler and the closed-loop runner
+/// share one op kind, executor, benign-status rule and degrade gate.
+/// BulkLoad/Flush are setup traffic, not request traffic, and bypass the
+/// scheduler.
+using RequestOp = OpKind;
 
 /// One request flowing through the scheduler. Times are *virtual*
 /// microseconds on the scheduler's discrete-event clock, which is what makes
@@ -79,8 +56,8 @@ struct RequestResult {
   /// True when a mutation was withheld under degraded service (kDegrade
   /// after the first failure): counted completed, storage untouched.
   bool degraded_skip = false;
-  /// True when the method was invoked and returned a non-benign error (the
-  /// scheduler's failure classification, mirroring the workload runner's).
+  /// True when the method was invoked and returned a failure under the
+  /// shared benign-status rule (IsFailure in workload/op.h).
   bool failed = false;
   uint64_t completion_us = 0; ///< Virtual completion time.
 };

@@ -15,7 +15,7 @@ namespace {
 enum BatchClass : int { kClassMutation = 0, kClassGet = 1, kClassScan = 2 };
 
 int ClassOf(RequestOp op) {
-  if (IsMutationOp(op)) return kClassMutation;
+  if (IsMutation(op)) return kClassMutation;
   return op == RequestOp::kGet ? kClassGet : kClassScan;
 }
 
@@ -27,7 +27,7 @@ RequestScheduler::RequestScheduler(AccessMethod* method,
     : method_(method),
       partitioned_(dynamic_cast<const KeyPartitioned*>(method)),
       opts_(options.service),
-      error_mode_(error_mode),
+      gate_(error_mode),
       bucket_(opts_.rate_ops_per_sec, opts_.rate_burst_ops) {
   size_t shard_count =
       partitioned_ != nullptr ? partitioned_->partitions() : 1;
@@ -271,10 +271,10 @@ void RequestScheduler::DispatchBatch(Shard* s, uint64_t start) {
     r.outcome = RequestOutcome::kCompleted;
     r.completion_us = completion;
     ++stats_.completed;
-    if (IsRequestFailure(batch[i].op, r.status) && !r.degraded_skip) {
+    if (IsFailure(batch[i].op, r.status)) {
       r.failed = true;
       ++stats_.failed;
-      if (error_mode_ == ErrorMode::kDegrade) degraded_ = true;
+      gate_.OnFailure();
     }
     uint64_t total = completion - batch[i].arrival_us;
     stats_.queue_delay_us.Record(start - batch[i].arrival_us);
@@ -293,43 +293,21 @@ void RequestScheduler::DispatchBatch(Shard* s, uint64_t start) {
 }
 
 void RequestScheduler::Execute(const Request& req, RequestResult* r) {
-  if (error_mode_ == ErrorMode::kDegrade && degraded_ &&
-      IsMutationOp(req.op)) {
+  if (gate_.Withholds(req.op)) {
     // Degraded service: the structure may be mid-reorganization after a
     // failure, so mutations are withheld before storage is touched.
     r->degraded_skip = true;
     ++stats_.degraded_skips;
     return;
   }
-  switch (req.op) {
-    case RequestOp::kInsert:
-      r->status = method_->Insert(req.key, req.value);
-      break;
-    case RequestOp::kUpdate:
-      r->status = method_->Update(req.key, req.value);
-      break;
-    case RequestOp::kDelete:
-      r->status = method_->Delete(req.key);
-      break;
-    case RequestOp::kScan: {
-      std::vector<Entry>* out = req.scan_out;
-      if (out == nullptr) {
-        scan_scratch_.clear();
-        out = &scan_scratch_;
-      }
-      r->status = method_->Scan(req.key, req.scan_hi, out);
-      break;
-    }
-    case RequestOp::kGet: {
-      Result<Value> v = method_->Get(req.key);
-      r->status = v.status();
-      if (v.ok()) {
-        r->found = true;
-        r->value = v.value();
-      }
-      break;
-    }
+  std::vector<Entry>* out = req.scan_out;
+  if (out == nullptr) {
+    scan_scratch_.clear();
+    out = &scan_scratch_;
   }
+  r->status = ExecuteOp(method_, Op{req.op, req.key, req.value, req.scan_hi},
+                        out, &r->value);
+  r->found = req.op == RequestOp::kGet && r->status.ok();
 }
 
 void RequestScheduler::Complete(const Request& req,

@@ -11,6 +11,7 @@
 #include "core/options.h"
 #include "service/admission.h"
 #include "service/request.h"
+#include "workload/op.h"
 #include "workload/spec.h"
 
 namespace rum {
@@ -47,10 +48,10 @@ class RequestScheduler {
       std::function<void(const Request&, const RequestResult&)>;
 
   /// `method` must outlive the scheduler. `error_mode` applies the workload
-  /// error policy *inside* the dispatch loop: under kDegrade, the first
-  /// non-benign method failure flips the scheduler into degraded service and
-  /// every later mutation completes as a degraded skip without touching
-  /// storage. `options.service` supplies every knob.
+  /// error policy *inside* the dispatch loop through the shared DegradeGate:
+  /// under kDegrade, the first method failure flips the scheduler into
+  /// degraded service and every later mutation completes as a degraded skip
+  /// without touching storage. `options.service` supplies every knob.
   RequestScheduler(AccessMethod* method, const Options& options,
                    ErrorMode error_mode = ErrorMode::kAbort);
 
@@ -79,8 +80,8 @@ class RequestScheduler {
   /// Queued (admitted, not yet dispatched) requests across all shards.
   size_t queue_depth() const;
 
-  /// True once a non-benign failure flipped degraded service (kDegrade).
-  bool degraded() const { return degraded_; }
+  /// True once a failure flipped degraded service (kDegrade).
+  bool degraded() const { return gate_.degraded(); }
 
   const ServiceStats& stats() const { return stats_; }
 
@@ -109,13 +110,12 @@ class RequestScheduler {
   AccessMethod* method_;
   const KeyPartitioned* partitioned_;  ///< Null when method is unsharded.
   Options::Service opts_;
-  ErrorMode error_mode_;
+  DegradeGate gate_;
   TokenBucket bucket_;
   std::vector<Shard> shards_;
 
   uint64_t now_us_ = 0;
   uint64_t next_seq_ = 0;
-  bool degraded_ = false;
   ServiceStats stats_;
   CompletionFn completion_;
   std::vector<Entry> scan_scratch_;

@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "workload/distribution.h"
 
 namespace rum {
 
@@ -65,6 +64,22 @@ std::string ErrorTally::ToString() const {
                 static_cast<unsigned long long>(degraded_skips),
                 static_cast<unsigned long long>(shed));
   return std::string(buf);
+}
+
+LatencyHistogram& OpLatencies::For(OpKind kind) {
+  switch (kind) {
+    case OpKind::kScan:
+      return scan;
+    case OpKind::kInsert:
+      return insert;
+    case OpKind::kUpdate:
+      return update;
+    case OpKind::kDelete:
+      return erase;
+    case OpKind::kGet:
+      break;
+  }
+  return point;
 }
 
 void OpLatencies::Merge(const OpLatencies& o) {
@@ -139,266 +154,115 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-Key ScanWidthFor(const WorkloadSpec& spec) {
-  Key width = static_cast<Key>(static_cast<double>(spec.key_range) *
-                               spec.scan_selectivity);
-  return width == 0 ? 1 : width;
-}
-
-/// Executes one operation of the spec's mix against `method`. `dice` picks
-/// the operation, `key` its target. Tolerates the same benign statuses the
-/// serial runner always has (kOutOfRange for bounded-domain methods,
-/// kNotFound for point-query misses).
-Status ExecuteOne(AccessMethod* method, const WorkloadSpec& spec, double dice,
-                  Key key, Key scan_width, Rng* value_rng,
-                  std::vector<Entry>* scan_buffer) {
-  if (dice < spec.insert_fraction) {
-    Status s = method->Insert(key, value_rng->Next());
-    if (!s.ok() && s.code() != Code::kOutOfRange) return s;
-  } else if (dice < spec.insert_fraction + spec.update_fraction) {
-    Status s = method->Update(key, value_rng->Next());
-    if (!s.ok() && s.code() != Code::kOutOfRange) return s;
-  } else if (dice < spec.insert_fraction + spec.update_fraction +
-                        spec.delete_fraction) {
-    Status s = method->Delete(key);
-    if (!s.ok() && s.code() != Code::kOutOfRange) return s;
-  } else if (dice < spec.insert_fraction + spec.update_fraction +
-                        spec.delete_fraction + spec.scan_fraction) {
-    Key hi = key > kMaxKey - scan_width ? kMaxKey : key + scan_width;
-    scan_buffer->clear();
-    Status s = method->Scan(key, hi, scan_buffer);
-    if (!s.ok()) return s;
-  } else {
-    Result<Value> r = method->Get(key);
-    if (!r.ok() && r.code() != Code::kNotFound &&
-        r.code() != Code::kOutOfRange) {
-      return r.status();
-    }
-  }
-  return Status::OK();
-}
-
-/// True when `dice` selects a mutation (insert/update/delete) in the mix.
-bool IsMutation(const WorkloadSpec& spec, double dice) {
-  return dice <
-         spec.insert_fraction + spec.update_fraction + spec.delete_fraction;
-}
-
-/// The latency histogram for the op class `dice` selects -- the same
-/// thresholds ExecuteOne uses to dispatch.
-LatencyHistogram* ClassHistogram(OpLatencies* lat, const WorkloadSpec& spec,
-                                 double dice) {
-  if (dice < spec.insert_fraction) return &lat->insert;
-  if (dice < spec.insert_fraction + spec.update_fraction) return &lat->update;
-  if (dice < spec.insert_fraction + spec.update_fraction +
-                 spec.delete_fraction) {
-    return &lat->erase;
-  }
-  if (dice < spec.insert_fraction + spec.update_fraction +
-                 spec.delete_fraction + spec.scan_fraction) {
-    return &lat->scan;
-  }
-  return &lat->point;
-}
-
-/// ExecuteOne wrapped in the spec's error policy. Returns non-OK only when
-/// the phase must abort; otherwise failures land in `tally` (and, under
-/// kDegrade, flip `degraded`, after which mutations are withheld).
-Status ExecuteOnePolicied(AccessMethod* method, const WorkloadSpec& spec,
-                          double dice, Key key, Key scan_width,
-                          Rng* value_rng, std::vector<Entry>* scan_buffer,
-                          ErrorTally* tally, bool* degraded) {
-  if (spec.error_mode == ErrorMode::kDegrade && *degraded &&
-      IsMutation(spec, dice)) {
-    ++tally->degraded_skips;
-    return Status::OK();
-  }
-  Status s =
-      ExecuteOne(method, spec, dice, key, scan_width, value_rng, scan_buffer);
-  if (s.ok() || spec.error_mode == ErrorMode::kAbort) return s;
-  tally->Count(s);
-  // A service-layer shed (kResourceExhausted) is transient overload, not
-  // structural damage: it never flips degraded service.
-  if (spec.error_mode == ErrorMode::kDegrade &&
-      s.code() != Code::kResourceExhausted) {
-    *degraded = true;
-  }
-  return Status::OK();
-}
-
-/// The classic single-threaded phase, with per-op cost sampling.
-Result<RumProfile> RunSerial(AccessMethod* method, const WorkloadSpec& spec) {
-  KeyGenerator keys(spec.distribution, spec.key_range, spec.seed + 1,
-                    spec.zipf_theta);
-  Rng op_rng(spec.seed + 2);
-  Rng value_rng(spec.seed + 3);
-
-  CounterSnapshot before = method->stats();
-  auto start = std::chrono::steady_clock::now();
-
-  Key scan_width = ScanWidthFor(spec);
-
+/// What one worker of a phase records, in private storage: the join (or,
+/// for a serial phase, the return) is the edge under which it all merges.
+struct WorkerLog {
+  Status status = Status::OK();  ///< Non-OK when the phase must abort.
+  ErrorTally errors;
+  OpLatencies latency;
   std::vector<uint64_t> read_samples;
   std::vector<uint64_t> write_samples;
-  read_samples.reserve(spec.operations);
-  write_samples.reserve(spec.operations);
-  // Sample per-op costs from the thread-local traffic tally: two plain
-  // reads per op, independent of the method's shape. The old path called
-  // method->stats() per op, which for ShardedMethod locks and merges every
-  // shard -- O(shards) mutex acquisitions per operation (trace_test pins
-  // the fixed behavior via the sharded_method.stats_merges metric).
+};
+
+/// The closed-loop phase loop: runs `ops` operations from `gen` back to
+/// back under the spec's error policy, sampling each op's cost from this
+/// thread's traffic tally (two plain reads per op, no cross-thread probes
+/// and no per-op method->stats() merge over shards).
+void RunWorker(AccessMethod* method, const WorkloadSpec& spec, uint64_t ops,
+               OpGenerator* gen, WorkerLog* log) {
   const ThreadIoTally& io = ThisThreadIo();
   uint64_t last_read = io.bytes_read;
   uint64_t last_written = io.bytes_written;
+  log->read_samples.reserve(ops);
+  log->write_samples.reserve(ops);
 
-  OpLatencies latency;
-  ErrorTally tally;
-  bool degraded = false;
-  std::vector<Entry> scan_buffer;
-  for (uint64_t i = 0; i < spec.operations; ++i) {
-    double dice = op_rng.NextDouble();
-    Key key = keys.Next();
-    auto op_start = std::chrono::steady_clock::now();
-    Status s =
-        ExecuteOnePolicied(method, spec, dice, key, scan_width, &value_rng,
-                           &scan_buffer, &tally, &degraded);
-    auto op_end = std::chrono::steady_clock::now();
-    if (!s.ok()) return s;
-    ClassHistogram(&latency, spec, dice)
-        ->Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(op_end -
-                                                                 op_start)
-                .count()));
-    read_samples.push_back(io.bytes_read - last_read);
-    write_samples.push_back(io.bytes_written - last_written);
-    last_read = io.bytes_read;
-    last_written = io.bytes_written;
-  }
-
-  auto end = std::chrono::steady_clock::now();
-  RumProfile profile;
-  profile.method = std::string(method->name());
-  profile.spec = spec;
-  profile.delta = method->stats() - before;
-  profile.point = RumPoint::FromSnapshot(profile.delta);
-  profile.wall_seconds =
-      std::chrono::duration<double>(end - start).count();
-  profile.read_cost = CostPercentiles::From(std::move(read_samples));
-  profile.write_cost = CostPercentiles::From(std::move(write_samples));
-  profile.latency = latency;
-  if (spec.error_mode != ErrorMode::kAbort) {
-    profile.worker_errors.push_back(tally);
-  }
-  return profile;
-}
-
-/// One worker's slice of a concurrent phase. The worker owns partitions
-/// {p : p % workers == t} and draws keys by rejection sampling until one
-/// lands in an owned partition -- so each partition is driven by exactly
-/// one thread in a deterministic order, which is what makes the merged
-/// counter delta reproducible. (Scans still fan out to every partition;
-/// with scan_fraction > 0 contents stay exact but physical read traffic
-/// depends on interleaving.)
-Status RunWorker(AccessMethod* method, const WorkloadSpec& spec,
-                 const KeyPartitioned* parts, uint32_t workers, uint32_t t,
-                 ErrorTally* tally, OpLatencies* latency,
-                 std::vector<uint64_t>* read_samples,
-                 std::vector<uint64_t>* write_samples) {
-  uint64_t ops = spec.operations / workers +
-                 (t < spec.operations % workers ? 1 : 0);
-  uint64_t worker_seed = SplitMix64(spec.seed ^ SplitMix64(t + 1));
-  KeyGenerator keys(spec.distribution, spec.key_range, worker_seed + 1,
-                    spec.zipf_theta);
-  Rng op_rng(worker_seed + 2);
-  Rng value_rng(worker_seed + 3);
-  Key scan_width = ScanWidthFor(spec);
-
-  auto next_owned_key = [&]() {
-    // With P >= workers partitions roughly workers draws land one in an
-    // owned partition; the cap only guards against pathological hashes.
-    for (int attempt = 0; attempt < 4096; ++attempt) {
-      Key key = keys.Next();
-      if (parts->PartitionOf(key) % workers == t) return key;
-    }
-    return keys.Next();
-  };
-
-  // This worker's thread-local tally: deltas capture exactly the bytes this
-  // thread charged during the op, no cross-thread probes, no locks.
-  const ThreadIoTally& io = ThisThreadIo();
-  uint64_t last_read = io.bytes_read;
-  uint64_t last_written = io.bytes_written;
-  read_samples->reserve(ops);
-  write_samples->reserve(ops);
-
-  bool degraded = false;
+  DegradeGate gate(spec.error_mode);
   std::vector<Entry> scan_buffer;
   for (uint64_t i = 0; i < ops; ++i) {
-    double dice = op_rng.NextDouble();
-    Key key = next_owned_key();
+    Op op = gen->Next();
     auto op_start = std::chrono::steady_clock::now();
-    Status s = ExecuteOnePolicied(method, spec, dice, key, scan_width,
-                                  &value_rng, &scan_buffer, tally, &degraded);
+    if (gate.Withholds(op.kind)) {
+      ++log->errors.degraded_skips;
+    } else {
+      scan_buffer.clear();
+      Status s = ExecuteOp(method, op, &scan_buffer);
+      if (IsFailure(op.kind, s)) {
+        if (spec.error_mode == ErrorMode::kAbort) {
+          log->status = s;
+          return;
+        }
+        log->errors.Count(s);
+        gate.OnFailure();
+      }
+    }
     auto op_end = std::chrono::steady_clock::now();
-    if (!s.ok()) return s;
-    ClassHistogram(latency, spec, dice)
-        ->Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(op_end -
-                                                                 op_start)
-                .count()));
-    read_samples->push_back(io.bytes_read - last_read);
-    write_samples->push_back(io.bytes_written - last_written);
+    log->latency.For(op.kind).Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(op_end -
+                                                             op_start)
+            .count()));
+    log->read_samples.push_back(io.bytes_read - last_read);
+    log->write_samples.push_back(io.bytes_written - last_written);
     last_read = io.bytes_read;
     last_written = io.bytes_written;
   }
-  return Status::OK();
 }
 
-/// Concurrent phase: a worker pool over a partition-aware method. Each
-/// worker samples per-op costs from its own thread-local tally and records
-/// latencies into a private OpLatencies; the join is the happens-before
-/// edge under which everything merges exactly.
-Result<RumProfile> RunConcurrent(AccessMethod* method,
-                                 const WorkloadSpec& spec) {
-  const auto* parts = dynamic_cast<const KeyPartitioned*>(method);
-  if (parts == nullptr) {
-    return Status::InvalidArgument(
-        "concurrency > 1 requires a partition-aware method "
-        "(e.g. sharded-*); " +
-        std::string(method->name()) + " is not");
-  }
-  uint32_t workers = spec.concurrency;
-  if (parts->partitions() < workers) {
+}  // namespace
+
+Result<RumProfile> WorkloadRunner::Run(AccessMethod* method,
+                                       const WorkloadSpec& spec) {
+  if (Status s = ValidateSpec(spec, /*open_loop=*/false); !s.ok()) return s;
+  // A serial phase is one worker on the calling thread with the spec's own
+  // seed and no key filter. In a concurrent one, worker t owns partitions
+  // {p : p % workers == t}, so each partition sees one thread's op order.
+  const KeyPartitioned* parts = nullptr;
+  uint32_t workers = 1;
+  if (spec.concurrency > 1) {
+    parts = dynamic_cast<const KeyPartitioned*>(method);
+    if (parts == nullptr) {
+      return Status::InvalidArgument(
+          "concurrency > 1 requires a partition-aware method "
+          "(e.g. sharded-*); " +
+          std::string(method->name()) + " is not");
+    }
     // More workers than partitions would leave some with nothing to own.
-    workers = static_cast<uint32_t>(parts->partitions());
+    workers = static_cast<uint32_t>(
+        std::min<size_t>(spec.concurrency, parts->partitions()));
   }
+  std::vector<OpGenerator> gens;
+  gens.reserve(workers);
+  for (uint32_t t = 0; t < workers; ++t) {
+    if (parts == nullptr) {
+      gens.emplace_back(spec, spec.seed);
+    } else {
+      gens.emplace_back(spec, SplitMix64(spec.seed ^ SplitMix64(t + 1)),
+                        [parts, workers, t](Key key) {
+                          return parts->PartitionOf(key) % workers == t;
+                        });
+    }
+  }
+  auto ops_of = [&](uint32_t t) {
+    return spec.operations / workers +
+           (t < spec.operations % workers ? 1 : 0);
+  };
 
   CounterSnapshot before = method->stats();
   auto start = std::chrono::steady_clock::now();
-
-  std::vector<Status> statuses(workers, Status::OK());
-  std::vector<ErrorTally> tallies(workers);
-  std::vector<OpLatencies> latencies(workers);
-  std::vector<std::vector<uint64_t>> read_samples(workers);
-  std::vector<std::vector<uint64_t>> write_samples(workers);
-  {
+  std::vector<WorkerLog> logs(workers);
+  if (parts == nullptr) {
+    RunWorker(method, spec, ops_of(0), &gens[0], &logs[0]);
+  } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (uint32_t t = 0; t < workers; ++t) {
-      pool.emplace_back([method, &spec, parts, workers, t, &statuses,
-                         &tallies, &latencies, &read_samples,
-                         &write_samples] {
-        statuses[t] =
-            RunWorker(method, spec, parts, workers, t, &tallies[t],
-                      &latencies[t], &read_samples[t], &write_samples[t]);
+      pool.emplace_back([&, t] {
+        RunWorker(method, spec, ops_of(t), &gens[t], &logs[t]);
       });
     }
     for (std::thread& worker : pool) worker.join();
   }
-  // The joins above are the happens-before edge that makes the merged
-  // counter snapshot below exact.
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
+  for (const WorkerLog& log : logs) {
+    if (!log.status.ok()) return log.status;
   }
 
   auto end = std::chrono::steady_clock::now();
@@ -411,27 +275,19 @@ Result<RumProfile> RunConcurrent(AccessMethod* method,
       std::chrono::duration<double>(end - start).count();
   std::vector<uint64_t> all_reads;
   std::vector<uint64_t> all_writes;
-  for (uint32_t t = 0; t < workers; ++t) {
-    profile.latency.Merge(latencies[t]);
-    all_reads.insert(all_reads.end(), read_samples[t].begin(),
-                     read_samples[t].end());
-    all_writes.insert(all_writes.end(), write_samples[t].begin(),
-                      write_samples[t].end());
+  for (const WorkerLog& log : logs) {
+    profile.latency.Merge(log.latency);
+    all_reads.insert(all_reads.end(), log.read_samples.begin(),
+                     log.read_samples.end());
+    all_writes.insert(all_writes.end(), log.write_samples.begin(),
+                      log.write_samples.end());
+    if (spec.error_mode != ErrorMode::kAbort) {
+      profile.worker_errors.push_back(log.errors);
+    }
   }
   profile.read_cost = CostPercentiles::From(std::move(all_reads));
   profile.write_cost = CostPercentiles::From(std::move(all_writes));
-  if (spec.error_mode != ErrorMode::kAbort) {
-    profile.worker_errors = std::move(tallies);
-  }
   return profile;
-}
-
-}  // namespace
-
-Result<RumProfile> WorkloadRunner::Run(AccessMethod* method,
-                                       const WorkloadSpec& spec) {
-  if (spec.concurrency > 1) return RunConcurrent(method, spec);
-  return RunSerial(method, spec);
 }
 
 Result<RumProfile> WorkloadRunner::Run(AccessMethod* method,

@@ -9,6 +9,7 @@
 #include "core/metrics.h"
 #include "core/rum_point.h"
 #include "core/status.h"
+#include "workload/op.h"
 #include "workload/spec.h"
 
 namespace rum {
@@ -53,6 +54,8 @@ struct OpLatencies {
   LatencyHistogram update;  ///< Update
   LatencyHistogram erase;   ///< Delete
 
+  /// The histogram of an op kind's class.
+  LatencyHistogram& For(OpKind kind);
   void Merge(const OpLatencies& o);
   /// All classes folded together.
   LatencyHistogram Total() const;
@@ -106,7 +109,8 @@ class WorkloadRunner {
  public:
   /// Runs `spec` against `method`, returning the phase profile. The method
   /// may already contain data (e.g. bulk-loaded); the profile measures only
-  /// this phase's traffic.
+  /// this phase's traffic. A spec that fails ValidateSpec returns its
+  /// kInvalidArgument before anything runs.
   ///
   /// With spec.concurrency > 1 the phase is driven by a worker pool;
   /// `method` must implement KeyPartitioned (ShardedMethod does) or the run

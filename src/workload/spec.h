@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/status.h"
 #include "core/types.h"
 #include "workload/distribution.h"
 
@@ -81,8 +82,8 @@ struct WorkloadSpec {
   ErrorMode error_mode = ErrorMode::kAbort;
 
   /// Arrival process driving the phase (see ArrivalProcess). Open-loop
-  /// shapes are consumed by service::RunOpenLoop; the classic runner only
-  /// accepts kClosedLoop.
+  /// shapes are consumed by RunOpenLoop; the classic runner only accepts
+  /// kClosedLoop (ValidateSpec enforces both).
   ArrivalProcess arrival = ArrivalProcess::kClosedLoop;
   /// Open-loop offered load, in requests per virtual second. Must be > 0
   /// for kPoisson/kBursty.
@@ -101,6 +102,14 @@ struct WorkloadSpec {
 
   std::string ToString() const;
 };
+
+/// The spec check WorkloadRunner and RunOpenLoop both run first: a nonempty
+/// key range, mix fractions that are each >= 0 and sum to at most 1, and an
+/// arrival process the caller accepts. WorkloadRunner (`open_loop` false)
+/// takes only kClosedLoop; RunOpenLoop takes kPoisson or kBursty with
+/// offered_ops_per_sec > 0 and, for kBursty, a valid modulation. Returns
+/// kInvalidArgument naming the first violation.
+Status ValidateSpec(const WorkloadSpec& spec, bool open_loop);
 
 }  // namespace rum
 

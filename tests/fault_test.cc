@@ -1,5 +1,5 @@
 // Fault-injection tests: an I/O error injected by a FaultyDevice must
-// propagate as a Status through every layer -- cache, logs, heaps, and every
+// propagate as a Status through every layer -- cache, heaps, and every
 // access method -- without crashes or silent corruption.
 #include <utility>
 
@@ -9,7 +9,6 @@
 #include "methods/column/sorted_column.h"
 #include "methods/factory.h"
 #include "methods/lsm/lsm_tree.h"
-#include "storage/append_log.h"
 #include "storage/block_device.h"
 #include "storage/caching_device.h"
 #include "storage/faulty_device.h"
@@ -138,20 +137,6 @@ TEST(FaultTest, CachePinMissPropagatesBaseFault) {
   device.ClearFaults();
   ASSERT_TRUE(cache.PinForRead(p, &guard).ok());
   EXPECT_EQ(guard.bytes()[0], 1);
-}
-
-TEST(FaultTest, AppendLogPropagates) {
-  RumCounters counters;
-  BlockDevice base(512, &counters);
-  FaultyDevice device(&base);
-  AppendLog log(&device, DataClass::kBase, &counters);
-  // Fill almost one block, then make the sealing write fail.
-  for (size_t i = 0; i + 1 < log.records_per_block(); ++i) {
-    ASSERT_TRUE(log.Append(LogRecord{i, i, LogOp::kPut}).ok());
-  }
-  device.InjectFailureAfter(0);
-  Status s = log.Append(LogRecord{999, 0, LogOp::kPut});
-  EXPECT_EQ(s.code(), Code::kIOError);
 }
 
 TEST(FaultTest, HeapFilePropagates) {

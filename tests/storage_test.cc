@@ -1,9 +1,8 @@
 // Unit tests for the storage substrate: block device, page codec, caching
-// device, append log, heap file.
+// device, heap file.
 #include <gtest/gtest.h>
 
 #include "core/counters.h"
-#include "storage/append_log.h"
 #include "storage/block_device.h"
 #include "storage/caching_device.h"
 #include "storage/heap_file.h"
@@ -469,83 +468,6 @@ TEST(CachingDeviceTest, SetCapacityBelowPinnedResidencyDoesNotWedge) {
   EXPECT_LE(cache.cached_pages(), 2u);
   g2.Release();
   EXPECT_LE(cache.cached_pages(), 1u);
-}
-
-TEST(AppendLogTest, AppendsAmortizeToOneWritePerRecord) {
-  RumCounters counters;
-  BlockDevice device(kBlock, &counters);
-  AppendLog log(&device, DataClass::kBase, &counters);
-  const uint64_t kRecords = 10 * log.records_per_block();
-  for (uint64_t i = 0; i < kRecords; ++i) {
-    ASSERT_TRUE(log.Append(LogRecord{i, i * 2, LogOp::kPut}).ok());
-  }
-  EXPECT_EQ(log.record_count(), kRecords);
-  EXPECT_EQ(log.page_count(), 10u);
-  // Exactly 10 block writes: each sealed block written once.
-  EXPECT_EQ(counters.snapshot().blocks_written, 10u);
-}
-
-TEST(AppendLogTest, ForEachReplaysInOrderIncludingTail) {
-  RumCounters counters;
-  BlockDevice device(kBlock, &counters);
-  AppendLog log(&device, DataClass::kBase, &counters);
-  const uint64_t kRecords = log.records_per_block() + 5;  // Partial tail.
-  for (uint64_t i = 0; i < kRecords; ++i) {
-    ASSERT_TRUE(log
-                    .Append(LogRecord{i, i,
-                                      i % 3 == 0 ? LogOp::kDelete
-                                                 : LogOp::kPut})
-                    .ok());
-  }
-  uint64_t next = 0;
-  ASSERT_TRUE(log.ForEach([&](const LogRecord& r) {
-                   EXPECT_EQ(r.key, next);
-                   EXPECT_EQ(r.op,
-                             next % 3 == 0 ? LogOp::kDelete : LogOp::kPut);
-                   ++next;
-                   return Status::OK();
-                 })
-                  .ok());
-  EXPECT_EQ(next, kRecords);
-}
-
-TEST(AppendLogTest, ForEachRejectsCorruptRecordCount) {
-  RumCounters counters;
-  BlockDevice device(kBlock, &counters);
-  AppendLog log(&device, DataClass::kBase, &counters);
-  for (uint64_t i = 0; i < log.records_per_block(); ++i) {
-    ASSERT_TRUE(log.Append(LogRecord{i, i, LogOp::kPut}).ok());
-  }
-  ASSERT_EQ(log.page_count(), 1u);
-  // Page 0 is the one sealed page; claim more records than it can hold.
-  std::vector<uint8_t>* bytes = device.mutable_page_unaccounted(0);
-  ASSERT_NE(bytes, nullptr);
-  EncodeU64(~uint64_t{0}, bytes->data());
-  Status s = log.ForEach([](const LogRecord&) { return Status::OK(); });
-  EXPECT_EQ(s.code(), Code::kCorruption);
-}
-
-TEST(AppendLogTest, FlushPersistsPartialTail) {
-  RumCounters counters;
-  BlockDevice device(kBlock, &counters);
-  AppendLog log(&device, DataClass::kBase, &counters);
-  ASSERT_TRUE(log.Append(LogRecord{1, 2, LogOp::kPut}).ok());
-  uint64_t writes_before = counters.snapshot().blocks_written;
-  ASSERT_TRUE(log.Flush().ok());
-  EXPECT_EQ(counters.snapshot().blocks_written, writes_before + 1);
-}
-
-TEST(AppendLogTest, ClearFreesEverything) {
-  RumCounters counters;
-  BlockDevice device(kBlock, &counters);
-  AppendLog log(&device, DataClass::kBase, &counters);
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(log.Append(LogRecord{i, i, LogOp::kPut}).ok());
-  }
-  ASSERT_TRUE(log.Clear().ok());
-  EXPECT_EQ(log.record_count(), 0u);
-  EXPECT_EQ(device.live_pages(), 0u);
-  EXPECT_EQ(counters.snapshot().space_base, 0u);
 }
 
 class HeapFileTest : public ::testing::Test {

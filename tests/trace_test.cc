@@ -643,26 +643,5 @@ TEST(TraceTest, SerialRunnerDoesNotMergeShardStatsPerOp) {
   EXPECT_LE(delta, 16u);
 }
 
-// ---------------------------------------------------- ApplyObservability
-
-TEST(TraceTest, ApplyObservabilityThrowsBothSwitches) {
-  TraceGuard guard;
-  Options options;
-  options.observability.trace = true;
-  options.observability.trace_events_per_thread = 32;
-  options.observability.metrics = true;
-  ApplyObservability(options);
-  EXPECT_TRUE(Trace::enabled());
-  EXPECT_TRUE(MetricsRegistry::Global().enabled());
-  Trace::Emit(TraceKind::kCacheHit, TraceOp::kRead, 1, DataClass::kBase);
-  EXPECT_EQ(Trace::Drain().size(), 1u);
-
-  options.observability.trace = false;
-  options.observability.metrics = false;
-  ApplyObservability(options);
-  EXPECT_FALSE(Trace::enabled());
-  EXPECT_FALSE(MetricsRegistry::Global().enabled());
-}
-
 }  // namespace
 }  // namespace rum

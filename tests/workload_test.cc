@@ -1,10 +1,12 @@
 // Tests for the workload framework: RNG determinism, key distributions,
-// spec mixes, the runner's profile accounting.
+// spec mixes and the spec check, the runner's profile accounting, and the
+// closed-loop runner and the open loop charging one ledger for one spec.
 #include <unordered_map>
 
 #include <gtest/gtest.h>
 
 #include "methods/factory.h"
+#include "service/open_loop.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
 #include "workload/runner.h"
@@ -115,6 +117,59 @@ TEST(WorkloadSpecTest, CannedMixesSumSanely) {
   }
 }
 
+// ValidateSpec: the runner and the open loop refuse an invalid spec before
+// running an op.
+// Without the check a zero key range divides by zero in a Release build
+// (KeyGenerator's assert is compiled out), and bad fractions silently run a
+// different mix.
+WorkloadSpec BadFractions(double insert, double scan) {
+  WorkloadSpec spec = WorkloadSpec::Mixed(1000, 1u << 10);
+  spec.update_fraction = 0;
+  spec.delete_fraction = 0;
+  spec.insert_fraction = insert;
+  spec.scan_fraction = scan;
+  return spec;
+}
+
+Code RunnerCode(const WorkloadSpec& spec) {
+  auto method = MakeAccessMethod("btree", SmallOptions());
+  return WorkloadRunner::Run(method.get(), spec).code();
+}
+
+Code OpenLoopCode(WorkloadSpec spec) {
+  spec.arrival = ArrivalProcess::kPoisson;
+  spec.offered_ops_per_sec = 1000;
+  auto method = MakeAccessMethod("btree", SmallOptions());
+  return RunOpenLoop(method.get(), spec, SmallOptions()).code();
+}
+
+TEST(ValidateSpecTest, RunnerRejectsAnEmptyKeyRange) {
+  EXPECT_EQ(RunnerCode(WorkloadSpec::Mixed(10, 0)), Code::kInvalidArgument);
+}
+
+TEST(ValidateSpecTest, RunnerRejectsFractionsSummingAboveOne) {
+  EXPECT_EQ(RunnerCode(BadFractions(0.9, 0.5)), Code::kInvalidArgument);
+}
+
+TEST(ValidateSpecTest, RunnerRejectsANegativeFraction) {
+  EXPECT_EQ(RunnerCode(BadFractions(-0.5, 0)), Code::kInvalidArgument);
+}
+
+TEST(ValidateSpecTest, RunnerRejectsAnOpenLoopArrivalProcess) {
+  WorkloadSpec spec = WorkloadSpec::Mixed(1000, 1u << 10);
+  spec.arrival = ArrivalProcess::kPoisson;
+  spec.offered_ops_per_sec = 1000;
+  EXPECT_EQ(RunnerCode(spec), Code::kInvalidArgument);
+}
+
+TEST(ValidateSpecTest, OpenLoopRejectsFractionsSummingAboveOne) {
+  EXPECT_EQ(OpenLoopCode(BadFractions(0.9, 0.5)), Code::kInvalidArgument);
+}
+
+TEST(ValidateSpecTest, OpenLoopRejectsANegativeFraction) {
+  EXPECT_EQ(OpenLoopCode(BadFractions(-0.5, 0)), Code::kInvalidArgument);
+}
+
 TEST(WorkloadRunnerTest, ProfilesCountOperations) {
   Options options = SmallOptions();
   auto method = MakeAccessMethod("btree", options);
@@ -183,6 +238,52 @@ TEST(WorkloadRunnerTest, DeterministicAcrossRuns) {
             pb.value().delta.total_bytes_read());
   EXPECT_EQ(pa.value().delta.total_bytes_written(),
             pb.value().delta.total_bytes_written());
+}
+
+// One spec, two paths, one ledger: the closed-loop runner and the open
+// loop draw the same op stream and run it through the same executor. With
+// one request per dispatch window and arrivals far slower than service, the
+// scheduler runs the ops in stream order, so two fresh methods end in the
+// same state having charged the same traffic.
+TEST(SharedOpPathTest, RunnerAndOpenLoopChargeOneLedger) {
+  for (const char* name :
+       {"btree", "lsm-leveled", "hash", "sharded-lsm-leveled"}) {
+    SCOPED_TRACE(name);
+    Options options;
+    options.service.admission = false;
+    options.service.queue_capacity = 1u << 20;
+    options.service.batch_max_ops = 1;
+    WorkloadSpec spec = WorkloadSpec::Mixed(5000, 1u << 14);
+    spec.seed = 7;
+
+    auto closed = MakeAccessMethod(name, options);
+    Result<RumProfile> profile = WorkloadRunner::Run(closed.get(), spec);
+    ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+
+    auto open = MakeAccessMethod(name, options);
+    spec.arrival = ArrivalProcess::kPoisson;
+    spec.offered_ops_per_sec = 1000;
+    Result<ServiceReport> report = RunOpenLoop(open.get(), spec, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    const CounterSnapshot& a = profile.value().delta;
+    const CounterSnapshot& b = report.value().rum;
+    EXPECT_GT(a.total_bytes_read(), 0u);
+    EXPECT_EQ(a.total_bytes_read(), b.total_bytes_read());
+    EXPECT_EQ(a.total_bytes_written(), b.total_bytes_written());
+    EXPECT_EQ(a.point_queries, b.point_queries);
+    EXPECT_EQ(a.range_queries, b.range_queries);
+    EXPECT_EQ(a.inserts, b.inserts);
+    EXPECT_EQ(a.updates, b.updates);
+    EXPECT_EQ(a.deletes, b.deletes);
+
+    std::vector<Entry> closed_rows;
+    std::vector<Entry> open_rows;
+    ASSERT_TRUE(closed->Scan(0, kMaxKey, &closed_rows).ok());
+    ASSERT_TRUE(open->Scan(0, kMaxKey, &open_rows).ok());
+    EXPECT_FALSE(closed_rows.empty());
+    EXPECT_EQ(closed_rows, open_rows);
+  }
 }
 
 }  // namespace
