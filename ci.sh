@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # rumlab CI: the tier-1 suite in Release (plus the table benches' stdout
-# against bench/golden/), then the same suite under AddressSanitizer, then
-# the concurrency tier under ThreadSanitizer.
+# against bench/golden/ and a rumbench build and smoke run), then the same
+# suite under AddressSanitizer, then the concurrency tier under
+# ThreadSanitizer.
 #
 #   ./ci.sh            # all three stages
 #   ./ci.sh release    # just the Release build + tests
@@ -26,6 +27,21 @@ case "${STAGE}" in
     ;;
 esac
 
+# Runs ctest in a build tree; a label or filter that selects nothing would
+# pass vacuously, so it fails instead.
+run_ctest() {
+  local name="$1" build_dir="$2" test_filter="$3"
+  echo "=== ${name}: ctest ==="
+  local selected
+  selected="$(cd "${build_dir}" && ctest -N ${test_filter} |
+    sed -n 's/^Total Tests: //p')"
+  if [[ -z "${selected}" || "${selected}" -eq 0 ]]; then
+    echo "${name}: ctest ${test_filter} selects no tests" >&2
+    exit 1
+  fi
+  (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" ${test_filter})
+}
+
 run_stage() {
   local name="$1" build_dir="$2" sanitize="$3" test_filter="$4"
   echo "=== ${name}: configure + build (${build_dir}) ==="
@@ -35,16 +51,7 @@ run_stage() {
     -DRUMLAB_SANITIZE="${sanitize}" \
     -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build "${build_dir}" -j "${JOBS}"
-  echo "=== ${name}: ctest ==="
-  # A label or filter that selects nothing would pass vacuously.
-  local selected
-  selected="$(cd "${build_dir}" && ctest -N ${test_filter} |
-    sed -n 's/^Total Tests: //p')"
-  if [[ -z "${selected}" || "${selected}" -eq 0 ]]; then
-    echo "${name}: ctest ${test_filter} selects no tests" >&2
-    exit 1
-  fi
-  (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" ${test_filter})
+  run_ctest "${name}" "${build_dir}" "${test_filter}"
 }
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
@@ -69,6 +76,15 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
     fi
   done
   echo "${#TABLE_BENCHES[@]} table benches match bench/golden/"
+  echo "=== release: rumbench configure + build (build-ci/rumbench) ==="
+  # rumbench (rumbench/CMakeLists.txt) compiles ../src into its own library,
+  # so a src change that breaks it would otherwise surface only when the
+  # benchmark runs. Build it warning-free and run its smoke test (the
+  # `bench` label: every workload at 1% scale, oracle and determinism).
+  cmake -S rumbench -B build-ci/rumbench -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+  cmake --build build-ci/rumbench -j "${JOBS}"
+  run_ctest "release" build-ci/rumbench "-L bench"
   echo "=== release: machine-readable bench smoke ==="
   # The two JSON-emitting benches must run and produce parseable output; no
   # thresholds are enforced here (wall-clock is not comparable across CI

@@ -101,11 +101,6 @@ struct Options {
     size_t hybrid_tiered_levels = 2;
     /// Bloom-filter bits per key on every run; 0 disables filters.
     size_t bloom_bits_per_key = 10;
-    /// Build runs with the blocked (single-cache-line) filter variant
-    /// instead of the classic Bloom filter: every probe touches exactly one
-    /// 64-byte block (one charged auxiliary read, prefetchable by the
-    /// MultiGet probe pass) at a slightly higher false-positive rate.
-    bool blocked_bloom = false;
     /// Fence pointer granularity: one fence per this many entries.
     size_t fence_entries = 256;
     /// Delta-compress run pages (varint key deltas): the paper's Section-5

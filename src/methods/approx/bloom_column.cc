@@ -30,14 +30,11 @@ void BloomZoneColumn::MaybeRegisterPool() {
 
 void BloomZoneColumn::SetPoolBytes(uint64_t bytes) {
   filter_budget_bytes_.store(bytes, std::memory_order_relaxed);
-  // Convert the budget into bits-per-key against the published row count
-  // (one zone's worth stands in before any row lands). Takes effect for
-  // zones created from now on; Rebuild re-filters the existing ones.
-  uint64_t rows = approx_rows_.load(std::memory_order_relaxed);
-  if (rows == 0) rows = std::max<uint64_t>(1, options_.approx.zone_entries);
-  uint64_t bits = bytes * 8 / rows;
-  if (bits > 64) bits = 64;  // Past ~20 bits/key the FP-rate gain is nil.
-  SetBitsPerKey(static_cast<size_t>(bits));
+  // Takes effect for zones created from now on; Rebuild re-filters the
+  // existing ones.
+  SetBitsPerKey(BloomBitsForBudget(
+      bytes, approx_rows_.load(std::memory_order_relaxed),
+      options_.approx.zone_entries));
 }
 
 void BloomZoneColumn::IndexAppendedRow(Key key, RowId row) {

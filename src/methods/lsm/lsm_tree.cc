@@ -54,15 +54,9 @@ void LsmTree::MaybeRegisterPools() {
 
 void LsmTree::FilterPool::SetPoolBytes(uint64_t bytes) {
   tree_->filter_budget_bytes_.store(bytes, std::memory_order_relaxed);
-  // Convert the byte budget into bits-per-key against the published live
-  // key count (the static memtable size stands in before any key lands).
-  uint64_t keys = tree_->approx_keys_.load(std::memory_order_relaxed);
-  if (keys == 0) {
-    keys = std::max<uint64_t>(1, tree_->options_.lsm.memtable_entries);
-  }
-  uint64_t bits = bytes * 8 / keys;
-  if (bits > 64) bits = 64;  // Past ~20 bits/key the FP-rate gain is nil.
-  tree_->SetBloomBitsPerKey(static_cast<size_t>(bits));
+  tree_->SetBloomBitsPerKey(BloomBitsForBudget(
+      bytes, tree_->approx_keys_.load(std::memory_order_relaxed),
+      tree_->options_.lsm.memtable_entries));
 }
 
 void LsmTree::InitMetrics() {
@@ -124,8 +118,7 @@ Status LsmTree::BuildRun(size_t level, std::vector<LogRecord> records) {
   Status s = SortedRun::Build(device_.get(), &counters(), records,
                               bloom_bits_per_key(), &run,
                               options_.lsm.fence_entries,
-                              options_.lsm.compress_runs,
-                              options_.lsm.blocked_bloom);
+                              options_.lsm.compress_runs);
   if (!s.ok()) return s;
   run->set_filter_stats(&filter_stats_);
   if (index_ != nullptr) index_->OnRunCreated(run.get());
@@ -297,7 +290,7 @@ Status LsmTree::MultiGet(std::span<const Key> keys,
       if (hits.empty()) continue;
       // Resolve the hits and compact the pending arrays in one pass; hit
       // positions arrive in ascending order.
-      const bool cached = probe_cache.mode != ProbeHashCache::kInvalid;
+      const bool cached = probe_cache.bit_count != ProbeHashCache::kInvalid;
       size_t keep = 0;
       size_t h = 0;
       for (size_t t = 0; t < pending_keys.size(); ++t) {

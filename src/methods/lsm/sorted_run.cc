@@ -9,16 +9,22 @@
 namespace rum {
 
 namespace {
+// Run page layout: [0,8) record count, then the records in key order. A
+// record is its key, 8 value bytes and an op byte. Fixed-width pages store
+// the key as 8 raw bytes (LogRecord::kWireSize per record); compressed
+// pages store a varint delta from the previous record of the page, and the
+// page's first record its full key.
 constexpr size_t kRunHeaderSize = sizeof(uint64_t);
-
-size_t RecordsPerBlock(size_t block_size) {
-  return (block_size - kRunHeaderSize) / LogRecord::kWireSize;
-}
+constexpr size_t kRecordTail = sizeof(Value) + 1;  // Value, then op byte.
+// A record's smallest and largest compressed encodings (1- and 10-byte
+// varints); fixed-width records are always LogRecord::kWireSize.
+constexpr size_t kMinCompressedRecord = 1 + kRecordTail;
+constexpr size_t kMaxCompressedRecord = 10 + kRecordTail;
 
 /// The one record binary search every lookup path shares: first index in
 /// [lo, n) whose key under `key_at` is >= `key` (n when none is). `key_at`
-/// abstracts the page representation -- decoded records or fixed-width wire
-/// records searched in place.
+/// reads a slot's key off the lookup walk's PageView or a cursor's decoded
+/// page.
 template <typename KeyAt>
 size_t LowerBoundSlot(size_t lo, size_t n, Key key, const KeyAt& key_at) {
   size_t hi = n;
@@ -33,99 +39,113 @@ size_t LowerBoundSlot(size_t lo, size_t n, Key key, const KeyAt& key_at) {
   return lo;
 }
 
-/// The record count of an uncompressed run page, validated against the
-/// block so a corrupt header can never index past it.
-Status CheckedRunCount(std::span<const uint8_t> block, size_t* count) {
+/// Bytes `r` takes on a page right after a record keyed `prev`.
+size_t EncodedSize(const LogRecord& r, Key prev, bool compressed) {
+  return (compressed ? VarintLength(r.key - prev) : sizeof(Key)) +
+         kRecordTail;
+}
+
+/// Writes `r` (after a record keyed `prev`) at `at`; returns the byte past
+/// it.
+uint8_t* EncodeRecord(const LogRecord& r, Key prev, bool compressed,
+                      uint8_t* at) {
+  if (compressed) {
+    at = EncodeVarint64(r.key - prev, at);
+  } else {
+    EncodeU64(r.key, at);
+    at += sizeof(Key);
+  }
+  EncodeU64(r.value, at);
+  at[sizeof(Value)] = static_cast<uint8_t>(r.op);
+  return at + kRecordTail;
+}
+
+/// The record keyed `key` whose value and op byte start at `tail`.
+LogRecord DecodeRecord(Key key, const uint8_t* tail) {
+  return LogRecord{key, DecodeU64(tail),
+                   static_cast<LogOp>(tail[sizeof(Value)])};
+}
+
+/// Fixed-width record `i` of a page, in place.
+const uint8_t* FixedRecord(const uint8_t* block, size_t i) {
+  return block + kRunHeaderSize + i * LogRecord::kWireSize;
+}
+
+/// The page's record count, bounded by what the block holds at the
+/// smallest record encoding so a corrupt header can never index, or size
+/// a buffer, past the block.
+Status CheckedRunCount(std::span<const uint8_t> block, bool compressed,
+                       size_t* count) {
   if (block.size() < kRunHeaderSize) {
     return Status::Corruption("run block too small");
   }
   uint64_t n = DecodeU64(block.data());
-  if (n > RecordsPerBlock(block.size())) {
+  size_t smallest = compressed ? kMinCompressedRecord : LogRecord::kWireSize;
+  if (n > (block.size() - kRunHeaderSize) / smallest) {
     return Status::Corruption("run record count exceeds block");
   }
   *count = static_cast<size_t>(n);
   return Status::OK();
 }
 
-/// Encodes records [begin, end) (count header + wire records) in place into
-/// a block, zeroing it first.
-void PackLogRecordsInto(const std::vector<LogRecord>& records, size_t begin,
-                        size_t end, std::span<uint8_t> block) {
-  assert(end >= begin && end - begin <= RecordsPerBlock(block.size()));
-  std::memset(block.data(), 0, block.size());
-  EncodeU64(end - begin, block.data());
-  uint8_t* cursor = block.data() + kRunHeaderSize;
-  for (size_t i = begin; i < end; ++i) {
-    EncodeU64(records[i].key, cursor);
-    EncodeU64(records[i].value, cursor + 8);
-    cursor[16] = static_cast<uint8_t>(records[i].op);
-    cursor += LogRecord::kWireSize;
-  }
-}
-
-Status UnpackLogRecords(std::span<const uint8_t> block,
-                        std::vector<LogRecord>* out) {
+/// Decodes every record of a run page, in either format, into `out`; the
+/// count is checked before anything is read or reserved.
+Status DecodeRunPage(std::span<const uint8_t> block, bool compressed,
+                     std::vector<LogRecord>* out) {
   size_t n = 0;
-  Status s = CheckedRunCount(block, &n);
+  Status s = CheckedRunCount(block, compressed, &n);
   if (!s.ok()) return s;
   out->clear();
   out->reserve(n);
-  const uint8_t* cursor = block.data() + kRunHeaderSize;
-  for (size_t i = 0; i < n; ++i) {
-    LogRecord r;
-    r.key = DecodeU64(cursor);
-    r.value = DecodeU64(cursor + 8);
-    r.op = static_cast<LogOp>(cursor[16]);
-    out->push_back(r);
-    cursor += LogRecord::kWireSize;
-  }
-  return Status::OK();
-}
-
-// Compressed page layout: [0,8) record count, then per record a varint
-// key delta (from the previous record in the page; the first record
-// stores its full key), 8 raw value bytes, and an op byte.
-void AppendCompressedRecord(const LogRecord& r, Key prev_key,
-                            std::vector<uint8_t>* payload) {
-  EncodeVarint64(r.key - prev_key, payload);
-  uint8_t value_buf[8];
-  EncodeU64(r.value, value_buf);
-  payload->insert(payload->end(), value_buf, value_buf + 8);
-  payload->push_back(static_cast<uint8_t>(r.op));
-}
-
-size_t CompressedRecordSize(const LogRecord& r, Key prev_key) {
-  return VarintLength(r.key - prev_key) + 8 + 1;
-}
-
-Status UnpackCompressedRecords(std::span<const uint8_t> block,
-                               std::vector<LogRecord>* out) {
-  if (block.size() < kRunHeaderSize) {
-    return Status::Corruption("run block too small");
-  }
-  uint64_t n = DecodeU64(block.data());
-  out->clear();
-  out->reserve(n);
   size_t offset = kRunHeaderSize;
-  Key prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    if (offset + 9 > block.size()) {
-      return Status::Corruption("compressed record truncated");
+  Key key = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (compressed) {
+      key += DecodeVarint64(block.data(), block.size(), &offset);
+      if (offset + kRecordTail > block.size()) {
+        return Status::Corruption("compressed record truncated");
+      }
+    } else {
+      key = DecodeU64(block.data() + offset);
+      offset += sizeof(Key);
     }
-    Key delta = DecodeVarint64(block.data(), block.size(), &offset);
-    if (offset + 9 > block.size()) {
-      return Status::Corruption("compressed record truncated");
-    }
-    LogRecord r;
-    r.key = prev + delta;
-    r.value = DecodeU64(block.data() + offset);
-    offset += 8;
-    r.op = static_cast<LogOp>(block[offset++]);
-    out->push_back(r);
-    prev = r.key;
+    out->push_back(DecodeRecord(key, block.data() + offset));
+    offset += kRecordTail;
   }
   return Status::OK();
 }
+
+/// A pinned run page as the lookup walk reads it: fixed-width records in
+/// place on the block, compressed records from their decoded copy.
+class PageView {
+ public:
+  Status Open(std::span<const uint8_t> block, bool compressed,
+              std::vector<LogRecord>* decoded) {
+    if (!compressed) {
+      block_ = block.data();
+      return CheckedRunCount(block, compressed, &size_);
+    }
+    Status s = DecodeRunPage(block, compressed, decoded);
+    decoded_ = decoded->data();
+    size_ = s.ok() ? decoded->size() : 0;
+    return s;
+  }
+  size_t size() const { return size_; }
+  Key key(size_t i) const {
+    return block_ != nullptr ? DecodeU64(FixedRecord(block_, i))
+                             : decoded_[i].key;
+  }
+  LogRecord record(size_t i) const {
+    return block_ != nullptr
+               ? DecodeRecord(key(i), FixedRecord(block_, i) + sizeof(Key))
+               : decoded_[i];
+  }
+
+ private:
+  const uint8_t* block_ = nullptr;  // Fixed-width: the pinned block.
+  const LogRecord* decoded_ = nullptr;
+  size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -136,8 +156,7 @@ Status SortedRun::Build(Device* device, RumCounters* counters,
                         const std::vector<LogRecord>& records,
                         size_t bloom_bits_per_key,
                         std::unique_ptr<SortedRun>* out,
-                        size_t fence_entries, bool compress,
-                        bool blocked_bloom) {
+                        size_t fence_entries, bool compress) {
   assert(device != nullptr && counters != nullptr);
   assert(std::is_sorted(records.begin(), records.end(),
                         [](const LogRecord& a, const LogRecord& b) {
@@ -146,112 +165,68 @@ Status SortedRun::Build(Device* device, RumCounters* counters,
   if (records.empty()) {
     return Status::InvalidArgument("cannot build an empty run");
   }
+  // Every page takes its first record whatever that record's size.
+  const size_t block_size = device->block_size();
+  if (block_size < kRunHeaderSize + (compress ? kMaxCompressedRecord
+                                              : LogRecord::kWireSize)) {
+    return Status::InvalidArgument("block too small for a run record");
+  }
   auto run = std::unique_ptr<SortedRun>(new SortedRun(device, counters));
-  run->records_per_page_ = RecordsPerBlock(device->block_size());
   run->record_count_ = records.size();
   run->min_key_ = records.front().key;
   run->max_key_ = records.back().key;
 
   if (bloom_bits_per_key > 0) {
-    if (blocked_bloom) {
-      run->blocked_bloom_ = std::make_unique<BlockedBloomFilter>(
-          records.size(), bloom_bits_per_key, counters);
-      for (const LogRecord& r : records) {
-        run->blocked_bloom_->Add(r.key);
-      }
-    } else {
-      run->bloom_ = std::make_unique<BloomFilter>(
-          records.size(), bloom_bits_per_key, counters);
-      for (const LogRecord& r : records) {
-        run->bloom_->Add(r.key);
-      }
+    run->bloom_ = std::make_unique<BloomFilter>(records.size(),
+                                                bloom_bits_per_key, counters);
+    for (const LogRecord& r : records) {
+      run->bloom_->Add(r.key);
     }
   }
 
+  // Fence groups are sized in fixed-width pages for both formats.
+  const size_t records_per_page =
+      (block_size - kRunHeaderSize) / LogRecord::kWireSize;
   run->pages_per_fence_ = std::max<size_t>(
-      1, (fence_entries + run->records_per_page_ - 1) /
-             run->records_per_page_);
+      1, (fence_entries + records_per_page - 1) / records_per_page);
   run->compressed_ = compress;
 
-  if (!compress) {
-    for (size_t i = 0; i < records.size(); i += run->records_per_page_) {
-      size_t end = std::min(i + run->records_per_page_, records.size());
-      PageId page;
-      Status alloc = device->Allocate(DataClass::kBase, &page);
-      if (!alloc.ok()) return alloc;
-      // Encode directly into the pinned page; no staging copy.
-      PageWriteGuard guard;
-      Status s = device->PinForWrite(page, &guard);
-      if (!s.ok()) {
-        (void)device->Free(page);  // Un-tracked page must not leak space.
-        return s;
-      }
-      PackLogRecordsInto(records, i, end, guard.bytes());
-      guard.MarkDirty();
-      s = guard.Release();
-      if (!s.ok()) {
-        (void)device->Free(page);
-        return s;
-      }
-      if (run->pages_.size() % run->pages_per_fence_ == 0) {
-        run->fences_.push_back(records[i].key);
-      }
-      run->pages_.push_back(page);
+  // The one packer: each page is encoded in place, greedily, until the
+  // next record would not fit -- exactly records_per_page records when
+  // fixed-width, as many small deltas as fit when compressed.
+  for (size_t i = 0; i < records.size();) {
+    PageId page;
+    Status s = device->Allocate(DataClass::kBase, &page);
+    if (!s.ok()) return s;
+    PageWriteGuard guard;
+    s = device->PinForWrite(page, &guard);
+    if (!s.ok()) {
+      (void)device->Free(page);  // Un-tracked page must not leak space.
+      return s;
     }
-  } else {
-    // Greedy variable packing: fill each page until the next record's
-    // encoded form would overflow.
-    size_t block_size = device->block_size();
-    std::vector<uint8_t> payload;
-    payload.reserve(block_size);
-    uint64_t page_count = 0;
-    Key prev = 0;
-    Key first_key = 0;
-    auto seal = [&]() -> Status {
-      PageId page;
-      Status alloc = device->Allocate(DataClass::kBase, &page);
-      if (!alloc.ok()) return alloc;
-      PageWriteGuard guard;
-      Status s = device->PinForWrite(page, &guard);
-      if (!s.ok()) {
-        (void)device->Free(page);  // Un-tracked page must not leak space.
-        return s;
-      }
-      std::memset(guard.bytes().data(), 0, guard.bytes().size());
-      EncodeU64(page_count, guard.bytes().data());
-      std::copy(payload.begin(), payload.end(),
-                guard.bytes().begin() + kRunHeaderSize);
-      guard.MarkDirty();
-      s = guard.Release();
-      if (!s.ok()) {
-        (void)device->Free(page);
-        return s;
-      }
-      if (run->pages_.size() % run->pages_per_fence_ == 0) {
-        run->fences_.push_back(first_key);
-      }
-      run->pages_.push_back(page);
-      payload.clear();
-      page_count = 0;
-      prev = 0;
-      return Status::OK();
-    };
-    for (const LogRecord& r : records) {
-      size_t need = CompressedRecordSize(r, page_count == 0 ? 0 : prev);
-      if (page_count > 0 &&
-          kRunHeaderSize + payload.size() + need > block_size) {
-        Status s = seal();
-        if (!s.ok()) return s;
-      }
-      if (page_count == 0) first_key = r.key;
-      AppendCompressedRecord(r, page_count == 0 ? 0 : prev, &payload);
-      prev = r.key;
-      ++page_count;
+    std::span<uint8_t> block = guard.bytes();
+    std::memset(block.data(), 0, block.size());
+    uint8_t* at = block.data() + kRunHeaderSize;
+    const uint8_t* const end = block.data() + block.size();
+    const size_t first = i;
+    Key prev = 0;  // The page's first record stores its full key.
+    do {
+      at = EncodeRecord(records[i], prev, compress, at);
+      prev = records[i].key;
+    } while (++i < records.size() &&
+             EncodedSize(records[i], prev, compress) <=
+                 static_cast<size_t>(end - at));
+    EncodeU64(i - first, block.data());
+    guard.MarkDirty();
+    s = guard.Release();
+    if (!s.ok()) {
+      (void)device->Free(page);
+      return s;
     }
-    if (page_count > 0) {
-      Status s = seal();
-      if (!s.ok()) return s;
+    if (run->pages_.size() % run->pages_per_fence_ == 0) {
+      run->fences_.push_back(records[first].key);
     }
+    run->pages_.push_back(page);
   }
   // Fence pointers are auxiliary structure held in memory. Charged exactly
   // once, here, and released exactly once (Destroy checks the flag): a run
@@ -291,7 +266,6 @@ Status SortedRun::Destroy() {
   }
   fences_.clear();
   bloom_.reset();  // Releases its own space.
-  blocked_bloom_.reset();
   return first_failure;
 }
 
@@ -300,10 +274,7 @@ Status SortedRun::LoadPage(size_t page_index, std::vector<LogRecord>* out) {
   PageReadGuard guard;
   Status s = device_->PinForRead(pages_[page_index], &guard);
   if (!s.ok()) return s;
-  if (compressed_) {
-    return UnpackCompressedRecords(guard.bytes(), out);
-  }
-  return UnpackLogRecords(guard.bytes(), out);
+  return DecodeRunPage(guard.bytes(), compressed_, out);
 }
 
 size_t SortedRun::FenceSearch(Key key) const {
@@ -322,74 +293,64 @@ size_t SortedRun::FenceSearch(Key key) const {
   return lo == 0 ? 0 : lo - 1;
 }
 
+Status SortedRun::WalkGroup(size_t group, std::span<const Key> keys,
+                            std::span<const uint32_t> waiting, Hits* hits) {
+  const size_t first_page = group * pages_per_fence_;
+  const size_t end_page =
+      std::min(first_page + pages_per_fence_, pages_.size());
+  size_t next = 0;  // First waiting key not yet resolved.
+  for (size_t p = first_page; p < end_page && next < waiting.size(); ++p) {
+    PageReadGuard guard;
+    Status s = device_->PinForRead(pages_[p], &guard);
+    if (!s.ok()) return s;
+    PageView page;
+    s = page.Open(guard.bytes(), compressed_, &walk_records_);
+    if (!s.ok()) return s;
+    // Each waiting key would have pinned this page in its own Get.
+    if (waiting.size() - next > 1) {
+      counters_->OnBatchedPageHits(waiting.size() - next - 1);
+    }
+    const size_t n = page.size();
+    if (n == 0) continue;
+    // Keys past the page's last record wait for the next page.
+    const Key last = page.key(n - 1);
+    size_t slot = 0;
+    for (; next < waiting.size() && keys[waiting[next]] <= last; ++next) {
+      const Key key = keys[waiting[next]];
+      slot = LowerBoundSlot(slot, n, key,
+                            [&](size_t i) { return page.key(i); });
+      const bool found = slot < n && page.key(slot) == key;
+      if (found) hits->push_back({waiting[next], page.record(slot)});
+      NoteFilterOutcome(found);
+    }
+  }
+  // Keys past the group's last record: their Get walks the same pages and
+  // finds nothing.
+  for (; next < waiting.size(); ++next) NoteFilterOutcome(/*found=*/false);
+  return Status::OK();
+}
+
 Result<std::optional<LogRecord>> SortedRun::Get(Key key) {
   if (key < min_key_ || key > max_key_) {
     return std::optional<LogRecord>();
   }
-  if (has_bloom() && !MayContainKey(key)) {
+  if (bloom_ != nullptr && !bloom_->MayContain(key)) {
     if (filter_stats_ != nullptr) {
       filter_stats_->negatives.fetch_add(1, std::memory_order_relaxed);
     }
     return std::optional<LogRecord>();
   }
-  size_t group = FenceSearch(key);
-  size_t first_page = group * pages_per_fence_;
-  size_t end_page = std::min(first_page + pages_per_fence_, pages_.size());
-  if (!compressed_) {
-    // Fixed-width wire records allow binary search directly on the pinned
-    // block: no record materialization on the lookup path.
-    for (size_t p = first_page; p < end_page; ++p) {
-      PageReadGuard guard;
-      Status s = device_->PinForRead(pages_[p], &guard);
-      if (!s.ok()) return s;
-      std::span<const uint8_t> block = guard.bytes();
-      size_t n = 0;
-      s = CheckedRunCount(block, &n);
-      if (!s.ok()) return s;
-      if (n == 0) continue;
-      auto key_at = [&](size_t i) {
-        return DecodeU64(block.data() + kRunHeaderSize +
-                         i * LogRecord::kWireSize);
-      };
-      if (key_at(n - 1) < key) continue;  // Key is further right.
-      size_t lo = LowerBoundSlot(0, n, key, key_at);
-      if (lo >= n || key_at(lo) != key) {
-        NoteFilterOutcome(/*found=*/false);
-        return std::optional<LogRecord>();
-      }
-      const uint8_t* rec =
-          block.data() + kRunHeaderSize + lo * LogRecord::kWireSize;
-      LogRecord r;
-      r.key = DecodeU64(rec);
-      r.value = DecodeU64(rec + 8);
-      r.op = static_cast<LogOp>(rec[16]);
-      NoteFilterOutcome(/*found=*/true);
-      return std::optional<LogRecord>(r);
-    }
-    NoteFilterOutcome(/*found=*/false);
-    return std::optional<LogRecord>();
-  }
-  std::vector<LogRecord> records;
-  for (size_t p = first_page; p < end_page; ++p) {
-    Status s = LoadPage(p, &records);
-    if (!s.ok()) return s;
-    if (records.empty()) continue;
-    if (records.back().key < key) continue;  // Key is further right.
-    size_t slot = LowerBoundSlot(0, records.size(), key,
-                                 [&](size_t i) { return records[i].key; });
-    if (slot >= records.size() || records[slot].key != key) {
-      NoteFilterOutcome(/*found=*/false);
-      return std::optional<LogRecord>();
-    }
-    NoteFilterOutcome(/*found=*/true);
-    return std::optional<LogRecord>(records[slot]);
-  }
-  NoteFilterOutcome(/*found=*/false);
-  return std::optional<LogRecord>();
+  const uint32_t position = 0;
+  get_hits_.clear();
+  Status s = WalkGroup(FenceSearch(key), {&key, 1}, {&position, 1},
+                       &get_hits_);
+  if (!s.ok()) return s;
+  if (get_hits_.empty()) return std::optional<LogRecord>();
+  return std::optional<LogRecord>(get_hits_.front().second);
 }
 
 Status SortedRun::MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
-                           std::vector<std::pair<uint32_t, LogRecord>>* hits) {
+                           Hits* hits) {
   hits->clear();
   if (keys.empty()) return Status::OK();
   assert(std::is_sorted(keys.begin(), keys.end()));
@@ -403,18 +364,18 @@ Status SortedRun::MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
   if (a >= b) return Status::OK();
   // Up-front filter pass over the slice. Probe charges and filter-tally
   // updates are accumulated and applied once per run: the same totals the
-  // per-key Get loop reaches one call at a time. Blocked filters prefetch
-  // a few keys ahead so the single-cache-line fetches overlap the probes.
+  // per-key Get loop reaches one call at a time.
   std::vector<uint32_t>& live = mg_live_;
   live.clear();
-  uint64_t negatives = 0;
-  if (bloom_ != nullptr) {
+  if (bloom_ == nullptr) {
+    for (size_t i = a; i < b; ++i) live.push_back(static_cast<uint32_t>(i));
+  } else {
     // Reduce each key's probe offsets modulo this filter's bit count once
     // per batch; same-sized filters (the common case -- sibling runs share
     // a geometry) reuse the reductions verbatim across runs.
     const uint64_t m = bloom_->bit_count();
-    if (cache->mode != m) {
-      cache->mode = m;
+    if (cache->bit_count != m) {
+      cache->bit_count = m;
       cache->a.resize(keys.size());
       cache->b.resize(keys.size());
       for (size_t i = 0; i < keys.size(); ++i) {
@@ -424,6 +385,7 @@ Status SortedRun::MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
       }
     }
     uint64_t probe_bytes = 0;
+    uint64_t negatives = 0;
     for (size_t i = a; i < b; ++i) {
       if (bloom_->MayContainReduced(cache->a[i], cache->b[i], &probe_bytes)) {
         live.push_back(static_cast<uint32_t>(i));
@@ -431,122 +393,26 @@ Status SortedRun::MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
         ++negatives;
       }
     }
-    if (counters_ != nullptr) {
-      counters_->OnRead(DataClass::kAux, probe_bytes);
+    counters_->OnRead(DataClass::kAux, probe_bytes);
+    if (negatives > 0 && filter_stats_ != nullptr) {
+      filter_stats_->negatives.fetch_add(negatives,
+                                         std::memory_order_relaxed);
     }
-  } else if (blocked_bloom_ != nullptr) {
-    // Blocked filters probe with the raw mixed pair (block choice needs the
-    // full h1); the cache still saves re-mixing each key per run.
-    if (cache->mode != ProbeHashCache::kRawHashes) {
-      cache->mode = ProbeHashCache::kRawHashes;
-      cache->a.resize(keys.size());
-      cache->b.resize(keys.size());
-      for (size_t i = 0; i < keys.size(); ++i) {
-        uint64_t h1 = MixHash(keys[i]);
-        cache->a[i] = h1;
-        cache->b[i] = MixHash(h1) | 1;
-      }
-    }
-    constexpr size_t kPrefetchAhead = 8;
-    for (size_t i = a; i < std::min(a + kPrefetchAhead, b); ++i) {
-      blocked_bloom_->PrefetchPrepared(cache->a[i]);
-    }
-    uint64_t probe_bytes = 0;
-    for (size_t i = a; i < b; ++i) {
-      if (i + kPrefetchAhead < b) {
-        blocked_bloom_->PrefetchPrepared(cache->a[i + kPrefetchAhead]);
-      }
-      if (blocked_bloom_->MayContainPrepared(cache->a[i], cache->b[i],
-                                             &probe_bytes)) {
-        live.push_back(static_cast<uint32_t>(i));
-      } else {
-        ++negatives;
-      }
-    }
-    if (counters_ != nullptr) {
-      counters_->OnRead(DataClass::kAux, probe_bytes);
-    }
-  } else {
-    for (size_t i = a; i < b; ++i) live.push_back(static_cast<uint32_t>(i));
   }
-  if (negatives > 0 && filter_stats_ != nullptr) {
-    filter_stats_->negatives.fetch_add(negatives, std::memory_order_relaxed);
-  }
-  if (live.empty()) return Status::OK();
-  // Fence search per surviving key (Get's charge), then group consecutive
-  // keys that land in the same fence group: the group's pages are walked
-  // once for all of them.
+  // Fence search per surviving key (Get's charge), then one walk per run
+  // of consecutive keys that land in the same fence group.
   std::vector<size_t>& groups = mg_groups_;
   groups.resize(live.size());
   for (size_t i = 0; i < live.size(); ++i) {
     groups[i] = FenceSearch(keys[live[i]]);
   }
-  size_t s = 0;
-  while (s < live.size()) {
+  for (size_t s = 0; s < live.size();) {
     size_t e = s + 1;
     while (e < live.size() && groups[e] == groups[s]) ++e;
-    size_t first_page = groups[s] * pages_per_fence_;
-    size_t end_page = std::min(first_page + pages_per_fence_, pages_.size());
-    size_t next = s;  // First key of the group not yet resolved.
-    // Resolves every waiting key that can land on the current page (its key
-    // is <= the page's last); keys further right wait for the next page.
-    // Each of the e-next waiting keys would have pinned this page in its
-    // own Get, so one shared pin saves e-next-1.
-    auto resolve_page = [&](size_t n, const auto& key_at,
-                            const auto& record_at) {
-      if (e - next > 1) counters_->OnBatchedPageHits(e - next - 1);
-      if (n == 0) return;
-      Key last = key_at(n - 1);
-      size_t slot = 0;
-      while (next < e && keys[live[next]] <= last) {
-        Key key = keys[live[next]];
-        slot = LowerBoundSlot(slot, n, key, key_at);
-        if (slot < n && key_at(slot) == key) {
-          hits->push_back({live[next], record_at(slot)});
-          NoteFilterOutcome(/*found=*/true);
-        } else {
-          NoteFilterOutcome(/*found=*/false);
-        }
-        ++next;
-      }
-    };
-    if (!compressed_) {
-      for (size_t p = first_page; p < end_page && next < e; ++p) {
-        PageReadGuard guard;
-        Status st = device_->PinForRead(pages_[p], &guard);
-        if (!st.ok()) return st;
-        std::span<const uint8_t> block = guard.bytes();
-        size_t n = 0;
-        st = CheckedRunCount(block, &n);
-        if (!st.ok()) return st;
-        auto key_at = [&](size_t i) {
-          return DecodeU64(block.data() + kRunHeaderSize +
-                           i * LogRecord::kWireSize);
-        };
-        auto record_at = [&](size_t i) {
-          const uint8_t* rec =
-              block.data() + kRunHeaderSize + i * LogRecord::kWireSize;
-          LogRecord r;
-          r.key = DecodeU64(rec);
-          r.value = DecodeU64(rec + 8);
-          r.op = static_cast<LogOp>(rec[16]);
-          return r;
-        };
-        resolve_page(n, key_at, record_at);
-      }
-    } else {
-      std::vector<LogRecord> records;
-      for (size_t p = first_page; p < end_page && next < e; ++p) {
-        Status st = LoadPage(p, &records);
-        if (!st.ok()) return st;
-        resolve_page(
-            records.size(), [&](size_t i) { return records[i].key; },
-            [&](size_t i) { return records[i]; });
-      }
-    }
-    // Keys greater than the group's last record: Get walks the same pages
-    // (already pinned once above) and comes back empty-handed.
-    for (; next < e; ++next) NoteFilterOutcome(/*found=*/false);
+    Status st = WalkGroup(groups[s], keys,
+                          std::span<const uint32_t>(live).subspan(s, e - s),
+                          hits);
+    if (!st.ok()) return st;
     s = e;
   }
   return Status::OK();
@@ -616,11 +482,9 @@ Status SortedRun::Cursor::Next() {
   return Status::OK();
 }
 
-Status SortedRun::VisitRange(Key lo, Key hi,
-                             const std::function<void(const LogRecord&)>&
-                                 visit) {
-  if (hi < min_key_ || lo > max_key_) return Status::OK();
-  size_t first_page = FenceSearch(lo) * pages_per_fence_;
+Status SortedRun::VisitFrom(
+    size_t first_page, Key lo, Key hi,
+    const std::function<void(const LogRecord&)>& visit) {
   std::vector<LogRecord> records;
   for (size_t p = first_page; p < pages_.size(); ++p) {
     Status s = LoadPage(p, &records);
@@ -633,17 +497,16 @@ Status SortedRun::VisitRange(Key lo, Key hi,
   return Status::OK();
 }
 
+Status SortedRun::VisitRange(Key lo, Key hi,
+                             const std::function<void(const LogRecord&)>&
+                                 visit) {
+  if (hi < min_key_ || lo > max_key_) return Status::OK();
+  return VisitFrom(FenceSearch(lo) * pages_per_fence_, lo, hi, visit);
+}
+
 Status SortedRun::VisitAll(
     const std::function<void(const LogRecord&)>& visit) {
-  std::vector<LogRecord> records;
-  for (size_t p = 0; p < pages_.size(); ++p) {
-    Status s = LoadPage(p, &records);
-    if (!s.ok()) return s;
-    for (const LogRecord& r : records) {
-      visit(r);
-    }
-  }
-  return Status::OK();
+  return VisitFrom(0, 0, kMaxKey, visit);
 }
 
 std::vector<LogRecord> MergeLogStreams(

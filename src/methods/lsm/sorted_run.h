@@ -12,7 +12,6 @@
 #include "core/counters.h"
 #include "core/status.h"
 #include "core/types.h"
-#include "methods/sketch/blocked_bloom.h"
 #include "methods/sketch/bloom_filter.h"
 #include "storage/device.h"
 
@@ -35,18 +34,15 @@ struct LogRecord {
 };
 
 /// Per-batch filter-probe scratch shared across the runs of one MultiGet:
-/// probe offsets per pending key, pre-reduced for one filter geometry and
-/// re-derived only when a run's geometry differs. `mode` names the
-/// geometry the entries are reduced for -- a classic Bloom filter's bit
-/// count, or kRawHashes for blocked filters (which probe with the raw
-/// mixed hash pair). Classic filters never have fewer than 64 bits, so the
-/// sentinels cannot collide with a real bit count.
+/// each pending key's probe offsets, reduced modulo one filter's bit count
+/// and re-derived only when a run's filter has a different one. Filters
+/// never have fewer than 64 bits, so kInvalid cannot collide with a real
+/// bit count.
 struct ProbeHashCache {
   static constexpr uint64_t kInvalid = 0;
-  static constexpr uint64_t kRawHashes = 1;
-  uint64_t mode = kInvalid;
-  std::vector<uint64_t> a;  // Classic: MixHash(key) % bits.  Blocked: h1.
-  std::vector<uint64_t> b;  // Classic: (MixHash(h1)|1) % bits. Blocked: h2.
+  uint64_t bit_count = kInvalid;  // The geometry `a` and `b` are reduced for.
+  std::vector<uint64_t> a;        // MixHash(key) % bit_count.
+  std::vector<uint64_t> b;        // (MixHash(MixHash(key)) | 1) % bit_count.
 };
 
 /// An immutable sorted run of LogRecords on a device -- rumlab's SSTable.
@@ -70,15 +66,11 @@ class SortedRun {
   /// 17-byte records (the paper's Section-5 compression/computation trade):
   /// sorted keys have small deltas, so runs shrink -- fewer resident blocks
   /// and fewer blocks per range read -- at decode CPU cost.
-  /// `blocked_bloom` swaps the classic filter for the single-cache-line
-  /// blocked variant (one 64-byte auxiliary read per probe instead of k
-  /// scattered byte reads; slightly higher FPR).
   static Status Build(Device* device, RumCounters* counters,
                       const std::vector<LogRecord>& records,
                       size_t bloom_bits_per_key,
                       std::unique_ptr<SortedRun>* out,
-                      size_t fence_entries = 0, bool compress = false,
-                      bool blocked_bloom = false);
+                      size_t fence_entries = 0, bool compress = false);
 
   /// Frees the run's pages. Build() owns nothing until it succeeds.
   ~SortedRun();
@@ -86,8 +78,9 @@ class SortedRun {
   SortedRun(const SortedRun&) = delete;
   SortedRun& operator=(const SortedRun&) = delete;
 
-  /// Point lookup; nullopt when the key is not in this run. `*io_pages` (if
-  /// non-null) is incremented by the data pages read.
+  /// Point lookup; nullopt when the key is not in this run. After the
+  /// bounds check, filter probe and fence search it is MultiGet's page walk
+  /// for one key, so the two charge alike.
   Result<std::optional<LogRecord>> Get(Key key);
 
   /// Batched point lookup over ascending keys (duplicates allowed):
@@ -99,13 +92,13 @@ class SortedRun {
   /// that differs re-derives them once for the whole batch.
   ///
   /// Charge-equivalent to calling Get per key: every in-range key is still
-  /// filter-probed (probe bytes accumulated and charged in bulk; blocked
-  /// filters prefetch the next keys' cache lines ahead of the probes) and
+  /// filter-probed (probe bytes accumulated and charged in bulk) and
   /// fence-searched individually, but each data page is pinned once for
   /// all keys that land on it, with the saved pins recorded as
   /// batched_page_hits.
+  using Hits = std::vector<std::pair<uint32_t, LogRecord>>;
   Status MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
-                  std::vector<std::pair<uint32_t, LogRecord>>* hits);
+                  Hits* hits);
 
   /// A forward iterator over the run's records, positioned by (page, slot)
   /// and advanced one record at a time. Page loads are charged exactly like
@@ -163,13 +156,6 @@ class SortedRun {
   size_t page_count() const { return pages_.size(); }
   Key min_key() const { return min_key_; }
   Key max_key() const { return max_key_; }
-  bool has_bloom() const {
-    return bloom_ != nullptr || blocked_bloom_ != nullptr;
-  }
-  const BloomFilter* bloom() const { return bloom_.get(); }
-  const BlockedBloomFilter* blocked_bloom() const {
-    return blocked_bloom_.get();
-  }
   bool compressed() const { return compressed_; }
 
   /// In-memory fence-pointer bytes currently charged as auxiliary space
@@ -179,11 +165,9 @@ class SortedRun {
     return fences_charged_ ? fences_.size() * sizeof(Key) : 0;
   }
   /// Bloom-filter bytes currently charged (0 without a filter or after
-  /// Destroy); covers whichever filter variant the run carries.
+  /// Destroy).
   uint64_t filter_bytes() const {
-    if (bloom_ != nullptr) return bloom_->space_bytes();
-    if (blocked_bloom_ != nullptr) return blocked_bloom_->space_bytes();
-    return 0;
+    return bloom_ != nullptr ? bloom_->space_bytes() : 0;
   }
 
   /// Attaches a shared bloom-outcome tally; Get records every filter
@@ -193,23 +177,29 @@ class SortedRun {
  private:
   SortedRun(Device* device, RumCounters* counters);
 
+  /// Pins page `page_index` and decodes its records into `out`.
   Status LoadPage(size_t page_index, std::vector<LogRecord>* out);
   /// Charged binary search over the in-memory fence keys; returns the
   /// index of the *page group* the key may live in (first page =
   /// group * pages_per_fence_).
   size_t FenceSearch(Key key) const;
-  /// Probes whichever filter variant the run carries (true without one).
-  bool MayContainKey(Key key) const {
-    if (bloom_ != nullptr) return bloom_->MayContain(key);
-    if (blocked_bloom_ != nullptr) return blocked_bloom_->MayContain(key);
-    return true;
-  }
-  /// Records a post-bloom lookup verdict into the attached tally.
+  /// The lookup walk Get runs for one key and MultiGet for each fence
+  /// group: resolves keys[waiting[j]] for every j -- ascending keys that
+  /// all fence-searched to `group` -- pinning each page of the group once
+  /// for all the keys still waiting on it (each pin shared by k of them
+  /// credits k-1 batched_page_hits). Appends a (position, record) pair to
+  /// `hits` for every key found and records each key's filter outcome.
+  Status WalkGroup(size_t group, std::span<const Key> keys,
+                   std::span<const uint32_t> waiting, Hits* hits);
+  /// Records a post-filter lookup verdict into the attached tally.
   void NoteFilterOutcome(bool found) {
-    if (!has_bloom() || filter_stats_ == nullptr) return;
+    if (bloom_ == nullptr || filter_stats_ == nullptr) return;
     (found ? filter_stats_->true_positives : filter_stats_->false_positives)
         .fetch_add(1, std::memory_order_relaxed);
   }
+  /// Visits the records with lo <= key <= hi from page `first_page` on.
+  Status VisitFrom(size_t first_page, Key lo, Key hi,
+                   const std::function<void(const LogRecord&)>& visit);
 
   Device* device_;         // Not owned.
   RumCounters* counters_;  // Not owned.
@@ -217,9 +207,7 @@ class SortedRun {
   std::vector<Key> fences_;  // First key of each fence group.
   size_t pages_per_fence_ = 1;
   std::unique_ptr<BloomFilter> bloom_;
-  std::unique_ptr<BlockedBloomFilter> blocked_bloom_;
   FilterStats* filter_stats_ = nullptr;  // Not owned; may be null.
-  size_t records_per_page_ = 0;
   bool compressed_ = false;
   uint64_t record_count_ = 0;
   Key min_key_ = 0;
@@ -228,11 +216,13 @@ class SortedRun {
   /// abandoned mid-Build must not *release* a charge that never happened.
   bool fences_charged_ = false;
   bool destroyed_ = false;
-  /// MultiGet scratch, kept across calls so a tree probing this run once
-  /// per batch reuses the capacity instead of re-allocating it. Methods
+  /// Lookup scratch, kept across calls so a tree probing this run once per
+  /// Get or batch reuses the capacity instead of re-allocating it. Methods
   /// are externally synchronized, so plain members are safe.
   std::vector<uint32_t> mg_live_;
   std::vector<size_t> mg_groups_;
+  Hits get_hits_;
+  std::vector<LogRecord> walk_records_;  // A compressed page, decoded.
 };
 
 /// Merges sorted record streams (newest first) into one; drops shadowed

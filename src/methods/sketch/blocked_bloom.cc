@@ -48,20 +48,21 @@ void BlockedBloomFilter::Add(Key key) {
   }
 }
 
-void BlockedBloomFilter::Prefetch(Key key) const {
-  __builtin_prefetch(&blocks_[BlockFor(MixHash(key) >> 32)], /*rw=*/0,
-                     /*locality=*/3);
-}
-
 bool BlockedBloomFilter::MayContain(Key key) const {
   uint64_t h1 = MixHash(key);
+  const Block& block = blocks_[BlockFor(h1 >> 32)];
   uint64_t h2 = MixHash(h1) | 1;
-  uint64_t bytes = 0;
-  bool maybe = MayContainPrepared(h1, h2, &bytes);
+  // One cache line read, regardless of k.
   if (counters_ != nullptr) {
-    counters_->OnRead(DataClass::kAux, bytes);
+    counters_->OnRead(DataClass::kAux, kBlockBytes);
   }
-  return maybe;
+  uint64_t h = h1 & 0xFFFFFFFFu;
+  for (size_t i = 0; i < probes_; ++i) {
+    h += h2;
+    size_t bit = static_cast<size_t>(h % kBlockBits);
+    if ((block.words[bit / 64] & (1ULL << (bit % 64))) == 0) return false;
+  }
+  return true;
 }
 
 

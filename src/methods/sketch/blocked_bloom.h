@@ -32,33 +32,6 @@ class BlockedBloomFilter {
   void Add(Key key);
   /// True if the key may have been added; false is definitive.
   bool MayContain(Key key) const;
-  /// Uncharged probe with the key's pre-mixed hash pair (h1 = MixHash(key),
-  /// h2 = MixHash(h1) | 1). Adds the one-cache-line auxiliary read (64
-  /// bytes) to `*bytes`: a batched caller hashes each key once, probes many
-  /// filters, and charges the accumulated bytes in bulk -- the same total
-  /// MayContain would have charged call by call.
-  bool MayContainPrepared(uint64_t h1, uint64_t h2, uint64_t* bytes) const {
-    const Block& block = blocks_[BlockFor(h1 >> 32)];
-    // One cache line read, regardless of k.
-    *bytes += kBlockBytes;
-    uint64_t h = h1 & 0xFFFFFFFFu;
-    for (size_t i = 0; i < probes_; ++i) {
-      h += h2;
-      size_t bit = static_cast<size_t>(h % kBlockBits);
-      if ((block.words[bit / 64] & (1ULL << (bit % 64))) == 0) return false;
-    }
-    return true;
-  }
-  /// Hints the key's block into cache ahead of its MayContain. A batched
-  /// probe pass calls this a few keys ahead of the probe loop so the
-  /// single-cache-line fetches overlap instead of serializing. Never
-  /// charged: the auxiliary read lands when MayContain touches the line.
-  void Prefetch(Key key) const;
-  /// Prefetch by pre-mixed h1 (same hint, hash already in hand).
-  void PrefetchPrepared(uint64_t h1) const {
-    __builtin_prefetch(&blocks_[BlockFor(h1 >> 32)], /*rw=*/0,
-                       /*locality=*/3);
-  }
 
   uint64_t space_bytes() const {
     return static_cast<uint64_t>(blocks_.size()) * kBlockBytes;

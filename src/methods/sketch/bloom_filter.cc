@@ -12,6 +12,12 @@ uint64_t MixHash(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+size_t BloomBitsForBudget(uint64_t bytes, uint64_t keys,
+                          uint64_t fallback_keys) {
+  if (keys == 0) keys = std::max<uint64_t>(1, fallback_keys);
+  return static_cast<size_t>(std::min<uint64_t>(64, bytes * 8 / keys));
+}
+
 BloomFilter::BloomFilter(size_t expected_keys, size_t bits_per_key,
                          RumCounters* counters)
     : counters_(counters) {

@@ -99,6 +99,14 @@ class BloomFilter {
 /// Stable 64-bit mix used by every sketch in rumlab (splitmix64 finalizer).
 uint64_t MixHash(uint64_t x);
 
+/// Bits per key a filter-memory budget of `bytes` buys over `keys`
+/// published keys (`fallback_keys`, the configured memtable or zone size,
+/// stands in before any key is published), capped at 64: past ~20
+/// bits/key the false-positive gain is nil. The one rule every arbitrated
+/// filter pool applies on SetPoolBytes.
+size_t BloomBitsForBudget(uint64_t bytes, uint64_t keys,
+                          uint64_t fallback_keys);
+
 }  // namespace rum
 
 #endif  // RUMLAB_METHODS_SKETCH_BLOOM_FILTER_H_

@@ -13,15 +13,13 @@ size_t VarintLength(uint64_t v) {
   return n;
 }
 
-size_t EncodeVarint64(uint64_t v, std::vector<uint8_t>* out) {
-  size_t n = 0;
+uint8_t* EncodeVarint64(uint64_t v, uint8_t* dst) {
   while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
+    *dst++ = static_cast<uint8_t>(v) | 0x80;
     v >>= 7;
-    ++n;
   }
-  out->push_back(static_cast<uint8_t>(v));
-  return n + 1;
+  *dst++ = static_cast<uint8_t>(v);
+  return dst;
 }
 
 uint64_t DecodeVarint64(const uint8_t* src, size_t limit, size_t* offset) {

@@ -125,10 +125,10 @@ inline void PageFormat::SetEntryAt(std::span<uint8_t> block, size_t index,
 }
 
 /// LEB128 varint helpers (used by compressed run pages). EncodeVarint64
-/// appends to `out` and returns bytes written; DecodeVarint64 reads from
-/// `src`, advances `*offset`, and returns the value (offset clamped to
-/// `limit` on malformed input).
-size_t EncodeVarint64(uint64_t v, std::vector<uint8_t>* out);
+/// writes VarintLength(v) bytes at `dst` and returns the byte past them;
+/// DecodeVarint64 reads from `src`, advances `*offset`, and returns the
+/// value (offset clamped to `limit` on malformed input).
+uint8_t* EncodeVarint64(uint64_t v, uint8_t* dst);
 /// Bytes EncodeVarint64 would emit for `v`.
 size_t VarintLength(uint64_t v);
 uint64_t DecodeVarint64(const uint8_t* src, size_t limit, size_t* offset);

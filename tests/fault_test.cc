@@ -236,10 +236,14 @@ TEST(FaultTest, InjectedErrorsCarryDeviceContext) {
 // A page header whose entry count disagrees with the block -- more entries
 // than it can hold, or fewer than a (always full) hash directory page
 // carries -- must surface as kCorruption, never as a read past the block or
-// past the decoded page.
+// past the decoded page, nor as a decode buffer sized by the bad count
+// (compressed run pages).
 TEST(FaultTest, CorruptPageCountIsCorruptionNotOverread) {
   const std::pair<std::string_view, uint64_t> cases[] = {
-      {"sorted-column", ~uint64_t{0}}, {"zonemap", ~uint64_t{0}}, {"hash", 0}};
+      {"sorted-column", ~uint64_t{0}}, {"zonemap", ~uint64_t{0}},
+      {"hash", 0},
+      {"lsm-compressed", ~uint64_t{0}},
+      {"lsm-compressed", uint64_t{1} << 40}};
   for (const auto& [name, count] : cases) {
     RumCounters counters;
     BlockDevice device(512, &counters);

@@ -172,6 +172,51 @@ TEST(SortedRunTest, CompressionShrinksDenseRuns) {
   EXPECT_LT(comp_blocks, raw_blocks);
 }
 
+// The packer fills each page until the next record would not fit. On
+// 512-byte blocks a fixed-width page holds (512 - 8) / 17 = 29 records, and
+// a compressed page of consecutive keys 50 (a one-byte key delta, the value
+// and the op byte: 10 bytes each), so one record past three full pages
+// opens a fourth. Blocks of 8 + 30 * 17 = 518 and 8 + 50 * 10 = 508 bytes
+// fit their last record exactly. Each page starts and ends on the expected
+// key.
+TEST(SortedRunTest, PagesHoldEveryRecordThatFits) {
+  struct Format {
+    size_t block;
+    bool compress;
+    size_t per_page;
+  };
+  for (const Format f : {Format{512, false, 29}, Format{512, true, 50},
+                         Format{518, false, 30}, Format{508, true, 50}}) {
+    for (size_t n : {3 * f.per_page, 3 * f.per_page + 1}) {
+      SCOPED_TRACE(testing::Message() << "block=" << f.block << " compress="
+                                      << f.compress << " records=" << n);
+      RumCounters counters;
+      BlockDevice device(f.block, &counters);
+      std::unique_ptr<SortedRun> run;
+      ASSERT_TRUE(SortedRun::Build(&device, &counters, MakeRecords(n), 0,
+                                   &run, 0, f.compress)
+                      .ok());
+      ASSERT_EQ(run->page_count(), n == 3 * f.per_page ? 3u : 4u);
+      for (size_t page = 0; page < run->page_count(); ++page) {
+        const Key first = page * f.per_page;
+        const Key last = std::min<Key>(first + f.per_page, n) - 1;
+        SortedRun::Cursor cursor(run.get());
+        ASSERT_TRUE(cursor.SeekTo(page, 0).ok());
+        EXPECT_EQ(cursor.record().key, first) << page;
+        ASSERT_TRUE(cursor.SeekTo(page, last - first).ok());
+        ASSERT_EQ(cursor.page_index(), page);
+        EXPECT_EQ(cursor.record().key, last) << page;
+        for (Key k : {first, last}) {
+          Result<std::optional<LogRecord>> hit = run->Get(k);
+          ASSERT_TRUE(hit.ok());
+          ASSERT_TRUE(hit.value().has_value()) << k;
+          EXPECT_EQ(hit.value()->value, ValueFor(k));
+        }
+      }
+    }
+  }
+}
+
 TEST(LsmTreeTest, CompressedTreeShrinksResidency) {
   Options raw_opts = SmallOptions();
   Options comp_opts = SmallOptions();
@@ -230,6 +275,22 @@ TEST(SortedRunTest, EmptyBuildRejected) {
   EXPECT_EQ(
       SortedRun::Build(&device, &counters, {}, 10, &run).code(),
       Code::kInvalidArgument);
+}
+
+// A block must hold a page's first record in either format: 8 header bytes
+// plus 17 fixed-width, or up to 19 compressed.
+TEST(SortedRunTest, BlockTooSmallForOneRecordRejected) {
+  RumCounters counters;
+  BlockDevice device(16, &counters);
+  std::unique_ptr<SortedRun> run;
+  for (bool compress : {false, true}) {
+    EXPECT_EQ(SortedRun::Build(&device, &counters, MakeRecords(10), 10, &run,
+                               0, compress)
+                  .code(),
+              Code::kInvalidArgument)
+        << compress;
+  }
+  EXPECT_EQ(device.live_pages(), 0u);
 }
 
 TEST(MergeStreamsTest, NewestStreamShadowsOlder) {

@@ -1144,12 +1144,12 @@ std::vector<Op> ParseOps(std::string_view text) {
 
 namespace {
 constexpr std::array<const char*, Features::kCount> kFeatureNames = {
-    "service", "arbiter", "sharded", "index", "blocked", "compress", "cache"};
+    "service", "arbiter", "sharded", "index", "compress", "cache"};
 }  // namespace
 
 bool Features::bit(size_t i) const {
-  const bool bits[kCount] = {service,       arbiter,  sharded, cross_run_index,
-                             blocked_bloom, compress, cache};
+  const bool bits[kCount] = {service,         arbiter,  sharded,
+                             cross_run_index, compress, cache};
   return bits[i];
 }
 
@@ -1165,10 +1165,9 @@ std::string Features::Label() const {
 
 Features ParseFeatures(std::string_view label) {
   Features f;
-  bool* fields[Features::kCount] = {&f.service,         &f.arbiter,
-                                    &f.sharded,         &f.cross_run_index,
-                                    &f.blocked_bloom,   &f.compress,
-                                    &f.cache};
+  bool* fields[Features::kCount] = {&f.service,  &f.arbiter,
+                                    &f.sharded,  &f.cross_run_index,
+                                    &f.compress, &f.cache};
   while (!label.empty()) {
     std::string_view name = label.substr(0, label.find('+'));
     label.remove_prefix(std::min(label.size(), name.size() + 1));
@@ -1189,10 +1188,10 @@ const std::vector<Features>& PairwiseFeatureRows() {
   // nest, which yields all four combinations for every pair of columns.
   static const std::vector<Features> rows = {
       ParseFeatures("plain"),
-      ParseFeatures("service+arbiter+blocked+compress"),
-      ParseFeatures("service+sharded+blocked+cache"),
+      ParseFeatures("service+arbiter+compress"),
+      ParseFeatures("service+sharded+cache"),
       ParseFeatures("service+index+compress+cache"),
-      ParseFeatures("arbiter+sharded+index+blocked+cache"),
+      ParseFeatures("arbiter+sharded+index+cache"),
       ParseFeatures("arbiter+sharded+index+compress"),
   };
   return rows;
@@ -1209,7 +1208,6 @@ Subject::Subject(std::string_view method, const Features& features,
   // Small segments: scans cross segment boundaries and relayouts happen at
   // test-sized key counts.
   options_.lsm.cross_run_segment_entries = 32;
-  options_.lsm.blocked_bloom = features.blocked_bloom;
   options_.lsm.compress_runs = features.compress;
   if (features.arbiter) {
     arbiter_ = std::make_unique<MemoryArbiter>(

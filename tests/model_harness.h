@@ -128,18 +128,17 @@ struct Features {
   bool arbiter = false;          ///< Global MemoryArbiter over the pools.
   bool sharded = false;          ///< "sharded-" prefix on the factory name.
   bool cross_run_index = false;  ///< LSM one-seek range-scan view.
-  bool blocked_bloom = false;    ///< LSM single-cache-line filters.
   bool compress = false;         ///< Delta-compressed LSM run pages.
   bool cache = false;            ///< CachingDevice atop the faulty layer.
 
-  static constexpr size_t kCount = 7;
+  static constexpr size_t kCount = 6;
   bool bit(size_t i) const;
   /// "service+arbiter+..." ("plain" when none is set).
   std::string Label() const;
 };
 Features ParseFeatures(std::string_view label);
 
-/// Six rows in which every pair of the seven features takes all four value
+/// Six rows in which every pair of the six features takes all four value
 /// combinations (a strength-2 covering array).
 const std::vector<Features>& PairwiseFeatureRows();
 

@@ -75,7 +75,7 @@ TEST_P(MultiGetParityTest, BatchesMatchTheGetLoop) {
   for (Key k = 0; k < 512; ++k) dense.keys.push_back(k);
   ops.push_back(dense);
   // Seed rows vary the knobs that change the batched read path.
-  const char* rows[] = {"plain", "index+blocked+compress", "sharded"};
+  const char* rows[] = {"plain", "index+compress", "sharded"};
   Report report;
   EXPECT_TRUE(harness::RunParity(
       name, ParseFeatures(rows[seed_index]), ops, &report));
