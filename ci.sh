@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # rumlab CI: the tier-1 suite in Release (plus the table benches' stdout
 # against bench/golden/ and a rumbench build and smoke run), then the same
-# suite under AddressSanitizer, then the concurrency tier under
-# ThreadSanitizer.
+# suite under AddressSanitizer with UBSan and libstdc++ assertions, then the
+# concurrency tier under ThreadSanitizer.
 #
 #   ./ci.sh            # all three stages
 #   ./ci.sh release    # just the Release build + tests
-#   ./ci.sh asan       # just the ASan build + tests
+#   ./ci.sh asan       # just the ASan + UBSan build + tests
 #   ./ci.sh tsan       # just the TSan build + concurrency tier
 #
 # Tiers are ctest labels set in tests/CMakeLists.txt: the TSan stage runs

@@ -72,8 +72,8 @@ Status BTree::StoreInner(PageId page, const BTreeInner& inner) {
   return guard.Release();
 }
 
-Status BTree::DescendToLeaf(Key key, std::vector<PathStep>* path,
-                            PageId* leaf_id, BTreeLeaf* leaf) {
+Status BTree::PinLeaf(Key key, std::vector<PathStep>* path,
+                      PageReadGuard* leaf) {
   assert(root_ != kInvalidPageId);
   PageId page = root_;
   for (size_t level = height_; level > 1; --level) {
@@ -88,8 +88,16 @@ Status BTree::DescendToLeaf(Key key, std::vector<PathStep>* path,
     if (path != nullptr) path->push_back(PathStep{page, child});
     page = child_page;
   }
-  *leaf_id = page;
-  return LoadLeaf(page, leaf);
+  return device_->PinForRead(page, leaf);
+}
+
+Status BTree::DescendToLeaf(Key key, std::vector<PathStep>* path,
+                            PageId* leaf_id, BTreeLeaf* leaf) {
+  PageReadGuard pinned;
+  Status s = PinLeaf(key, path, &pinned);
+  if (!s.ok()) return s;
+  *leaf_id = pinned.page();
+  return BTreeLeaf::DecodeFrom(pinned.bytes(), leaf);
 }
 
 Status BTree::InsertIntoParent(std::vector<PathStep>& path, size_t level,
@@ -156,19 +164,33 @@ Status BTree::Insert(Key key, Value value) {
     return StoreLeaf(root_, leaf);
   }
   std::vector<PathStep> path;
-  PageId leaf_id;
-  BTreeLeaf leaf;
-  Status s = DescendToLeaf(key, &path, &leaf_id, &leaf);
+  PageReadGuard pinned;
+  Status s = PinLeaf(key, &path, &pinned);
   if (!s.ok()) return s;
-
-  auto it = std::lower_bound(
-      leaf.entries.begin(), leaf.entries.end(), key,
-      [](const Entry& e, Key k) { return e.key < k; });
-  if (it != leaf.entries.end() && it->key == key) {
-    it->value = value;  // Upsert in place.
-    return StoreLeaf(leaf_id, leaf);
+  const PageId leaf_id = pinned.page();
+  size_t slot = 0;
+  bool found = false;
+  s = BTreeLeaf::LowerBoundInBlock(pinned.bytes(), key, &slot, &found);
+  if (!s.ok()) return s;
+  if (found) {
+    // Upsert in place: patch the value bytes of the pinned leaf, charged
+    // as one leaf read plus one leaf write. The write pin is taken while
+    // the read pin is still held (HeapFile::Set's protocol), so a cache
+    // cannot drop the faulted-in leaf between the two.
+    PageWriteGuard patch;
+    s = device_->PinForWrite(leaf_id, &patch);
+    if (!s.ok()) return s;
+    pinned.Release();
+    BTreeLeaf::SetValueInBlock(patch.bytes(), slot, value);
+    patch.MarkDirty();
+    return patch.Release();
   }
-  leaf.entries.insert(it, Entry{key, value});
+  BTreeLeaf leaf;
+  s = BTreeLeaf::DecodeFrom(pinned.bytes(), &leaf);
+  pinned.Release();
+  if (!s.ok()) return s;
+  leaf.entries.insert(leaf.entries.begin() + static_cast<ptrdiff_t>(slot),
+                      Entry{key, value});
   ++count_;
   if (leaf.entries.size() <= leaf_capacity_) {
     return StoreLeaf(leaf_id, leaf);

@@ -60,7 +60,10 @@ class BTree : public AccessMethod {
   Status StoreInner(PageId page, const BTreeInner& inner);
 
   /// Descends from the root to the leaf that should hold `key`, recording
-  /// the inner-node path. The tree must be non-empty.
+  /// the inner-node path (when `path` is non-null), and read-pins that
+  /// leaf into `*leaf`. The tree must be non-empty.
+  Status PinLeaf(Key key, std::vector<PathStep>* path, PageReadGuard* leaf);
+  /// PinLeaf, then decodes the leaf and releases its pin.
   Status DescendToLeaf(Key key, std::vector<PathStep>* path, PageId* leaf_id,
                        BTreeLeaf* leaf);
 

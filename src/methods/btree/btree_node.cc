@@ -1,6 +1,7 @@
 #include "methods/btree/btree_node.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "storage/page_format.h"
@@ -37,6 +38,16 @@ Status BTreeLeaf::EncodeInto(std::span<uint8_t> block) const {
 
 Status BTreeLeaf::FindInBlock(std::span<const uint8_t> block, Key key,
                               Value* value, bool* found) {
+  size_t slot = 0;
+  Status s = LowerBoundInBlock(block, key, &slot, found);
+  if (s.ok() && *found) {
+    *value = DecodeU64(block.data() + kLeafHeader + slot * kEntrySize + 8);
+  }
+  return s;
+}
+
+Status BTreeLeaf::LowerBoundInBlock(std::span<const uint8_t> block, Key key,
+                                    size_t* slot, bool* found) {
   if (block.size() < kLeafHeader || block[0] != kLeafType) {
     return Status::Corruption("not a leaf block");
   }
@@ -55,13 +66,15 @@ Status BTreeLeaf::FindInBlock(std::span<const uint8_t> block, Key key,
       hi = mid;
     }
   }
-  if (lo < n && DecodeU64(base + lo * kEntrySize) == key) {
-    *value = DecodeU64(base + lo * kEntrySize + 8);
-    *found = true;
-  } else {
-    *found = false;
-  }
+  *slot = lo;
+  *found = lo < n && DecodeU64(base + lo * kEntrySize) == key;
   return Status::OK();
+}
+
+void BTreeLeaf::SetValueInBlock(std::span<uint8_t> block, size_t slot,
+                                Value value) {
+  assert(kLeafHeader + (slot + 1) * kEntrySize <= block.size());
+  EncodeU64(value, block.data() + kLeafHeader + slot * kEntrySize + 8);
 }
 
 Status BTreeLeaf::MultiFindInBlock(

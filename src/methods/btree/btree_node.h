@@ -48,6 +48,15 @@ struct BTreeLeaf {
   /// found, `*value`.
   static Status FindInBlock(std::span<const uint8_t> block, Key key,
                             Value* value, bool* found);
+  /// The same search, returning the lower-bound slot: the first entry whose
+  /// key is not below `key` (the entry count when none is). `*found` says
+  /// whether that entry holds `key` itself.
+  static Status LowerBoundInBlock(std::span<const uint8_t> block, Key key,
+                                  size_t* slot, bool* found);
+  /// Overwrites the value of entry `slot` of an encoded leaf block in
+  /// place; `slot` must be below the block's entry count.
+  static void SetValueInBlock(std::span<uint8_t> block, size_t slot,
+                              Value value);
 
   /// Batched zero-copy lookups for an ascending (key, output index) batch:
   /// validates the block once, then resolves each key with a galloping

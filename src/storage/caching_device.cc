@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <type_traits>
 #include <utility>
 
 #include "core/status_builder.h"
@@ -21,7 +22,10 @@ uint64_t NowNs() {
 
 CachingDevice::CachingDevice(Device* base, size_t capacity_pages,
                              MemoryRegistrar* registrar)
-    : base_(base), registrar_(registrar), capacity_pages_(capacity_pages) {
+    : base_(base),
+      registrar_(registrar),
+      capacity_pages_(capacity_pages),
+      table_(kMinTableSlots) {
   assert(base_ != nullptr);
   if (registrar_ != nullptr) registrar_->RegisterPool(this);
   metrics_.Init("caching_device");
@@ -89,7 +93,7 @@ void CachingDevice::NoteRecoveryLocked() {
 
 size_t CachingDevice::cached_pages() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return resident_;
 }
 
 uint64_t CachingDevice::hits() const {
@@ -124,47 +128,162 @@ size_t CachingDevice::pinned_pages() const {
 
 Status CachingDevice::Free(PageId page) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(page);
-  if (it != entries_.end()) {
-    if (it->second.pins != 0) {
+  uint32_t f = Find(page);
+  if (f != kNoFrame) {
+    if (frames_[f].pins != 0) {
       return Status::InvalidArgument("cannot free a pinned page");
     }
-    DropEntry(page, &it->second);
+    DropFrame(f);
   }
   return base_->Free(page);
 }
 
-void CachingDevice::Touch(PageId page, CacheEntry* entry) {
-  lru_.erase(entry->lru_pos);
-  lru_.push_front(page);
-  entry->lru_pos = lru_.begin();
+size_t CachingDevice::HomeSlot(PageId page) const {
+  // Fibonacci hashing: the product's high word spreads dense page ids.
+  return static_cast<size_t>((uint64_t{page} * 0x9E3779B97F4A7C15ULL) >> 32) &
+         (table_.size() - 1);
 }
 
-std::list<PageId>::iterator CachingDevice::DropEntry(PageId page,
-                                                     CacheEntry* entry) {
+uint32_t CachingDevice::Find(PageId page) const {
+  // The table is at most half full, so every probe run ends at an empty
+  // slot.
+  const size_t mask = table_.size() - 1;
+  for (size_t i = HomeSlot(page);; i = (i + 1) & mask) {
+    const Slot& slot = table_[i];
+    if (slot.page == page || slot.frame == kNoFrame) return slot.frame;
+  }
+}
+
+void CachingDevice::MapPage(PageId page, uint32_t frame) {
+  auto place = [this](Slot slot) {
+    const size_t mask = table_.size() - 1;
+    size_t i = HomeSlot(slot.page);
+    while (table_[i].frame != kNoFrame) i = (i + 1) & mask;
+    table_[i] = slot;
+  };
+  if ((resident_ + 1) * 2 > table_.size()) {
+    std::vector<Slot> old =
+        std::exchange(table_, std::vector<Slot>(table_.size() * 2));
+    for (const Slot& slot : old) {
+      if (slot.frame != kNoFrame) place(slot);
+    }
+  }
+  place(Slot{page, frame});
+}
+
+void CachingDevice::UnmapPage(PageId page) {
+  const size_t mask = table_.size() - 1;
+  size_t hole = HomeSlot(page);
+  while (table_[hole].page != page) hole = (hole + 1) & mask;
+  // Backward-shift deletion: a later slot of the probe run moves into the
+  // hole when the hole lies on its path from its home slot, which keeps
+  // every remaining page reachable without tombstones.
+  for (size_t i = (hole + 1) & mask; table_[i].frame != kNoFrame;
+       i = (i + 1) & mask) {
+    if (((i - HomeSlot(table_[i].page)) & mask) >= ((i - hole) & mask)) {
+      table_[hole] = table_[i];
+      hole = i;
+    }
+  }
+  table_[hole] = Slot{};
+}
+
+void CachingDevice::LinkMru(uint32_t f) {
+  Frame& frame = frames_[f];
+  frame.newer = kNoFrame;
+  frame.older = mru_;
+  (mru_ != kNoFrame ? frames_[mru_].newer : lru_) = f;
+  mru_ = f;
+}
+
+void CachingDevice::Unlink(uint32_t f) {
+  const Frame& frame = frames_[f];
+  (frame.newer != kNoFrame ? frames_[frame.newer].older : mru_) = frame.older;
+  (frame.older != kNoFrame ? frames_[frame.older].newer : lru_) = frame.newer;
+}
+
+void CachingDevice::Touch(uint32_t f) {
+  if (f == mru_) return;
+  Unlink(f);
+  LinkMru(f);
+}
+
+uint32_t CachingDevice::AddFrame(PageId page, std::vector<uint8_t> bytes) {
+  // Guards point into frame buffers, so growing `frames_` must move each
+  // buffer rather than copy it.
+  static_assert(std::is_nothrow_move_constructible_v<Frame>);
+  uint32_t f = static_cast<uint32_t>(frames_.size());
+  if (free_frames_.empty()) {
+    frames_.emplace_back();
+  } else {
+    f = free_frames_.back();
+    free_frames_.pop_back();
+  }
+  frames_[f] = Frame{.page = page, .bytes = std::move(bytes)};
+  MapPage(page, f);
+  LinkMru(f);
+  ++resident_;
+  counters_.AdjustSpace(DataClass::kAux, static_cast<int64_t>(block_size()));
+  return f;
+}
+
+void CachingDevice::DropFrame(uint32_t f) {
+  Frame& frame = frames_[f];
+  UnmapPage(frame.page);
+  Unlink(f);
+  std::vector<uint8_t>().swap(frame.bytes);  // Free the buffer now.
+  free_frames_.push_back(f);
+  --resident_;
   counters_.AdjustSpace(DataClass::kAux, -static_cast<int64_t>(block_size()));
-  auto next = lru_.erase(entry->lru_pos);
-  entries_.erase(page);
-  return next;
+}
+
+void CachingDevice::PinFrame(uint32_t f) {
+  Frame& frame = frames_[f];
+  ++frame.pins;
+  ++pins_outstanding_;
+  if (Trace::enabled()) {
+    if (frame.pins == 1) frame.pinned_at_ns = NowNs();
+    Trace::Emit(TraceKind::kPinAcquire, TraceOp::kPin, frame.page,
+                DataClass::kAux);
+  }
+}
+
+uint32_t CachingDevice::UnpinFrame(PageId page) {
+  uint32_t f = Find(page);
+  if (f == kNoFrame || frames_[f].pins == 0) return kNoFrame;
+  Frame& frame = frames_[f];
+  --frame.pins;
+  --pins_outstanding_;
+  if (Trace::enabled()) {
+    uint64_t held = frame.pins == 0 && frame.pinned_at_ns != 0
+                        ? NowNs() - frame.pinned_at_ns
+                        : 0;
+    Trace::Emit(TraceKind::kPinRelease, TraceOp::kPin, page, DataClass::kAux,
+                held);
+  }
+  return f;
 }
 
 Status CachingDevice::EvictDownTo(size_t target) {
-  // One backward sweep, LRU toward MRU. Skipping (rather than aborting on)
-  // pinned entries and failed write-backs is what keeps a single unwritable
-  // dirty page from wedging eviction while clean victims exist -- and the
-  // cache can never grow past capacity under repeated write-back faults,
-  // because the stuck victims stay *within* the existing entry set and
-  // inserts that cannot make room below capacity fail instead of growing.
+  // One sweep, LRU toward MRU. Skipping (rather than aborting on) pinned
+  // entries and failed write-backs is what keeps a single unwritable dirty
+  // page from wedging eviction while clean victims exist -- and the cache
+  // can never grow past capacity under repeated write-back faults, because
+  // the stuck victims stay *within* the existing entry set and inserts that
+  // cannot make room below capacity fail instead of growing.
   Status first_failure = Status::OK();
-  auto it = lru_.end();
-  while (entries_.size() > target && it != lru_.begin()) {
-    --it;
-    PageId page = *it;
-    CacheEntry& entry = entries_.at(page);
-    if (entry.pins != 0) continue;  // Must stay at a stable address.
-    bool was_dirty = entry.dirty;
+  uint32_t f = lru_;
+  while (resident_ > target && f != kNoFrame) {
+    Frame& frame = frames_[f];
+    const uint32_t newer = frame.newer;
+    if (frame.pins != 0) {  // Must stay at a stable address.
+      f = newer;
+      continue;
+    }
+    const PageId page = frame.page;
+    const bool was_dirty = frame.dirty;
     if (was_dirty) {
-      Status s = base_->Write(page, entry.bytes);
+      Status s = base_->Write(page, frame.bytes);
       if (!s.ok()) {
         ++write_back_failures_;
         Trace::Emit(TraceKind::kCacheWriteBackFail, TraceOp::kWrite, page,
@@ -175,7 +294,8 @@ Status CachingDevice::EvictDownTo(size_t target) {
           first_failure =
               StatusBuilder(s).Op("EvictDownTo write-back").Page(page);
         }
-        continue;  // Victim stays cached (and dirty); try the next one.
+        f = newer;  // Victim stays cached (and dirty); try the next one.
+        continue;
       }
       ++write_backs_;
       Trace::Emit(TraceKind::kCacheWriteBack, TraceOp::kWrite, page,
@@ -184,12 +304,20 @@ Status CachingDevice::EvictDownTo(size_t target) {
     ++evictions_;
     Trace::Emit(TraceKind::kCacheEvict, TraceOp::kNone, page, DataClass::kAux,
                 was_dirty ? 1 : 0);
-    it = DropEntry(page, &entry);
+    DropFrame(f);
+    f = newer;
   }
   // Report a failure only when it actually kept the cache above target; an
   // all-pinned overshoot is the caller's documented transient state.
-  if (entries_.size() > target && !first_failure.ok()) return first_failure;
+  if (resident_ > target && !first_failure.ok()) return first_failure;
   return Status::OK();
+}
+
+Status CachingDevice::MakeRoom() {
+  // At capacity 0 a pin's entry lives only for the pin window and is
+  // trimmed away (written back if dirty) when the last pin releases.
+  if (capacity_pages_ == 0 || resident_ < capacity_pages_) return Status::OK();
+  return EvictDownTo(capacity_pages_ - 1);
 }
 
 Status CachingDevice::InsertEntry(PageId page, std::vector<uint8_t> bytes,
@@ -199,55 +327,25 @@ Status CachingDevice::InsertEntry(PageId page, std::vector<uint8_t> bytes,
     if (dirty) return base_->Write(page, bytes);
     return Status::OK();
   }
-  if (entries_.size() >= capacity_pages_) {
-    Status s = EvictDownTo(capacity_pages_ - 1);
-    if (!s.ok()) return s;
-  }
-  lru_.push_front(page);
-  CacheEntry entry;
-  entry.bytes = std::move(bytes);
-  entry.dirty = dirty;
-  entry.lru_pos = lru_.begin();
-  entries_.emplace(page, std::move(entry));
-  counters_.AdjustSpace(DataClass::kAux, static_cast<int64_t>(block_size()));
+  Status s = MakeRoom();
+  if (!s.ok()) return s;
+  frames_[AddFrame(page, std::move(bytes))].dirty = dirty;
   return Status::OK();
-}
-
-CachingDevice::CacheEntry* CachingDevice::InsertPinnedEntry(
-    PageId page, std::vector<uint8_t> bytes, bool speculative, Status* s) {
-  // Unlike Read/Write, pins always need a resident entry -- even at
-  // capacity 0, where the entry lives only for the pin window and is
-  // trimmed away (write-back if dirty) when the last pin releases.
-  if (capacity_pages_ > 0 && entries_.size() >= capacity_pages_) {
-    *s = EvictDownTo(capacity_pages_ - 1);
-    if (!s->ok()) return nullptr;
-  }
-  lru_.push_front(page);
-  CacheEntry entry;
-  entry.bytes = std::move(bytes);
-  entry.pins = 1;
-  entry.speculative = speculative;
-  entry.lru_pos = lru_.begin();
-  CacheEntry* inserted = &entries_.emplace(page, std::move(entry)).first->second;
-  counters_.AdjustSpace(DataClass::kAux, static_cast<int64_t>(block_size()));
-  ++pins_outstanding_;
-  *s = Status::OK();
-  return inserted;
 }
 
 Status CachingDevice::Read(PageId page, std::vector<uint8_t>* out) {
   Status result = [&] {
     std::lock_guard<std::mutex> lock(mu_);
     NoteRecoveryLocked();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
+    uint32_t f = Find(page);
+    if (f != kNoFrame) {
       ++hits_;
       Trace::Emit(TraceKind::kCacheHit, TraceOp::kRead, page, DataClass::kAux);
       // Served at this level: charge the cache, not the device below.
       counters_.OnRead(DataClass::kAux, block_size());
       counters_.OnBlockRead();
-      Touch(page, &it->second);
-      *out = it->second.bytes;
+      Touch(f);
+      *out = frames_[f].bytes;
       return Status::OK();
     }
     ++misses_;
@@ -269,13 +367,13 @@ Status CachingDevice::Write(PageId page, const std::vector<uint8_t>& data) {
     }
     counters_.OnWrite(DataClass::kAux, block_size());
     counters_.OnBlockWrite();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
+    uint32_t f = Find(page);
+    if (f != kNoFrame) {
       Trace::Emit(TraceKind::kCacheHit, TraceOp::kWrite, page,
                   DataClass::kAux);
-      it->second.bytes = data;
-      it->second.dirty = true;
-      Touch(page, &it->second);
+      frames_[f].bytes = data;
+      frames_[f].dirty = true;
+      Touch(f);
       return Status::OK();
     }
     Trace::Emit(TraceKind::kCacheMiss, TraceOp::kWrite, page, DataClass::kAux);
@@ -289,38 +387,26 @@ Status CachingDevice::PinForRead(PageId page, PageReadGuard* out) {
   Status result = [&] {
     std::lock_guard<std::mutex> lock(mu_);
     NoteRecoveryLocked();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
+    uint32_t f = Find(page);
+    if (f != kNoFrame) {
       ++hits_;
       Trace::Emit(TraceKind::kCacheHit, TraceOp::kPin, page, DataClass::kAux);
       // Served at this level: charge the cache, not the device below.
       counters_.OnRead(DataClass::kAux, block_size());
       counters_.OnBlockRead();
-      Touch(page, &it->second);
-      ++it->second.pins;
-      ++pins_outstanding_;
-      if (Trace::enabled()) {
-        if (it->second.pins == 1) it->second.pinned_at_ns = NowNs();
-        Trace::Emit(TraceKind::kPinAcquire, TraceOp::kPin, page,
-                    DataClass::kAux);
-      }
-      *out = MakeReadGuard(this, page, it->second.bytes.data(), block_size());
-      return Status::OK();
+      Touch(f);
+    } else {
+      ++misses_;
+      Trace::Emit(TraceKind::kCacheMiss, TraceOp::kPin, page, DataClass::kAux);
+      std::vector<uint8_t> bytes;
+      Status s = base_->Read(page, &bytes);
+      if (!s.ok()) return s;
+      s = MakeRoom();
+      if (!s.ok()) return s;
+      f = AddFrame(page, std::move(bytes));
     }
-    ++misses_;
-    Trace::Emit(TraceKind::kCacheMiss, TraceOp::kPin, page, DataClass::kAux);
-    std::vector<uint8_t> bytes;
-    Status s = base_->Read(page, &bytes);
-    if (!s.ok()) return s;
-    CacheEntry* entry =
-        InsertPinnedEntry(page, std::move(bytes), /*speculative=*/false, &s);
-    if (entry == nullptr) return s;
-    if (Trace::enabled()) {
-      entry->pinned_at_ns = NowNs();
-      Trace::Emit(TraceKind::kPinAcquire, TraceOp::kPin, page,
-                  DataClass::kAux);
-    }
-    *out = MakeReadGuard(this, page, entry->bytes.data(), block_size());
+    PinFrame(f);
+    *out = MakeReadGuard(this, page, frames_[f].bytes.data(), block_size());
     return Status::OK();
   }();
   // Outside mu_. The just-pinned entry is eviction-exempt, so a replan
@@ -333,31 +419,19 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
   Status result = [&] {
     std::lock_guard<std::mutex> lock(mu_);
     NoteRecoveryLocked();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
-      Touch(page, &it->second);
-      ++it->second.pins;
-      ++pins_outstanding_;
-      if (Trace::enabled()) {
-        if (it->second.pins == 1) it->second.pinned_at_ns = NowNs();
-        Trace::Emit(TraceKind::kPinAcquire, TraceOp::kPin, page,
-                    DataClass::kAux);
-      }
-      *out = MakeWriteGuard(this, page, it->second.bytes.data(), block_size());
-      return Status::OK();
+    uint32_t f = Find(page);
+    if (f != kNoFrame) {
+      Touch(f);
+    } else {
+      // Blind write pin: hand out a zeroed block without faulting the page
+      // in, mirroring Write-on-miss (no base read is charged).
+      Status s = MakeRoom();
+      if (!s.ok()) return s;
+      f = AddFrame(page, std::vector<uint8_t>(block_size(), 0));
+      frames_[f].speculative = true;
     }
-    // Blind write pin: hand out a zeroed block without faulting the page in,
-    // mirroring Write-on-miss (no base read is charged).
-    Status s;
-    CacheEntry* entry = InsertPinnedEntry(
-        page, std::vector<uint8_t>(block_size(), 0), /*speculative=*/true, &s);
-    if (entry == nullptr) return s;
-    if (Trace::enabled()) {
-      entry->pinned_at_ns = NowNs();
-      Trace::Emit(TraceKind::kPinAcquire, TraceOp::kPin, page,
-                  DataClass::kAux);
-    }
-    *out = MakeWriteGuard(this, page, entry->bytes.data(), block_size());
+    PinFrame(f);
+    *out = MakeWriteGuard(this, page, frames_[f].bytes.data(), block_size());
     return Status::OK();
   }();
   TickRegistrar();
@@ -366,20 +440,8 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
 
 void CachingDevice::UnpinRead(PageId page) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(page);
-  if (it == entries_.end() || it->second.pins == 0) {
-    return;  // Post-crash abandoned guard.
-  }
-  --it->second.pins;
-  --pins_outstanding_;
-  if (Trace::enabled()) {
-    uint64_t held = it->second.pins == 0 && it->second.pinned_at_ns != 0
-                        ? NowNs() - it->second.pinned_at_ns
-                        : 0;
-    Trace::Emit(TraceKind::kPinRelease, TraceOp::kPin, page, DataClass::kAux,
-                held);
-  }
-  if (it->second.pins == 0) {
+  uint32_t f = UnpinFrame(page);
+  if (f != kNoFrame && frames_[f].pins == 0) {
     // Trim any pin-induced overshoot. A failed write-back here simply
     // leaves the dirty victim cached; it retries on the next eviction.
     EvictDownTo(capacity_pages_);
@@ -388,33 +450,22 @@ void CachingDevice::UnpinRead(PageId page) {
 
 Status CachingDevice::UnpinWrite(PageId page, bool dirty) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(page);
-  if (it == entries_.end() || it->second.pins == 0) {
-    return Status::OK();  // Post-crash abandoned guard.
-  }
-  CacheEntry& entry = it->second;
-  --entry.pins;
-  --pins_outstanding_;
-  if (Trace::enabled()) {
-    uint64_t held = entry.pins == 0 && entry.pinned_at_ns != 0
-                        ? NowNs() - entry.pinned_at_ns
-                        : 0;
-    Trace::Emit(TraceKind::kPinRelease, TraceOp::kPin, page, DataClass::kAux,
-                held);
-  }
+  uint32_t f = UnpinFrame(page);
+  if (f == kNoFrame) return Status::OK();  // Post-crash abandoned guard.
+  Frame& frame = frames_[f];
   if (dirty) {
     // The write lands at this level; charge it here exactly like Write.
     counters_.OnWrite(DataClass::kAux, block_size());
     counters_.OnBlockWrite();
-    entry.dirty = true;
-    entry.speculative = false;
-  } else if (entry.speculative && entry.pins == 0) {
+    frame.dirty = true;
+    frame.speculative = false;
+  } else if (frame.speculative && frame.pins == 0) {
     // A missed write pin released clean never became real data; drop it so
     // later reads are not served zeros.
-    DropEntry(page, &entry);
+    DropFrame(f);
     return Status::OK();
   }
-  if (entry.pins == 0) {
+  if (frame.pins == 0) {
     return EvictDownTo(capacity_pages_);
   }
   return Status::OK();
@@ -423,19 +474,19 @@ Status CachingDevice::UnpinWrite(PageId page, bool dirty) {
 Status CachingDevice::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
   NoteRecoveryLocked();
-  for (auto& [page, entry] : entries_) {
-    if (entry.dirty) {
-      Status s = base_->Write(page, entry.bytes);
-      if (!s.ok()) {
-        Trace::Emit(TraceKind::kCacheWriteBackFail, TraceOp::kFlush, page,
-                    DataClass::kAux);
-        return StatusBuilder(s).Op("FlushAll write-back").Page(page);
-      }
-      ++write_backs_;
-      Trace::Emit(TraceKind::kCacheWriteBack, TraceOp::kFlush, page,
+  for (uint32_t f = lru_; f != kNoFrame; f = frames_[f].newer) {
+    Frame& frame = frames_[f];
+    if (!frame.dirty) continue;
+    Status s = base_->Write(frame.page, frame.bytes);
+    if (!s.ok()) {
+      Trace::Emit(TraceKind::kCacheWriteBackFail, TraceOp::kFlush, frame.page,
                   DataClass::kAux);
-      entry.dirty = false;
+      return StatusBuilder(s).Op("FlushAll write-back").Page(frame.page);
     }
+    ++write_backs_;
+    Trace::Emit(TraceKind::kCacheWriteBack, TraceOp::kFlush, frame.page,
+                DataClass::kAux);
+    frame.dirty = false;
   }
   return base_->FlushAll();
 }
@@ -443,16 +494,19 @@ Status CachingDevice::FlushAll() {
 void CachingDevice::Crash() {
   std::lock_guard<std::mutex> lock(mu_);
   Trace::Emit(TraceKind::kCrash, TraceOp::kNone, kInvalidPageId,
-              DataClass::kAux, entries_.size());
+              DataClass::kAux, resident_);
   crashed_ = true;
   // All buffered state -- dirty or clean -- is volatile at this level;
   // releasing it adjusts this level's resident space back down. Dirty bytes
   // that never reached the base are simply lost, which is the point.
-  counters_.AdjustSpace(
-      DataClass::kAux,
-      -static_cast<int64_t>(entries_.size() * block_size()));
-  entries_.clear();
-  lru_.clear();
+  counters_.AdjustSpace(DataClass::kAux,
+                        -static_cast<int64_t>(resident_ * block_size()));
+  frames_.clear();
+  free_frames_.clear();
+  table_.assign(kMinTableSlots, Slot{});
+  resident_ = 0;
+  mru_ = kNoFrame;
+  lru_ = kNoFrame;
   pins_outstanding_ = 0;
   base_->Crash();
 }

@@ -2,9 +2,8 @@
 #define RUMLAB_STORAGE_CACHING_DEVICE_H_
 
 #include <cstddef>
-#include <list>
+#include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/counters.h"
@@ -25,13 +24,19 @@ namespace rum {
 /// bytes (its memory overhead MO at level n-1) are reported in this level's
 /// counters as auxiliary space.
 ///
-/// Thread safety: one internal mutex serializes every operation (LRU lists
-/// do not shard well), so a CachingDevice may be shared by concurrent
-/// access-method shards. Calls into the base device happen under that lock,
-/// serializing the whole stack beneath this level. Pins hold the lock only
-/// for the lookup/insert, not for the caller's whole critical section, so
-/// concurrent callers must touch disjoint pages while pinned (the
-/// ShardedMethod partitioning guarantees exactly that).
+/// Layout: resident pages live in a flat vector of frames, linked into one
+/// LRU list by frame index, and one open-addressing table maps a PageId to
+/// its frame. A hit costs one table probe and an O(1) relink to MRU, with
+/// no allocation; an unpin costs one probe. A dropped frame frees its
+/// buffer and its index is reused by the next insert.
+///
+/// Thread safety: one internal mutex serializes every operation (a single
+/// global LRU order does not shard), so a CachingDevice may be shared by
+/// concurrent access-method shards. Calls into the base device happen under
+/// that lock, serializing the whole stack beneath this level. Pins hold the
+/// lock only for the lookup/insert, not for the caller's whole critical
+/// section, so concurrent callers must touch disjoint pages while pinned
+/// (the ShardedMethod partitioning guarantees exactly that).
 ///
 /// Pinned entries are excluded from eviction, so a burst of pins can push
 /// residency transiently above `capacity_pages`; the overshoot is trimmed
@@ -54,6 +59,7 @@ class CachingDevice : public Device, public MemoryPool {
   Status Free(PageId page) override;
   Status Read(PageId page, std::vector<uint8_t>* out) override;
   Status Write(PageId page, const std::vector<uint8_t>& data) override;
+  /// Writes every dirty page back, LRU to MRU, then flushes the base.
   Status FlushAll() override;
 
   /// Pins the cache entry for `page` (faulting it in from the base device
@@ -121,21 +127,50 @@ class CachingDevice : public Device, public MemoryPool {
   Status UnpinWrite(PageId page, bool dirty) override;
 
  private:
-  struct CacheEntry {
+  /// Frame index meaning "none": the end of the LRU list, an empty slot.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+  /// The page table's size when the cache holds nothing.
+  static constexpr size_t kMinTableSlots = 16;
+
+  /// One resident page.
+  struct Frame {
+    PageId page = kInvalidPageId;
     std::vector<uint8_t> bytes;
-    bool dirty = false;
     uint32_t pins = 0;
+    bool dirty = false;
     /// Created by a missed write pin: contents are not backed by the base
     /// device until a dirty release lands; dropped on a clean release.
     bool speculative = false;
     /// Steady-clock stamp of the 0->1 pin, read only while tracing, so a
     /// kPinRelease event can carry the held duration.
     uint64_t pinned_at_ns = 0;
-    std::list<PageId>::iterator lru_pos;
+    uint32_t newer = kNoFrame;  // Toward MRU.
+    uint32_t older = kNoFrame;  // Toward LRU.
   };
 
-  /// Moves `page` to the MRU position.
-  void Touch(PageId page, CacheEntry* entry);
+  /// One slot of the page table; `frame == kNoFrame` marks it empty.
+  struct Slot {
+    PageId page = kInvalidPageId;
+    uint32_t frame = kNoFrame;
+  };
+
+  /// The frame holding `page`, or kNoFrame.
+  uint32_t Find(PageId page) const;
+  /// The table slot `page` hashes to.
+  size_t HomeSlot(PageId page) const;
+  /// Adds `page -> frame` to the table (the page must be absent), doubling
+  /// the table first when it would pass half full.
+  void MapPage(PageId page, uint32_t frame);
+  /// Removes `page` from the table (it must be present), shifting later
+  /// entries of its probe run back so no tombstone is left.
+  void UnmapPage(PageId page);
+
+  /// Links a frame in at the MRU end / unlinks it from the LRU list.
+  void LinkMru(uint32_t frame);
+  void Unlink(uint32_t frame);
+  /// Moves a resident frame to the MRU end.
+  void Touch(uint32_t frame);
+
   /// One LRU-to-MRU eviction sweep (writing back dirty victims) until at
   /// most `target` entries remain. Pinned entries and victims whose dirty
   /// write-back fails are *skipped*, not sweep-ending: a single unwritable
@@ -143,17 +178,24 @@ class CachingDevice : public Device, public MemoryPool {
   /// (the first write-back failure) only when failures left the cache above
   /// `target`; an all-pinned overshoot still returns OK.
   Status EvictDownTo(size_t target);
-  /// Inserts a page copy, evicting as needed.
+  /// Evicts so one more entry fits under the capacity; at capacity 0 it
+  /// evicts nothing. A pin inserts after it even when every candidate is
+  /// pinned (overshooting the capacity); Read and Write insert through
+  /// InsertEntry.
+  Status MakeRoom();
+  /// Makes `page` resident at MRU with `bytes` and returns its frame. Does
+  /// not evict; callers make room first.
+  uint32_t AddFrame(PageId page, std::vector<uint8_t> bytes);
+  /// Inserts a page copy for Read and Write, evicting as needed.
   Status InsertEntry(PageId page, std::vector<uint8_t> bytes, bool dirty);
-  /// Inserts a pinned entry for the pin path; may overshoot capacity when
-  /// eviction candidates are all pinned. Returns the entry or nullptr on a
-  /// write-back failure during eviction (status in `*s`).
-  CacheEntry* InsertPinnedEntry(PageId page, std::vector<uint8_t> bytes,
-                                bool speculative, Status* s);
-  /// Removes `entry` from the map and LRU list, releasing its space.
-  /// Returns the LRU-list iterator following the removed position, so an
-  /// eviction sweep can keep walking.
-  std::list<PageId>::iterator DropEntry(PageId page, CacheEntry* entry);
+  /// Removes a frame from the table and the LRU list, frees its buffer and
+  /// releases its space.
+  void DropFrame(uint32_t frame);
+  /// Pins a resident frame: one more pin, and the trace stamp on 0 -> 1.
+  void PinFrame(uint32_t frame);
+  /// Drops one pin of `page` and returns its frame; kNoFrame when the page
+  /// holds no pin (a guard abandoned by a crash).
+  uint32_t UnpinFrame(PageId page);
   /// Emits the one-shot kRecovery event on the first operation after a
   /// Crash(). Call with mu_ held.
   void NoteRecoveryLocked();
@@ -166,8 +208,12 @@ class CachingDevice : public Device, public MemoryPool {
   size_t capacity_pages_;
   RumCounters counters_;
   mutable std::mutex mu_;  // Guards everything below (and base_ calls).
-  std::unordered_map<PageId, CacheEntry> entries_;
-  std::list<PageId> lru_;  // Front = MRU, back = LRU.
+  std::vector<Frame> frames_;
+  std::vector<uint32_t> free_frames_;  // Indices of dropped frames.
+  std::vector<Slot> table_;            // Size a power of two, or empty.
+  size_t resident_ = 0;
+  uint32_t mru_ = kNoFrame;
+  uint32_t lru_ = kNoFrame;
   size_t pins_outstanding_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -133,9 +133,12 @@ Status HeapFile::ForEach(
   for (size_t p = 0; p < sealed_.size(); ++p) {
     Status s = LoadPage(p, &entries);
     if (!s.ok()) return s;
-    // Ids come from the page's position, not a running count: a page a
-    // crash rolled back may hold fewer rows, and the rows after it keep
-    // their own ids.
+    // A sealed page holds rows_per_page_ rows (the heap's own row count
+    // says so, and At answers Corruption past a short page's count), so a
+    // short page is Corruption here too, not rows silently dropped.
+    if (entries.size() != rows_per_page_) {
+      return Status::Corruption("sealed heap page is short");
+    }
     RowId row = static_cast<RowId>(p) * rows_per_page_;
     for (const Entry& e : entries) {
       s = visit(row++, e);

@@ -51,7 +51,8 @@ class HeapFile {
   /// Removes the *last* row (used by swap-with-last deletion).
   Status PopBack();
 
-  /// Visits every row in position order; charges the full scan.
+  /// Visits every row in position order; charges the full scan. A sealed
+  /// page that holds fewer than rows_per_page() rows is Corruption.
   Status ForEach(
       const std::function<Status(RowId, const Entry&)>& visit);
 

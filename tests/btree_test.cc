@@ -2,8 +2,14 @@
 // codecs, height growth, tuning knobs, leaf-chain integrity.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
 #include "methods/btree/btree.h"
 #include "methods/btree/btree_node.h"
+#include "storage/block_device.h"
+#include "storage/caching_device.h"
+#include "storage/faulty_device.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
 
@@ -217,6 +223,110 @@ TEST(BTreeTest, InnerAndLeafSpaceSplitIsTagged) {
   EXPECT_GT(snap.space_base, 0u);  // Leaves.
   EXPECT_GT(snap.space_aux, 0u);   // Inner nodes.
   EXPECT_LT(snap.space_aux, snap.space_base);  // Fanout keeps inners small.
+}
+
+// An Update of a present key patches the value in its pinned leaf. It pins,
+// charges and moves cache pages as a decode and re-encode of the leaf
+// would, except at capacity 0: the leaf stays pinned from the read pin to
+// the write pin, so its clean copy is not dropped in between (3 evictions
+// per update, not 4). Every leaf stays in the encoder's form.
+TEST(BTreeTest, UpdateOfPresentKeyPatchesThePinnedLeaf) {
+  constexpr size_t kKeys = 100000;
+  constexpr int kUpdates = 1000;
+  struct Case {
+    int capacity;  // -1: the tree sits on the bare BlockDevice.
+    uint64_t base_read, base_written;
+    uint64_t cache_read, cache_written;
+    uint64_t hits, misses, write_backs, evictions;
+  };
+  const Case cases[] = {
+      {-1, 3000, 1000, 0, 0, 0, 0, 0, 0},
+      {0, 3000, 1000, 0, 1000, 0, 3000, 1000, 3000},
+      {2, 2999, 999, 1, 1000, 1, 2999, 999, 2999},
+      {32, 937, 908, 2063, 1000, 2063, 937, 908, 937},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.capacity);
+    RumCounters base_counters;
+    BlockDevice base(4096, &base_counters);
+    std::unique_ptr<CachingDevice> cache;
+    if (c.capacity >= 0) {
+      cache = std::make_unique<CachingDevice>(&base, c.capacity);
+    }
+    BTree tree(Options(), cache ? static_cast<Device*>(cache.get()) : &base);
+    ASSERT_TRUE(tree.BulkLoad(MakeSortedEntries(kKeys)).ok());
+    if (cache) {
+      ASSERT_TRUE(cache->FlushAll().ok());
+    }
+    const CounterSnapshot base_before = base_counters.snapshot();
+    const CounterSnapshot cache_before =
+        cache ? cache->level_stats() : CounterSnapshot{};
+    const uint64_t hits = cache ? cache->hits() : 0;
+    const uint64_t misses = cache ? cache->misses() : 0;
+    const uint64_t write_backs = cache ? cache->write_backs() : 0;
+    const uint64_t evictions = cache ? cache->evictions() : 0;
+    std::map<Key, Value> updated;
+    Rng rng(11);
+    for (int i = 0; i < kUpdates; ++i) {
+      Key key = rng.NextBelow(kKeys);
+      Value value = rng.Next();
+      ASSERT_TRUE(tree.Update(key, value).ok());
+      updated[key] = value;
+    }
+    const CounterSnapshot base_after = base_counters.snapshot();
+    EXPECT_EQ(base_after.blocks_read - base_before.blocks_read, c.base_read);
+    EXPECT_EQ(base_after.blocks_written - base_before.blocks_written,
+              c.base_written);
+    if (cache) {
+      const CounterSnapshot cache_after = cache->level_stats();
+      EXPECT_EQ(cache_after.blocks_read - cache_before.blocks_read,
+                c.cache_read);
+      EXPECT_EQ(cache_after.blocks_written - cache_before.blocks_written,
+                c.cache_written);
+      EXPECT_EQ(cache->hits() - hits, c.hits);
+      EXPECT_EQ(cache->misses() - misses, c.misses);
+      EXPECT_EQ(cache->write_backs() - write_backs, c.write_backs);
+      EXPECT_EQ(cache->evictions() - evictions, c.evictions);
+      ASSERT_TRUE(cache->FlushAll().ok());
+    }
+    EXPECT_EQ(tree.size(), kKeys);
+    // Every leaf decodes and re-encodes to its own bytes.
+    size_t leaves = 0;
+    for (PageId p = 0; p < base.live_pages(); ++p) {
+      const std::vector<uint8_t>* bytes = base.mutable_page_unaccounted(p);
+      ASSERT_NE(bytes, nullptr);
+      if (!IsLeafBlock(*bytes)) continue;
+      ++leaves;
+      BTreeLeaf leaf;
+      ASSERT_TRUE(BTreeLeaf::DecodeFrom(*bytes, &leaf).ok());
+      std::vector<uint8_t> encoded(bytes->size());
+      ASSERT_TRUE(leaf.EncodeInto(encoded).ok());
+      EXPECT_EQ(encoded, *bytes) << "leaf page " << p;
+    }
+    EXPECT_GT(leaves, kKeys / BTreeLeaf::CapacityFor(4096));
+    std::vector<Entry> all;
+    ASSERT_TRUE(tree.Scan(0, kKeys, &all).ok());
+    ASSERT_EQ(all.size(), kKeys);
+    std::vector<Entry> expected = MakeSortedEntries(kKeys);
+    for (Entry& e : expected) {
+      auto it = updated.find(e.key);
+      if (it != updated.end()) e.value = it->second;
+    }
+    EXPECT_EQ(all, expected);
+  }
+
+  // A failed dirty release of the patched leaf is the device's IOError,
+  // and no write is charged.
+  RumCounters counters;
+  BlockDevice base(4096, &counters);
+  FaultyDevice faulty(&base);
+  BTree tree(Options(), &faulty);
+  ASSERT_TRUE(tree.BulkLoad(MakeSortedEntries(kKeys)).ok());
+  faulty.SetPlan(FaultPlan::Transient(7, 0.0).WithRate(FaultOp::kWrite, 1.0));
+  const CounterSnapshot before = counters.snapshot();
+  EXPECT_EQ(tree.Update(4242, 1).code(), Code::kIOError);
+  EXPECT_EQ(counters.snapshot().blocks_written, before.blocks_written);
+  EXPECT_EQ(counters.snapshot().blocks_read, before.blocks_read + 3);
 }
 
 }  // namespace

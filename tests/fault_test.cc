@@ -234,10 +234,11 @@ TEST(FaultTest, InjectedErrorsCarryDeviceContext) {
 }
 
 // A page header whose entry count disagrees with the block -- more entries
-// than it can hold, or fewer than a (always full) hash directory page
-// carries -- must surface as kCorruption, never as a read past the block or
-// past the decoded page, nor as a decode buffer sized by the bad count
-// (compressed run pages).
+// than it can hold, or fewer than an always-full page (a hash directory
+// page, a sealed heap page) carries -- must surface as kCorruption from Get
+// and Scan alike, never as a read past the block or past the decoded page,
+// as a decode buffer sized by the bad count (compressed run pages), nor as
+// a Scan that silently drops the page's rows.
 TEST(FaultTest, CorruptPageCountIsCorruptionNotOverread) {
   const std::pair<std::string_view, uint64_t> cases[] = {
       {"sorted-column", ~uint64_t{0}}, {"zonemap", ~uint64_t{0}},
@@ -263,6 +264,8 @@ TEST(FaultTest, CorruptPageCountIsCorruptionNotOverread) {
     for (Key k : {Key{0}, Key{57}, Key{199}}) {
       EXPECT_EQ(method->Get(k).code(), Code::kCorruption) << name << " " << k;
     }
+    std::vector<Entry> rows;
+    EXPECT_EQ(method->Scan(0, 199, &rows).code(), Code::kCorruption) << name;
   }
 }
 

@@ -470,6 +470,65 @@ TEST(CachingDeviceTest, SetCapacityBelowPinnedResidencyDoesNotWedge) {
   EXPECT_LE(cache.cached_pages(), 1u);
 }
 
+// Replacement is LRU, not FIFO: a read-pin hit, a Read hit and a Write hit
+// each move the page to MRU, and an insert evicts the least recently used
+// unpinned page. Each phase names its victim through the miss counter:
+// probing survivors from LRU to MRU keeps their order, and probing the
+// victim misses.
+TEST(CachingDeviceTest, HitsMoveToMruAndInsertsEvictTheLruUnpinnedPage) {
+  RumCounters counters;
+  BlockDevice device(kBlock, &counters);
+  CachingDevice cache(&device, /*capacity_pages=*/3);
+  std::vector<PageId> p;
+  std::vector<uint8_t> data(kBlock, 0x5a);
+  for (int i = 0; i < 4; ++i) {
+    p.push_back(testing_util::MustAllocate(cache, DataClass::kBase));
+    ASSERT_TRUE(device.Write(p.back(), data).ok());  // Bypass the cache.
+  }
+  auto hit = [&](PageId page) {
+    uint64_t misses = cache.misses();
+    std::vector<uint8_t> out;
+    EXPECT_TRUE(cache.Read(page, &out).ok());
+    return cache.misses() == misses;
+  };
+  // LRU to MRU after each step in the trailing comments.
+  EXPECT_FALSE(hit(p[0]));
+  EXPECT_FALSE(hit(p[1]));
+  EXPECT_FALSE(hit(p[2]));  // p0 p1 p2
+  {
+    PageReadGuard guard;
+    ASSERT_TRUE(cache.PinForRead(p[0], &guard).ok());
+  }                         // p1 p2 p0: the read-pin hit moved p0.
+  EXPECT_FALSE(hit(p[3]));  // p2 p0 p3: evicts p1, not p0.
+  EXPECT_TRUE(hit(p[0]));   // p2 p3 p0
+  EXPECT_FALSE(hit(p[1]));  // p3 p0 p1: evicts p2.
+  EXPECT_EQ(cache.hits(), 2u);
+
+  EXPECT_TRUE(hit(p[3]));   // p0 p1 p3: the Read hit moved p3.
+  EXPECT_FALSE(hit(p[2]));  // p1 p3 p2: evicts p0.
+  EXPECT_TRUE(hit(p[3]));   // p1 p2 p3
+  EXPECT_FALSE(hit(p[0]));  // p2 p3 p0: evicts p1.
+
+  ASSERT_TRUE(cache.Write(p[2], data).ok());  // p3 p0 p2: the Write hit.
+  EXPECT_FALSE(hit(p[1]));  // p0 p2 p1: evicts p3 (clean).
+  EXPECT_TRUE(hit(p[2]));   // p0 p1 p2
+  EXPECT_EQ(cache.write_backs(), 0u);
+
+  PageReadGuard pinned;
+  ASSERT_TRUE(cache.PinForRead(p[0], &pinned).ok());  // p1 p2 p0
+  EXPECT_TRUE(hit(p[1]));   // p2 p0 p1
+  EXPECT_TRUE(hit(p[2]));   // p0 p1 p2: p0 is the LRU page, and pinned.
+  EXPECT_FALSE(hit(p[3]));  // p0 p2 p3: the sweep skips p0, evicts p1.
+  EXPECT_TRUE(hit(p[2]));   // p0 p3 p2
+  EXPECT_FALSE(hit(p[1]));  // p0 p2 p1: skips p0 again, evicts p3.
+  EXPECT_EQ(pinned.bytes()[0], 0x5a);
+  pinned.Release();
+  EXPECT_EQ(cache.misses(), 10u);
+  EXPECT_EQ(cache.evictions(), 7u);
+  EXPECT_EQ(cache.write_backs(), 0u);
+  EXPECT_EQ(cache.cached_pages(), 3u);
+}
+
 class HeapFileTest : public ::testing::Test {
  protected:
   HeapFileTest()
