@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # rumlab CI: the tier-1 suite in Release (plus the table benches' stdout
 # against bench/golden/ and a rumbench build and smoke run), then the same
-# suite under AddressSanitizer with UBSan and libstdc++ assertions, then the
-# concurrency tier under ThreadSanitizer.
+# suite and the rumbench smoke run under AddressSanitizer with UBSan and
+# libstdc++ assertions, then the concurrency tier under ThreadSanitizer.
 #
 #   ./ci.sh            # all three stages
 #   ./ci.sh release    # just the Release build + tests
-#   ./ci.sh asan       # just the ASan + UBSan build + tests
+#   ./ci.sh asan       # just the ASan + UBSan build + tests + rumbench smoke
 #   ./ci.sh tsan       # just the TSan build + concurrency tier
 #
 # Tiers are ctest labels set in tests/CMakeLists.txt: the TSan stage runs
@@ -153,6 +153,20 @@ fi
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "asan" ]]; then
   run_stage "asan" "build-asan" "address" "" "Debug"
+  echo "=== asan: rumbench configure + build (build-asan/rumbench) ==="
+  # rumbench has no sanitizer option of its own, so the flags that
+  # RUMLAB_SANITIZE=address adds (CMakeLists.txt) come in through the
+  # standard CMake flag variables. RelWithDebInfo keeps the smoke run's
+  # 1%-scale workloads quick under the sanitizers.
+  sanitize="-fsanitize=address -fsanitize=undefined"
+  sanitize+=" -fno-sanitize-recover=undefined"
+  debug="-D_GLIBCXX_ASSERTIONS -g -fno-omit-frame-pointer"
+  cmake -S rumbench -B build-asan/rumbench -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="${sanitize} ${debug}" \
+    -DCMAKE_EXE_LINKER_FLAGS="${sanitize}" \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+  cmake --build build-asan/rumbench -j "${JOBS}"
+  run_ctest "asan" build-asan/rumbench "-L bench"
 fi
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "tsan" ]]; then

@@ -34,12 +34,6 @@ Status ValidateOptions(const Options& options) {
     return Status::InvalidArgument(
         "service.codel_target_us must be >= 1 and <= codel_interval_us");
   }
-  if (options.service.rate_ops_per_sec < 0 ||
-      (options.service.rate_ops_per_sec > 0 &&
-       options.service.rate_burst_ops < 1)) {
-    return Status::InvalidArgument(
-        "service.rate_burst_ops must be >= 1 when the rate gate is on");
-  }
   if (options.btree.node_size != 0 &&
       options.btree.node_size < kMinPageBytes) {
     return Status::InvalidArgument("btree.node_size below minimum");

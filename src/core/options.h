@@ -193,8 +193,6 @@ struct Options {
     double promote_probability = 0.25;
     /// Hard cap on tower height.
     size_t max_height = 16;
-    /// Seed for the promotion RNG (deterministic by default).
-    uint64_t seed = 0x5eedULL;
   } skiplist;
 
   // ------------------------------------------------------------- Extremes
@@ -246,29 +244,24 @@ struct Options {
 
     /// Group-commit window: up to this many adjacent same-kind requests
     /// (a run of mutations, or a run of reads) dispatch as one batch,
-    /// paying one dispatch_overhead_us for the window.
+    /// paying one dispatch_overhead_us for the window. Duplicate-key Gets
+    /// inside one read batch share one method call (physical read charged
+    /// once).
     size_t batch_max_ops = 16;
-
-    /// Coalesce duplicate-key Gets inside one read batch: one method call
-    /// serves every waiter (physical read charged once).
-    bool coalesce_reads = true;
 
     /// Per-request deadline measured from arrival, in virtual microseconds;
     /// a request popped after expiry completes kDeadlineExceeded without
     /// touching the device. 0 disables deadlines.
     uint64_t deadline_us = 0;
 
-    /// Admission control master switch (the CoDel + token-bucket pair).
+    /// CoDel admission on or off. The queue_capacity bound holds either
+    /// way.
     bool admission = true;
     /// CoDel queue-delay target: sustained sojourn above this for one
     /// interval puts the shard in a dropping state that sheds heads on the
     /// standard sqrt control-law schedule until delay recovers.
     uint64_t codel_target_us = 2000;
     uint64_t codel_interval_us = 20000;
-    /// Token-bucket rate gate at the front door, in requests per virtual
-    /// second; 0 disables the gate. Burst is the bucket depth.
-    double rate_ops_per_sec = 0;
-    double rate_burst_ops = 64;
 
     /// Virtual service-cost model: a batch window costs
     /// dispatch_overhead_us + ops_in_batch * op_cost_us (scans cost

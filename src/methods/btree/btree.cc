@@ -335,16 +335,8 @@ Result<Value> BTree::Get(Key key) {
   if (root_ == kInvalidPageId) return Status::NotFound();
   // Fully zero-copy point lookup: binary search each pinned node in place,
   // never materializing a single entry.
-  PageId page = root_;
-  for (size_t level = height_; level > 1; --level) {
-    PageReadGuard guard;
-    Status s = device_->PinForRead(page, &guard);
-    if (!s.ok()) return s;
-    s = BTreeInner::ChildForKey(guard.bytes(), key, &page);
-    if (!s.ok()) return s;
-  }
   PageReadGuard guard;
-  Status s = device_->PinForRead(page, &guard);
+  Status s = PinLeaf(key, nullptr, &guard);
   if (!s.ok()) return s;
   Value value;
   bool found = false;
@@ -370,28 +362,13 @@ Status BTree::MultiGet(std::span<const Key> keys,
   }
   std::sort(batch.begin(), batch.end());
   std::span<const std::pair<Key, uint32_t>> span(batch);
-  if (height_ == 1) {
-    // Root leaf: one pin and one header validation serve the whole batch
-    // (the per-key Get loop would have pinned it batch.size() times); each
-    // key resumes its lower-bound search from the previous key's slot.
-    counters().OnBatchedPageHits(batch.size() - 1);
-    PageReadGuard guard;
-    Status s = device_->PinForRead(root_, &guard);
-    if (!s.ok()) return s;
-    size_t found_count = 0;
-    s = BTreeLeaf::MultiFindInBlock(guard.bytes(), span, out, &found_count);
-    if (!s.ok()) return s;
-    if (found_count > 0) {
-      counters().OnLogicalRead(kEntrySize * found_count);
-    }
-    return Status::OK();
-  }
   // Level-synchronous descent: route the whole batch through each inner
   // level before touching the next, so by the time the leaves are reached
   // every leaf part in the tree is known and a single interleaved pass
   // (MultiGetLeafParts) can overlap all their searches. Each node is pinned
   // once for every key routed through it, the saved pins credited as
   // batched-page hits; the descent holds one inner pin at a time, like Get.
+  // A root leaf is the one part of the whole batch.
   std::vector<BTreeInner::ChildRange> frontier;
   frontier.push_back({root_, 0, static_cast<uint32_t>(batch.size())});
   std::vector<BTreeInner::ChildRange> next;
@@ -453,7 +430,7 @@ Status BTree::MultiGetLeafParts(
     }
   };
   // Points `t` at the next unclaimed part: pin, validate the header (the
-  // same checks MultiFindInBlock makes), credit the shared node read, and
+  // same checks LowerBoundInBlock makes), credit the shared node read, and
   // open the first key's whole-leaf bisect.
   auto start_next = [&](LeafTask* t) -> bool {
     if (!status.ok() || next_part >= parts.size()) return false;
@@ -514,8 +491,8 @@ Status BTree::MultiGetLeafParts(
       }
       ++t.bi;
       if (t.bi < t.end) {
-        // The part's next (ascending) key resumes right of this slot, the
-        // same carried lower bound MultiFindInBlock uses.
+        // The part's next (ascending) key resumes right of this slot: a
+        // lower bound carried from the previous key.
         if (t.x < t.n && DecodeU64(t.base + t.x * kEntrySize) <
                              batch[t.bi].first) {
           ++t.x;

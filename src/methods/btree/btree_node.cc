@@ -77,76 +77,6 @@ void BTreeLeaf::SetValueInBlock(std::span<uint8_t> block, size_t slot,
   EncodeU64(value, block.data() + kLeafHeader + slot * kEntrySize + 8);
 }
 
-Status BTreeLeaf::MultiFindInBlock(
-    std::span<const uint8_t> block,
-    std::span<const std::pair<Key, uint32_t>> batch,
-    std::vector<std::optional<Value>>* out, size_t* found_count) {
-  *found_count = 0;
-  if (block.size() < kLeafHeader || block[0] != kLeafType) {
-    return Status::Corruption("not a leaf block");
-  }
-  uint32_t n = DecodeU32(block.data() + 1);
-  if (kLeafHeader + static_cast<size_t>(n) * kEntrySize > block.size()) {
-    return Status::Corruption("leaf count exceeds block");
-  }
-  const uint8_t* base = block.data() + kLeafHeader;
-  auto key_at = [&](size_t i) { return DecodeU64(base + i * kEntrySize); };
-  // The first key bisects the whole leaf (its slot is anywhere). Later
-  // keys resume right of the previous key's lower bound: a dense batch
-  // (several keys per handful of slots) gallops, since the next slot is a
-  // short hop away; a sparse one bisects the remainder, since doubling
-  // across most of the node costs more probes than halving it.
-  const bool dense = batch.size() * 16 >= static_cast<size_t>(n);
-  size_t lo = 0;
-  bool first = true;
-  for (const auto& [key, idx] : batch) {
-    if (first) {
-      size_t x = 0;
-      size_t y = n;
-      while (x < y) {
-        size_t mid = x + (y - x) / 2;
-        if (key_at(mid) < key) {
-          x = mid + 1;
-        } else {
-          y = mid;
-        }
-      }
-      lo = x;
-      first = false;
-    } else if (lo < n && key_at(lo) < key) {
-      size_t x;
-      size_t y;
-      if (dense) {
-        size_t last_below = lo;  // Greatest probed slot with key_at < key.
-        size_t step = 1;
-        while (lo + step < n && key_at(lo + step) < key) {
-          last_below = lo + step;
-          step <<= 1;
-        }
-        x = last_below + 1;
-        y = std::min(lo + step, static_cast<size_t>(n));
-      } else {
-        x = lo + 1;
-        y = n;
-      }
-      while (x < y) {
-        size_t mid = x + (y - x) / 2;
-        if (key_at(mid) < key) {
-          x = mid + 1;
-        } else {
-          y = mid;
-        }
-      }
-      lo = x;
-    }
-    if (lo < n && key_at(lo) == key) {
-      (*out)[idx] = DecodeU64(base + lo * kEntrySize + 8);
-      ++*found_count;
-    }
-  }
-  return Status::OK();
-}
-
 Status BTreeLeaf::DecodeFrom(std::span<const uint8_t> block, BTreeLeaf* out) {
   if (block.size() < kLeafHeader || block[0] != kLeafType) {
     return Status::Corruption("not a leaf block");

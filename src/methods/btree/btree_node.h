@@ -2,7 +2,6 @@
 #define RUMLAB_METHODS_BTREE_BTREE_NODE_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -57,18 +56,6 @@ struct BTreeLeaf {
   /// place; `slot` must be below the block's entry count.
   static void SetValueInBlock(std::span<uint8_t> block, size_t slot,
                               Value value);
-
-  /// Batched zero-copy lookups for an ascending (key, output index) batch:
-  /// validates the block once, then resolves each key with a galloping
-  /// lower-bound search that resumes from the previous key's slot, writing
-  /// found values into `out` at the batch's output indices. `*found_count`
-  /// receives the number of keys found (they all cost one logical entry
-  /// read each, charged by the caller). Finds exactly the entries that
-  /// per-key FindInBlock calls would.
-  static Status MultiFindInBlock(std::span<const uint8_t> block,
-                                 std::span<const std::pair<Key, uint32_t>> batch,
-                                 std::vector<std::optional<Value>>* out,
-                                 size_t* found_count);
 };
 
 struct BTreeInner {

@@ -6,6 +6,9 @@ namespace rum {
 
 namespace {
 constexpr uint64_t kPointerSize = sizeof(void*);
+/// Seed of the tower-height generator: every skiplist draws the same
+/// heights for the same insert sequence.
+constexpr uint64_t kHeightSeed = 0x5eedULL;
 }  // namespace
 
 struct SkipListMap::Node {
@@ -20,7 +23,7 @@ struct SkipListMap::Node {
 
 SkipListMap::SkipListMap(const Options::SkipList& options,
                          RumCounters* counters)
-    : options_(options), counters_(counters), rng_state_(options.seed | 1) {
+    : options_(options), counters_(counters), rng_state_(kHeightSeed | 1) {
   assert(counters_ != nullptr);
   assert(options_.max_height >= 1);
   head_ = new Node(kMinKey, 0, false, options_.max_height);

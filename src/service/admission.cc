@@ -4,21 +4,6 @@
 
 namespace rum {
 
-bool TokenBucket::TryAcquire(uint64_t now_us) {
-  if (!enabled()) return true;
-  if (now_us > last_us_) {
-    double elapsed_s = static_cast<double>(now_us - last_us_) * 1e-6;
-    tokens_ += rate_ * elapsed_s;
-    if (tokens_ > burst_) tokens_ = burst_;
-    last_us_ = now_us;
-  }
-  if (tokens_ >= 1.0) {
-    tokens_ -= 1.0;
-    return true;
-  }
-  return false;
-}
-
 bool CoDelController::OkToDrop(uint64_t sojourn_us, uint64_t now_us) {
   if (sojourn_us < target_us_) {
     first_above_us_ = 0;

@@ -5,29 +5,6 @@
 
 namespace rum {
 
-/// Front-door rate gate: a token bucket refilled continuously at
-/// `rate_per_sec` with depth `burst`, evaluated on the virtual clock. A
-/// request that finds no token is shed before it touches a queue. With
-/// rate_per_sec == 0 the gate is open (enabled() false, TryAcquire always
-/// true). Deterministic: refill is a pure function of elapsed virtual time.
-class TokenBucket {
- public:
-  TokenBucket(double rate_per_sec, double burst)
-      : rate_(rate_per_sec), burst_(burst), tokens_(burst) {}
-
-  bool enabled() const { return rate_ > 0; }
-
-  /// Refills for the virtual time elapsed since the last call, then takes
-  /// one token if available. `now_us` must be nondecreasing.
-  bool TryAcquire(uint64_t now_us);
-
- private:
-  double rate_ = 0;
-  double burst_ = 0;
-  double tokens_ = 0;
-  uint64_t last_us_ = 0;
-};
-
 /// The CoDel AQM (Nichols & Jacobson) on the scheduler's virtual clock, one
 /// controller per shard. CoDel watches the *sojourn time* of each request it
 /// dequeues: when sojourn stays above `target_us` for a full `interval_us`,

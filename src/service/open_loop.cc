@@ -36,7 +36,7 @@ std::string ServiceReport::ToJson() const {
   std::snprintf(
       buf, sizeof(buf),
       ",\"errors\":{\"io_errors\":%llu,\"corruption\":%llu,\"other\":%llu,"
-      "\"degraded_skips\":%llu,\"shed\":%llu},"
+      "\"degraded_skips\":%llu},"
       "\"rum\":{\"bytes_read\":%llu,\"bytes_written\":%llu,"
       "\"logical_bytes_read\":%llu,\"logical_bytes_written\":%llu,"
       "\"point_queries\":%llu,\"range_queries\":%llu,\"inserts\":%llu,"
@@ -46,7 +46,6 @@ std::string ServiceReport::ToJson() const {
       static_cast<unsigned long long>(errors.corruption),
       static_cast<unsigned long long>(errors.other),
       static_cast<unsigned long long>(errors.degraded_skips),
-      static_cast<unsigned long long>(errors.shed),
       static_cast<unsigned long long>(rum.total_bytes_read()),
       static_cast<unsigned long long>(rum.total_bytes_written()),
       static_cast<unsigned long long>(rum.logical_bytes_read),
@@ -79,23 +78,17 @@ Result<ServiceReport> RunOpenLoop(AccessMethod* method,
   ErrorTally tally;
   Status abort_error = Status::OK();
   scheduler.set_completion([&](const Request&, const RequestResult& r) {
-    switch (r.outcome) {
-      case RequestOutcome::kShed:
-        ++tally.shed;
-        break;
-      case RequestOutcome::kDeadlineExceeded:
-        break;  // Service-level outcome; lives in the ledger, not the tally.
-      case RequestOutcome::kCompleted:
-        if (r.degraded_skip) {
-          ++tally.degraded_skips;
-        } else if (r.failed) {
-          if (spec.error_mode == ErrorMode::kAbort) {
-            if (abort_error.ok()) abort_error = r.status;
-          } else {
-            tally.Count(r.status);
-          }
-        }
-        break;
+    // Sheds and deadline misses are service-level outcomes: they live in
+    // the scheduler's ledger, not in the tally.
+    if (r.outcome != RequestOutcome::kCompleted) return;
+    if (r.degraded_skip) {
+      ++tally.degraded_skips;
+    } else if (r.failed) {
+      if (spec.error_mode == ErrorMode::kAbort) {
+        if (abort_error.ok()) abort_error = r.status;
+      } else {
+        tally.Count(r.status);
+      }
     }
   });
 

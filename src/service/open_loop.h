@@ -14,10 +14,10 @@
 namespace rum {
 
 /// Everything one open-loop phase produced: the scheduler's ledger and
-/// latency record, the workload-level error tally (sheds, degraded skips,
-/// absorbed failures), and the method's RUM accounting delta. Fully
-/// deterministic for a fixed seed -- same-seed replays compare ToJson()
-/// byte-for-byte (saturation_test pins this).
+/// latency record (sheds and deadline misses included), the workload-level
+/// error tally (degraded skips, absorbed failures), and the method's RUM
+/// accounting delta. Fully deterministic for a fixed seed -- same-seed
+/// replays compare ToJson() byte-for-byte (saturation_test pins this).
 struct ServiceReport {
   ServiceStats stats;
   ErrorTally errors;
@@ -35,7 +35,7 @@ struct ServiceReport {
 /// The operations are the closed-loop WorkloadRunner's: the same
 /// OpGenerator stream for the spec and seed, run through the same executor,
 /// benign-status rule and degrade gate (workload/op.h), with
-/// kSkipAndCount/kDegrade tallies. Sheds land in ErrorTally::shed;
+/// kSkipAndCount/kDegrade tallies. Sheds land in ServiceStats::shed;
 /// degraded-service mutation withholding happens inside the scheduler,
 /// before storage is touched. Under kAbort the first failure aborts the
 /// phase and returns that error.

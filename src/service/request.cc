@@ -10,8 +10,8 @@ std::string ServiceStats::ToJson() const {
       buf, sizeof(buf),
       "{\"submitted\":%llu,\"accepted\":%llu,\"completed\":%llu,"
       "\"failed\":%llu,\"degraded_skips\":%llu,\"deadline_missed\":%llu,"
-      "\"shed\":%llu,\"shed_queue_full\":%llu,\"shed_rate_gate\":%llu,"
-      "\"shed_codel\":%llu,\"batches\":%llu,\"batched_ops\":%llu,"
+      "\"shed\":%llu,\"shed_queue_full\":%llu,\"shed_codel\":%llu,"
+      "\"batches\":%llu,\"batched_ops\":%llu,"
       "\"coalesced_reads\":%llu,\"batched_reads\":%llu,"
       "\"completed_within_slo\":%llu,"
       "\"max_queue_depth\":%llu,\"end_us\":%llu,"
@@ -24,7 +24,6 @@ std::string ServiceStats::ToJson() const {
       static_cast<unsigned long long>(deadline_missed),
       static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(shed_queue_full),
-      static_cast<unsigned long long>(shed_rate_gate),
       static_cast<unsigned long long>(shed_codel),
       static_cast<unsigned long long>(batches),
       static_cast<unsigned long long>(batched_ops),

@@ -31,10 +31,8 @@ struct Request {
   /// only -- the pointer must outlive the request's completion.
   std::vector<Entry>* scan_out = nullptr;
 
-  uint64_t arrival_us = 0;   ///< Virtual arrival time (nondecreasing).
-  uint64_t deadline_us = 0;  ///< Absolute virtual deadline; 0 = none.
-  uint8_t priority = 0;      ///< 0 = high, 1 = normal (FIFO within a class).
-  uint64_t seq = 0;          ///< Submission order; assigned by the scheduler.
+  uint64_t arrival_us = 0;  ///< Virtual arrival time (nondecreasing).
+  uint64_t seq = 0;         ///< Submission order; assigned by the scheduler.
 };
 
 /// What finally happened to a submitted request. Exactly one of these per
@@ -42,7 +40,7 @@ struct Request {
 enum class RequestOutcome : uint8_t {
   kCompleted = 0,      ///< Dispatched to the method (possibly failing there).
   kDeadlineExceeded,   ///< Expired in queue; the device was never touched.
-  kShed,               ///< Refused by admission control or queue overflow.
+  kShed,               ///< Refused by the queue bound or shed by CoDel.
 };
 
 /// Completion record handed to the submitter's callback.
@@ -68,7 +66,7 @@ struct RequestResult {
 ///
 ///   submitted == completed + deadline_missed + shed
 ///   accepted  == completed + deadline_missed + shed_codel
-///   shed      == shed_queue_full + shed_rate_gate + shed_codel
+///   shed      == shed_queue_full + shed_codel
 ///
 /// `failed` is a subset of `completed` (the method was invoked and returned
 /// a non-benign error); `completed_within_slo` is the goodput numerator.
@@ -81,7 +79,6 @@ struct ServiceStats {
   uint64_t deadline_missed = 0;
   uint64_t shed = 0;
   uint64_t shed_queue_full = 0;
-  uint64_t shed_rate_gate = 0;
   uint64_t shed_codel = 0;
 
   uint64_t batches = 0;       ///< Dispatch windows executed.
@@ -104,7 +101,7 @@ struct ServiceStats {
   bool LedgerHolds() const {
     return submitted == completed + deadline_missed + shed &&
            accepted == completed + deadline_missed + shed_codel &&
-           shed == shed_queue_full + shed_rate_gate + shed_codel;
+           shed == shed_queue_full + shed_codel;
   }
 
   /// Completions within the SLO per virtual second of run time.

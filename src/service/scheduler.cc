@@ -27,8 +27,7 @@ RequestScheduler::RequestScheduler(AccessMethod* method,
     : method_(method),
       partitioned_(dynamic_cast<const KeyPartitioned*>(method)),
       opts_(options.service),
-      gate_(error_mode),
-      bucket_(opts_.rate_ops_per_sec, opts_.rate_burst_ops) {
+      gate_(error_mode) {
   size_t shard_count =
       partitioned_ != nullptr ? partitioned_->partitions() : 1;
   shards_.reserve(shard_count);
@@ -59,19 +58,14 @@ size_t RequestScheduler::ShardOf(const Request& req) const {
 }
 
 uint64_t RequestScheduler::NextStart(const Shard& s) const {
-  uint64_t earliest = std::numeric_limits<uint64_t>::max();
-  for (const auto& q : s.queue) {
-    if (!q.empty() && q.front().arrival_us < earliest) {
-      earliest = q.front().arrival_us;
-    }
-  }
-  if (earliest == std::numeric_limits<uint64_t>::max()) return earliest;
+  if (s.queue.empty()) return std::numeric_limits<uint64_t>::max();
+  uint64_t earliest = s.queue.front().arrival_us;
   return earliest > s.busy_until_us ? earliest : s.busy_until_us;
 }
 
 size_t RequestScheduler::queue_depth() const {
   size_t depth = 0;
-  for (const auto& s : shards_) depth += s.depth();
+  for (const auto& s : shards_) depth += s.queue.size();
   return depth;
 }
 
@@ -82,29 +76,13 @@ bool RequestScheduler::Submit(Request req) {
   if (req.arrival_us > now_us_) now_us_ = req.arrival_us;
   req.seq = next_seq_++;
   ++stats_.submitted;
-  if (opts_.deadline_us != 0 && req.deadline_us == 0) {
-    req.deadline_us = req.arrival_us + opts_.deadline_us;
-  }
 
-  if (opts_.admission && !bucket_.TryAcquire(req.arrival_us)) {
-    ++stats_.shed;
-    ++stats_.shed_rate_gate;
-    Trace::Emit(TraceKind::kSchedShed, TraceOp::kNone, kInvalidPageId,
-                DataClass::kBase, 0);
-    RequestResult r;
-    r.outcome = RequestOutcome::kShed;
-    r.status = Status::ResourceExhausted("rate gate shed");
-    r.completion_us = req.arrival_us;
-    Complete(req, r);
-    return false;
-  }
-
-  Shard& s = shards_[ShardOf(req)];
-  if (s.depth() >= opts_.queue_capacity) {
+  std::deque<Request>& q = shards_[ShardOf(req)].queue;
+  if (q.size() >= opts_.queue_capacity) {
     ++stats_.shed;
     ++stats_.shed_queue_full;
     Trace::Emit(TraceKind::kSchedShed, TraceOp::kNone, kInvalidPageId,
-                DataClass::kBase, s.depth());
+                DataClass::kBase, q.size());
     RequestResult r;
     r.outcome = RequestOutcome::kShed;
     r.status = Status::ResourceExhausted("queue full");
@@ -114,9 +92,8 @@ bool RequestScheduler::Submit(Request req) {
   }
 
   ++stats_.accepted;
-  size_t cls = req.priority > 0 ? 1 : 0;
-  s.queue[cls].push_back(std::move(req));
-  if (s.depth() > stats_.max_queue_depth) stats_.max_queue_depth = s.depth();
+  q.push_back(std::move(req));
+  if (q.size() > stats_.max_queue_depth) stats_.max_queue_depth = q.size();
   return true;
 }
 
@@ -142,17 +119,10 @@ void RequestScheduler::RunUntilIdle() {
 }
 
 void RequestScheduler::DispatchBatch(Shard* s, uint64_t start) {
-  // Pick the source queue: high priority first, if its head has arrived by
-  // the batch start; otherwise the normal queue. One batch drains one
-  // priority class, so priority inversion is bounded by a single window.
-  size_t p = 0;
-  if (s->queue[0].empty() || s->queue[0].front().arrival_us > start) p = 1;
-
+  std::deque<Request>& q = s->queue;
   std::vector<Request> batch;
   int batch_class = -1;
-  while (batch.size() < opts_.batch_max_ops) {
-    std::deque<Request>& q = s->queue[p];
-    if (q.empty()) break;
+  while (batch.size() < opts_.batch_max_ops && !q.empty()) {
     const Request& head = q.front();
     // Group commit only batches work already queued at dispatch time, and
     // only runs of the same class.
@@ -163,7 +133,7 @@ void RequestScheduler::DispatchBatch(Shard* s, uint64_t start) {
     q.pop_front();
     uint64_t sojourn = start - req.arrival_us;
 
-    if (req.deadline_us != 0 && start > req.deadline_us) {
+    if (Expired(req, start)) {
       // Expired in queue: complete without touching the device, costing the
       // server nothing -- the whole point of deadlines under overload.
       ++stats_.deadline_missed;
@@ -200,7 +170,7 @@ void RequestScheduler::DispatchBatch(Shard* s, uint64_t start) {
   // call; only unique keys pay service time.
   std::vector<int> dup_of(batch.size(), -1);
   size_t calls = batch.size();
-  if (batch_class == kClassGet && opts_.coalesce_reads) {
+  if (batch_class == kClassGet) {
     for (size_t i = 1; i < batch.size(); ++i) {
       for (size_t j = 0; j < i; ++j) {
         if (batch[j].key == batch[i].key && dup_of[j] < 0) {
@@ -283,8 +253,8 @@ void RequestScheduler::DispatchBatch(Shard* s, uint64_t start) {
     // A coalesced duplicate that outlived its own deadline still completes
     // (the shared call's result is delivered), but it is not goodput: keep
     // it out of the SLO gauge.
-    bool missed_own_deadline = dup_of[i] >= 0 && batch[i].deadline_us != 0 &&
-                               completion > batch[i].deadline_us;
+    bool missed_own_deadline =
+        dup_of[i] >= 0 && Expired(batch[i], completion);
     if ((opts_.slo_us == 0 || total <= opts_.slo_us) && !missed_own_deadline) {
       ++stats_.completed_within_slo;
     }

@@ -17,9 +17,9 @@
 namespace rum {
 
 /// The request-scheduling front end between workload drivers and an access
-/// method: per-shard bounded priority queues, group-commit batching, read
-/// coalescing, per-request deadlines, and CoDel + token-bucket admission
-/// control (DESIGN.md §3h).
+/// method: one bounded FIFO queue per shard, group-commit batching, read
+/// coalescing, deadlines measured from arrival, and admission control by
+/// the queue bound plus CoDel (DESIGN.md §3h).
 ///
 /// Time is *virtual*: the scheduler is a discrete-event simulation whose
 /// service costs come from Options::service's cost model (a dispatch window
@@ -37,7 +37,7 @@ namespace rum {
 /// usual RumCounters synchronization contract.
 ///
 /// Request lifecycle:
-///   Submit -> front door (token bucket, queue bound) -> queue ->
+///   Submit -> front door (queue bound) -> queue ->
 ///   dispatch (deadline check, CoDel head drop) -> batch -> method call ->
 ///   completion callback.
 /// Every submitted request reaches the callback exactly once, with one of
@@ -87,18 +87,22 @@ class RequestScheduler {
 
  private:
   struct Shard {
-    std::deque<Request> queue[2];  ///< [0] = high priority, [1] = normal.
-    uint64_t busy_until_us = 0;    ///< Server free time.
+    std::deque<Request> queue;   ///< FIFO in arrival order.
+    uint64_t busy_until_us = 0;  ///< Server free time.
     CoDelController codel;
 
     explicit Shard(const Options::Service& s)
         : codel(s.codel_target_us, s.codel_interval_us) {}
-    size_t depth() const { return queue[0].size() + queue[1].size(); }
   };
 
   size_t ShardOf(const Request& req) const;
+  /// True when deadlines are on and `req` is past its own (arrival plus
+  /// Options::service.deadline_us) at virtual time `t_us`.
+  bool Expired(const Request& req, uint64_t t_us) const {
+    return opts_.deadline_us != 0 && t_us > req.arrival_us + opts_.deadline_us;
+  }
   /// Earliest time shard `s` can start its next batch, or UINT64_MAX when
-  /// its queues are empty.
+  /// its queue is empty.
   uint64_t NextStart(const Shard& s) const;
   /// Pops and runs one batch on shard `s` starting at virtual time `start`.
   void DispatchBatch(Shard* s, uint64_t start);
@@ -111,7 +115,6 @@ class RequestScheduler {
   const KeyPartitioned* partitioned_;  ///< Null when method is unsharded.
   Options::Service opts_;
   DegradeGate gate_;
-  TokenBucket bucket_;
   std::vector<Shard> shards_;
 
   uint64_t now_us_ = 0;

@@ -115,19 +115,13 @@ Status BlockDevice::PinForWrite(PageId page, PageWriteGuard* out) {
 }
 
 void BlockDevice::UnpinRead(PageId page) {
-  assert(page < pages_.size());
-  // A zero pin count here means the guard outlived a Crash(); its release
-  // is tolerated as a no-op (the crash already dropped the pin).
-  if (page >= pages_.size() || pages_[page].pins == 0) return;
+  assert(page < pages_.size() && pages_[page].pins != 0);
   --pages_[page].pins;
   --pins_outstanding_;
 }
 
 Status BlockDevice::UnpinWrite(PageId page, bool dirty) {
-  assert(page < pages_.size());
-  if (page >= pages_.size() || pages_[page].pins == 0) {
-    return Status::OK();  // Post-crash abandoned guard.
-  }
+  assert(page < pages_.size() && pages_[page].pins != 0);
   --pages_[page].pins;
   --pins_outstanding_;
   if (!dirty) return Status::OK();
@@ -137,6 +131,7 @@ Status BlockDevice::UnpinWrite(PageId page, bool dirty) {
 void BlockDevice::Crash() {
   Trace::Emit(TraceKind::kCrash, TraceOp::kNone, kInvalidPageId,
               DataClass::kBase, pins_outstanding_);
+  AdvanceCrashEpoch();
   for (PageSlot& slot : pages_) slot.pins = 0;
   pins_outstanding_ = 0;
 }

@@ -63,7 +63,8 @@ class BlockDevice : public Device {
   std::vector<uint8_t>* mutable_page_unaccounted(PageId page);
 
   /// Crash simulation: the bottom of the stack holds no volatile state, so
-  /// only open pins are abandoned (their late releases become no-ops).
+  /// only open pins are abandoned (their guards go stale: late releases are
+  /// no-ops).
   void Crash() override;
 
   size_t block_size() const override { return block_size_; }

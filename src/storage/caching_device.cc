@@ -250,7 +250,7 @@ void CachingDevice::PinFrame(uint32_t f) {
 
 uint32_t CachingDevice::UnpinFrame(PageId page) {
   uint32_t f = Find(page);
-  if (f == kNoFrame || frames_[f].pins == 0) return kNoFrame;
+  assert(f != kNoFrame && frames_[f].pins != 0);
   Frame& frame = frames_[f];
   --frame.pins;
   --pins_outstanding_;
@@ -373,6 +373,9 @@ Status CachingDevice::Write(PageId page, const std::vector<uint8_t>& data) {
                   DataClass::kAux);
       frames_[f].bytes = data;
       frames_[f].dirty = true;
+      // The bytes are real data now, even in a frame a missed write pin
+      // created: that pin's clean release must not drop them.
+      frames_[f].speculative = false;
       Touch(f);
       return Status::OK();
     }
@@ -441,7 +444,7 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
 void CachingDevice::UnpinRead(PageId page) {
   std::lock_guard<std::mutex> lock(mu_);
   uint32_t f = UnpinFrame(page);
-  if (f != kNoFrame && frames_[f].pins == 0) {
+  if (frames_[f].pins == 0) {
     // Trim any pin-induced overshoot. A failed write-back here simply
     // leaves the dirty victim cached; it retries on the next eviction.
     EvictDownTo(capacity_pages_);
@@ -451,7 +454,6 @@ void CachingDevice::UnpinRead(PageId page) {
 Status CachingDevice::UnpinWrite(PageId page, bool dirty) {
   std::lock_guard<std::mutex> lock(mu_);
   uint32_t f = UnpinFrame(page);
-  if (f == kNoFrame) return Status::OK();  // Post-crash abandoned guard.
   Frame& frame = frames_[f];
   if (dirty) {
     // The write lands at this level; charge it here exactly like Write.
@@ -495,6 +497,7 @@ void CachingDevice::Crash() {
   std::lock_guard<std::mutex> lock(mu_);
   Trace::Emit(TraceKind::kCrash, TraceOp::kNone, kInvalidPageId,
               DataClass::kAux, resident_);
+  AdvanceCrashEpoch();
   crashed_ = true;
   // All buffered state -- dirty or clean -- is volatile at this level;
   // releasing it adjusts this level's resident space back down. Dirty bytes

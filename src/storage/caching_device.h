@@ -76,9 +76,9 @@ class CachingDevice : public Device, public MemoryPool {
   Status PinForWrite(PageId page, PageWriteGuard* out) override;
 
   /// Crash simulation: every cached entry -- dirty or clean -- vanishes
-  /// without write-back, open pins are abandoned (late guard releases are
-  /// no-ops), and the crash propagates to the device below. Only state that
-  /// reached the bottom of the stack survives.
+  /// without write-back, open pins are abandoned (their guards go stale:
+  /// late releases are no-ops), and the crash propagates to the device
+  /// below. Only state that reached the bottom of the stack survives.
   void Crash() override;
 
   size_t block_size() const override { return base_->block_size(); }
@@ -139,7 +139,8 @@ class CachingDevice : public Device, public MemoryPool {
     uint32_t pins = 0;
     bool dirty = false;
     /// Created by a missed write pin: contents are not backed by the base
-    /// device until a dirty release lands; dropped on a clean release.
+    /// device until the frame turns dirty (a dirty release or a Write);
+    /// dropped on a clean release before then.
     bool speculative = false;
     /// Steady-clock stamp of the 0->1 pin, read only while tracing, so a
     /// kPinRelease event can carry the held duration.
@@ -193,8 +194,7 @@ class CachingDevice : public Device, public MemoryPool {
   void DropFrame(uint32_t frame);
   /// Pins a resident frame: one more pin, and the trace stamp on 0 -> 1.
   void PinFrame(uint32_t frame);
-  /// Drops one pin of `page` and returns its frame; kNoFrame when the page
-  /// holds no pin (a guard abandoned by a crash).
+  /// Drops one pin of `page`, which must hold one, and returns its frame.
   uint32_t UnpinFrame(PageId page);
   /// Emits the one-shot kRecovery event on the first operation after a
   /// Crash(). Call with mu_ held.

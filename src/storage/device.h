@@ -22,7 +22,9 @@ class Device;
 /// time -- byte-identical to the accounting of a `Device::Read` copy.
 ///
 /// Lifetime rules: guards must not be held across `Allocate`, `Free`, or
-/// `FlushAll` on the same device, and a pinned page cannot be freed.
+/// `FlushAll` on the same device, and a pinned page cannot be freed. A guard
+/// carries the crash epoch of the device that handed it out; once that
+/// device has crashed (`Device::Crash`), releasing the guard does nothing.
 class PageReadGuard {
  public:
   PageReadGuard() = default;
@@ -49,18 +51,22 @@ class PageReadGuard {
 
  private:
   friend class Device;
-  PageReadGuard(Device* device, PageId page, const uint8_t* data, size_t size)
-      : device_(device), page_(page), data_(data), size_(size) {}
+  PageReadGuard(Device* device, PageId page, uint32_t epoch,
+                const uint8_t* data, size_t size)
+      : device_(device), page_(page), epoch_(epoch), data_(data),
+        size_(size) {}
 
   void MoveFrom(PageReadGuard* other) {
     device_ = std::exchange(other->device_, nullptr);
     page_ = std::exchange(other->page_, kInvalidPageId);
+    epoch_ = other->epoch_;
     data_ = std::exchange(other->data_, nullptr);
     size_ = std::exchange(other->size_, 0);
   }
 
   Device* device_ = nullptr;
   PageId page_ = kInvalidPageId;
+  uint32_t epoch_ = 0;  ///< The device's crash epoch at pin time.
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
 };
@@ -79,8 +85,8 @@ class PageReadGuard {
 ///
 /// Pinning a page for write does NOT fault its prior contents in: on a
 /// cache miss the view is zero-filled, so callers must fully overwrite the
-/// block unless they read-pinned the same page first. Same lifetime rules
-/// as PageReadGuard.
+/// block unless they read-pinned the same page first. Same lifetime and
+/// crash rules as PageReadGuard.
 class PageWriteGuard {
  public:
   PageWriteGuard() = default;
@@ -112,12 +118,15 @@ class PageWriteGuard {
 
  private:
   friend class Device;
-  PageWriteGuard(Device* device, PageId page, uint8_t* data, size_t size)
-      : device_(device), page_(page), data_(data), size_(size) {}
+  PageWriteGuard(Device* device, PageId page, uint32_t epoch, uint8_t* data,
+                 size_t size)
+      : device_(device), page_(page), epoch_(epoch), data_(data),
+        size_(size) {}
 
   void MoveFrom(PageWriteGuard* other) {
     device_ = std::exchange(other->device_, nullptr);
     page_ = std::exchange(other->page_, kInvalidPageId);
+    epoch_ = other->epoch_;
     data_ = std::exchange(other->data_, nullptr);
     size_ = std::exchange(other->size_, 0);
     dirty_ = std::exchange(other->dirty_, false);
@@ -125,6 +134,7 @@ class PageWriteGuard {
 
   Device* device_ = nullptr;
   PageId page_ = kInvalidPageId;
+  uint32_t epoch_ = 0;  ///< The device's crash epoch at pin time.
   uint8_t* data_ = nullptr;
   size_t size_ = 0;
   bool dirty_ = false;
@@ -166,10 +176,12 @@ class Device {
 
   /// Simulates a process crash at this level and below: all buffered dirty
   /// state is dropped without write-back and all open pins are abandoned.
-  /// Durable state (what reached the bottom of the stack) survives. Guards
-  /// still held by callers become invalid -- their eventual release is
-  /// tolerated as a no-op, but their views must not be touched again. The
-  /// default is a no-op (a level with nothing volatile).
+  /// Durable state (what reached the bottom of the stack) survives. A level
+  /// that hands out guards starts a new crash epoch (AdvanceCrashEpoch), so
+  /// guards still held by callers become stale: their eventual release is
+  /// a no-op, even after the same page was pinned again, but their views
+  /// must not be touched again. The default is a no-op (a level with
+  /// nothing volatile).
   virtual void Crash() {}
 
   /// Pins `page` and charges the read (same charge as `Read`). On failure
@@ -192,24 +204,32 @@ class Device {
   virtual Status UnpinWrite(PageId page, bool dirty) = 0;
 
   /// Guard factories for implementations (guard constructors are private).
+  /// Each guard is stamped with `device`'s current crash epoch.
   static PageReadGuard MakeReadGuard(Device* device, PageId page,
                                      const uint8_t* data, size_t size) {
-    return PageReadGuard(device, page, data, size);
+    return PageReadGuard(device, page, device->crash_epoch_, data, size);
   }
   static PageWriteGuard MakeWriteGuard(Device* device, PageId page,
                                        uint8_t* data, size_t size) {
-    return PageWriteGuard(device, page, data, size);
+    return PageWriteGuard(device, page, device->crash_epoch_, data, size);
   }
+
+  /// Makes every guard this device handed out so far stale. The Crash() of
+  /// each level that hands out guards calls it.
+  void AdvanceCrashEpoch() { ++crash_epoch_; }
 
  private:
   friend class PageReadGuard;
   friend class PageWriteGuard;
+
+  uint32_t crash_epoch_ = 0;
 };
 
 inline void PageReadGuard::Release() {
   if (device_ == nullptr) return;
   Device* device = std::exchange(device_, nullptr);
-  device->UnpinRead(page_);
+  // A stale guard's pin died in the crash; the page may be pinned anew.
+  if (epoch_ == device->crash_epoch_) device->UnpinRead(page_);
   data_ = nullptr;
   size_ = 0;
 }
@@ -222,6 +242,7 @@ inline Status PageWriteGuard::Release() {
   bool dirty = std::exchange(dirty_, false);
   data_ = nullptr;
   size_ = 0;
+  if (epoch_ != device->crash_epoch_) return Status::OK();  // Stale guard.
   return device->UnpinWrite(page_, dirty);
 }
 

@@ -218,9 +218,7 @@ Status FaultyDevice::PinForWrite(PageId page, PageWriteGuard* out) {
 void FaultyDevice::UnpinRead(PageId page) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pins_.find(page);
-  if (it == pins_.end() || it->second.read_guards.empty()) {
-    return;  // Post-crash abandoned guard.
-  }
+  assert(it != pins_.end() && !it->second.read_guards.empty());
   it->second.read_guards.pop_back();  // Releases the base pin.
   --pins_outstanding_;
   if (it->second.read_guards.empty() && it->second.write_guards.empty()) {
@@ -231,9 +229,7 @@ void FaultyDevice::UnpinRead(PageId page) {
 Status FaultyDevice::UnpinWrite(PageId page, bool dirty) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pins_.find(page);
-  if (it == pins_.end() || it->second.write_guards.empty()) {
-    return Status::OK();  // Post-crash abandoned guard.
-  }
+  assert(it != pins_.end() && !it->second.write_guards.empty());
   PageWriteGuard base_guard = std::move(it->second.write_guards.back());
   it->second.write_guards.pop_back();
   --pins_outstanding_;
@@ -269,6 +265,7 @@ void FaultyDevice::Crash() {
   // Drop this level's pin bookkeeping first (releasing the base pins while
   // the base is still pre-crash), then crash the levels below. Torn pages
   // stay poisoned: the damage is on the durable medium.
+  AdvanceCrashEpoch();
   pins_.clear();
   pins_outstanding_ = 0;
   base_->Crash();

@@ -33,11 +33,6 @@ void ErrorTally::Count(const Status& s) {
     case Code::kCorruption:
       ++corruption;
       break;
-    case Code::kResourceExhausted:
-      // Service-layer admission control refused the request before storage
-      // was touched (a RequestScheduler shed).
-      ++shed;
-      break;
     default:
       ++other;
       break;
@@ -49,20 +44,17 @@ ErrorTally& ErrorTally::operator+=(const ErrorTally& o) {
   corruption += o.corruption;
   other += o.other;
   degraded_skips += o.degraded_skips;
-  shed += o.shed;
   return *this;
 }
 
 std::string ErrorTally::ToString() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "io=%llu corruption=%llu other=%llu degraded_skips=%llu "
-                "shed=%llu",
+                "io=%llu corruption=%llu other=%llu degraded_skips=%llu",
                 static_cast<unsigned long long>(io_errors),
                 static_cast<unsigned long long>(corruption),
                 static_cast<unsigned long long>(other),
-                static_cast<unsigned long long>(degraded_skips),
-                static_cast<unsigned long long>(shed));
+                static_cast<unsigned long long>(degraded_skips));
   return std::string(buf);
 }
 

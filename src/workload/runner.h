@@ -33,8 +33,6 @@ struct ErrorTally {
   uint64_t corruption = 0;   ///< Operations failed with kCorruption.
   uint64_t other = 0;        ///< Any other non-benign failure.
   uint64_t degraded_skips = 0;  ///< Mutations withheld in degraded service.
-  uint64_t shed = 0;  ///< Requests refused by service-layer admission control
-                      ///< or queue overflow before touching storage.
 
   uint64_t failed() const { return io_errors + corruption + other; }
   void Count(const Status& s);

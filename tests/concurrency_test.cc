@@ -432,7 +432,6 @@ TEST(ConcurrencyRunnerTest, DegradedSkipsMergeDeterministicallyAcrossWorkers) {
     EXPECT_EQ(w1[i].corruption, w2[i].corruption) << "worker " << i;
     EXPECT_EQ(w1[i].other, w2[i].other) << "worker " << i;
     EXPECT_EQ(w1[i].degraded_skips, w2[i].degraded_skips) << "worker " << i;
-    EXPECT_EQ(w1[i].shed, w2[i].shed) << "worker " << i;
     summed_skips += w1[i].degraded_skips;
   }
   // The storm degraded at least one worker, and the merge is the exact

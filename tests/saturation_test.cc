@@ -1,7 +1,7 @@
 // Saturation and admission-control tests for the service layer
 // (src/service/): open-loop overload behavior, the request-conservation
-// ledger, scheduler mechanisms (priorities, group commit, read coalescing,
-// deadlines), and option validation.
+// ledger, scheduler mechanisms (group commit, read coalescing, deadlines),
+// and option validation.
 //
 // Everything here runs on the scheduler's *virtual* clock, so queueing
 // dynamics -- p99s, sheds, goodput -- are deterministic functions of the
@@ -66,7 +66,7 @@ void ExpectLedgerExact(const ServiceStats& s, uint64_t submitted) {
   EXPECT_EQ(s.submitted, submitted);
   EXPECT_EQ(s.submitted, s.completed + s.deadline_missed + s.shed);
   EXPECT_EQ(s.accepted, s.completed + s.deadline_missed + s.shed_codel);
-  EXPECT_EQ(s.shed, s.shed_queue_full + s.shed_rate_gate + s.shed_codel);
+  EXPECT_EQ(s.shed, s.shed_queue_full + s.shed_codel);
   EXPECT_TRUE(s.LedgerHolds());
 }
 
@@ -124,7 +124,6 @@ TEST(SaturationTest, AdmissionHoldsSloAtTwiceCapacityWhereBaselineViolates) {
   // not just the queue bound.
   EXPECT_GT(with.stats.shed, 0u);
   EXPECT_GT(with.stats.shed_codel, 0u);
-  EXPECT_EQ(with.stats.shed, with.errors.shed);
 
   // Admission: completed-request p99 inside the SLO, goodput >= 70% of the
   // measured service rate.
@@ -214,41 +213,11 @@ Options UnitOptions() {
   return options;
 }
 
-Request GetRequest(Key key, uint64_t arrival_us = 0, uint8_t priority = 0) {
+Request GetRequest(Key key) {
   Request req;
   req.op = RequestOp::kGet;
   req.key = key;
-  req.arrival_us = arrival_us;
-  req.priority = priority;
   return req;
-}
-
-// High-priority requests dispatch before normal ones queued earlier.
-TEST(SaturationTest, PriorityRequestsDispatchFirst) {
-  auto method = PrefilledMethod();
-  Options options = UnitOptions();
-  options.service.batch_max_ops = 4;
-  RequestScheduler scheduler(method.get(), options);
-  std::vector<uint8_t> completion_priorities;
-  scheduler.set_completion([&](const Request& rq, const RequestResult& r) {
-    EXPECT_EQ(r.outcome, RequestOutcome::kCompleted);
-    completion_priorities.push_back(rq.priority);
-  });
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(scheduler.Submit(GetRequest(static_cast<Key>(i), 0, 1)));
-  }
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(scheduler.Submit(GetRequest(static_cast<Key>(100 + i), 0, 0)));
-  }
-  scheduler.RunUntilIdle();
-  ASSERT_EQ(completion_priorities.size(), 12u);
-  for (size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(completion_priorities[i], 0u) << "position " << i;
-  }
-  for (size_t i = 6; i < 12; ++i) {
-    EXPECT_EQ(completion_priorities[i], 1u) << "position " << i;
-  }
-  ExpectLedgerExact(scheduler.stats(), 12);
 }
 
 // Duplicate-key Gets inside one window share one method call: the physical
@@ -280,26 +249,6 @@ TEST(SaturationTest, DuplicateGetsCoalesceToOneMethodCall) {
   EXPECT_EQ(scheduler.stats().end_us, options.service.dispatch_overhead_us +
                                           options.service.op_cost_us);
   ExpectLedgerExact(scheduler.stats(), 8);
-}
-
-// With coalescing disabled the same traffic pays per-request.
-TEST(SaturationTest, CoalescingOffServesEveryGetIndividually) {
-  auto method = PrefilledMethod();
-  Options options = UnitOptions();
-  options.service.batch_max_ops = 8;
-  options.service.coalesce_reads = false;
-  RequestScheduler scheduler(method.get(), options);
-  CounterSnapshot before = method->stats();
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(scheduler.Submit(GetRequest(42)));
-  }
-  scheduler.RunUntilIdle();
-  CounterSnapshot delta = method->stats() - before;
-  EXPECT_EQ(delta.point_queries, 8u);
-  EXPECT_EQ(scheduler.stats().coalesced_reads, 0u);
-  EXPECT_EQ(scheduler.stats().end_us,
-            options.service.dispatch_overhead_us +
-                8 * options.service.op_cost_us);
 }
 
 // A request that expires in queue completes kDeadlineExceeded without the
@@ -358,35 +307,6 @@ TEST(SaturationTest, GroupCommitBatchesSameClassRuns) {
   EXPECT_EQ(scheduler.stats().batches, 3u);
   EXPECT_EQ(scheduler.stats().batched_ops, 9u);
   ExpectLedgerExact(scheduler.stats(), 9);
-}
-
-// The front-door token bucket sheds before storage is touched and the shed
-// lands in the ledger, with the expected kResourceExhausted status.
-TEST(SaturationTest, RateGateShedsAtTheFrontDoor) {
-  auto method = PrefilledMethod();
-  Options options = UnitOptions();
-  options.service.admission = true;
-  options.service.rate_ops_per_sec = 1000;
-  options.service.rate_burst_ops = 2;
-  RequestScheduler scheduler(method.get(), options);
-  uint64_t shed = 0;
-  scheduler.set_completion([&](const Request&, const RequestResult& r) {
-    if (r.outcome == RequestOutcome::kShed) {
-      EXPECT_EQ(r.status.code(), Code::kResourceExhausted);
-      ++shed;
-    }
-  });
-  CounterSnapshot before = method->stats();
-  // Five simultaneous arrivals against a bucket of two.
-  for (int i = 0; i < 5; ++i) {
-    scheduler.Submit(GetRequest(static_cast<Key>(i)));
-  }
-  scheduler.RunUntilIdle();
-  CounterSnapshot delta = method->stats() - before;
-  EXPECT_EQ(shed, 3u);
-  EXPECT_EQ(scheduler.stats().shed_rate_gate, 3u);
-  EXPECT_EQ(delta.point_queries, 2u);  // Shed requests never reached it.
-  ExpectLedgerExact(scheduler.stats(), 5);
 }
 
 // A burst of distinct Gets at one arrival drains as group-commit windows of

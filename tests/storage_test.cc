@@ -5,6 +5,7 @@
 #include "core/counters.h"
 #include "storage/block_device.h"
 #include "storage/caching_device.h"
+#include "storage/faulty_device.h"
 #include "storage/heap_file.h"
 #include "storage/page_format.h"
 #include "tests/testing_util.h"
@@ -365,6 +366,31 @@ TEST(CachingDeviceTest, DirtyWritePinReachesBaseOnFlush) {
   EXPECT_EQ(out, std::vector<uint8_t>(kBlock, 0x33));
 }
 
+// A Write to a page held by a missed write pin turns the speculative frame
+// into real data: the pin's clean release keeps it and FlushAll writes it
+// back, instead of the base's old bytes coming back.
+TEST(CachingDeviceTest, WriteUnderAMissedWritePinSurvivesItsCleanRelease) {
+  RumCounters counters;
+  BlockDevice device(kBlock, &counters);
+  CachingDevice cache(&device, /*capacity_pages=*/4);
+  PageId p = testing_util::MustAllocate(cache, DataClass::kBase);
+  ASSERT_TRUE(device.Write(p, std::vector<uint8_t>(kBlock, 0x11)).ok());
+  const std::vector<uint8_t> data(kBlock, 0x22);
+  {
+    PageWriteGuard guard;
+    ASSERT_TRUE(cache.PinForWrite(p, &guard).ok());  // Miss: speculative.
+    ASSERT_TRUE(cache.Write(p, data).ok());
+    ASSERT_TRUE(guard.Release().ok());  // Clean.
+  }
+  ASSERT_TRUE(cache.FlushAll().ok());
+  EXPECT_EQ(cache.write_backs(), 1u);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(cache.Read(p, &out).ok());
+  EXPECT_EQ(out, data);
+  ASSERT_TRUE(device.Read(p, &out).ok());
+  EXPECT_EQ(out, data);
+}
+
 TEST(CachingDeviceTest, ZeroCapacityPinWritesThroughAtRelease) {
   RumCounters counters;
   BlockDevice device(kBlock, &counters);
@@ -527,6 +553,77 @@ TEST(CachingDeviceTest, HitsMoveToMruAndInsertsEvictTheLruUnpinnedPage) {
   EXPECT_EQ(cache.evictions(), 7u);
   EXPECT_EQ(cache.write_backs(), 0u);
   EXPECT_EQ(cache.cached_pages(), 3u);
+}
+
+// A guard abandoned by Crash() and released after its page was pinned again
+// must leave the new pin alone, at every rung that hands out guards: each
+// guard carries its device's crash epoch, and a stale one releases nothing.
+TEST(BlockDeviceTest, StaleGuardReleaseKeepsTheNewPin) {
+  RumCounters counters;
+  BlockDevice device(kBlock, &counters);
+  PageId a = testing_util::MustAllocate(device, DataClass::kBase);
+  PageReadGuard stale;
+  ASSERT_TRUE(device.PinForRead(a, &stale).ok());
+  PageWriteGuard stale_write;
+  ASSERT_TRUE(device.PinForWrite(a, &stale_write).ok());
+  stale_write.MarkDirty();
+  device.Crash();
+  PageReadGuard fresh;
+  ASSERT_TRUE(device.PinForRead(a, &fresh).ok());
+  uint64_t writes = counters.snapshot().blocks_written;
+  stale.Release();
+  EXPECT_TRUE(stale_write.Release().ok());
+  EXPECT_EQ(counters.snapshot().blocks_written, writes);  // No charge.
+  EXPECT_EQ(device.pinned_pages(), 1u);
+  EXPECT_EQ(device.Free(a).code(), Code::kInvalidArgument);
+  fresh.Release();
+  EXPECT_EQ(device.pinned_pages(), 0u);
+  EXPECT_TRUE(device.Free(a).ok());
+}
+
+TEST(FaultyDeviceTest, StaleGuardReleaseKeepsTheNewPin) {
+  RumCounters counters;
+  BlockDevice base(kBlock, &counters);
+  FaultyDevice device(&base);
+  PageId a = testing_util::MustAllocate(device, DataClass::kBase);
+  PageReadGuard stale;
+  ASSERT_TRUE(device.PinForRead(a, &stale).ok());
+  device.Crash();
+  PageReadGuard fresh;
+  ASSERT_TRUE(device.PinForRead(a, &fresh).ok());
+  stale.Release();
+  EXPECT_EQ(device.pinned_pages(), 1u);
+  // The fresh pin still holds its base pin.
+  EXPECT_EQ(base.pinned_pages(), 1u);
+  EXPECT_EQ(base.Free(a).code(), Code::kInvalidArgument);
+  fresh.Release();
+  EXPECT_EQ(base.pinned_pages(), 0u);
+  EXPECT_TRUE(device.Free(a).ok());
+}
+
+TEST(CachingDeviceTest, StaleGuardReleaseKeepsTheNewPin) {
+  RumCounters counters;
+  BlockDevice base(kBlock, &counters);
+  CachingDevice cache(&base, /*capacity_pages=*/1);
+  PageId a = testing_util::MustAllocate(cache, DataClass::kBase);
+  PageId b = testing_util::MustAllocate(cache, DataClass::kBase);
+  PageReadGuard stale;
+  ASSERT_TRUE(cache.PinForRead(a, &stale).ok());
+  cache.Crash();
+  PageReadGuard fresh;
+  ASSERT_TRUE(cache.PinForRead(a, &fresh).ok());
+  stale.Release();
+  EXPECT_EQ(cache.pinned_pages(), 1u);
+  // `a` is still pinned, so pinning `b` overshoots instead of evicting it
+  // from under the fresh guard.
+  PageReadGuard guard_b;
+  ASSERT_TRUE(cache.PinForRead(b, &guard_b).ok());
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.cached_pages(), 2u);
+  EXPECT_EQ(cache.Free(a).code(), Code::kInvalidArgument);
+  guard_b.Release();
+  fresh.Release();
+  EXPECT_EQ(cache.pinned_pages(), 0u);
 }
 
 class HeapFileTest : public ::testing::Test {
