@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # rumlab CI: the tier-1 suite in Release (plus the table benches' stdout
-# against bench/golden/ and a rumbench build and smoke run), then the same
-# suite and the rumbench smoke run under AddressSanitizer with UBSan and
-# libstdc++ assertions, then the concurrency tier under ThreadSanitizer.
+# against bench/golden/, and a rumbench build, smoke run and exact counts
+# against bench/golden/rumbench_exact.txt), then the same suite and the
+# rumbench smoke run under AddressSanitizer with UBSan and libstdc++
+# assertions, then the concurrency tier under ThreadSanitizer.
 #
 #   ./ci.sh            # all three stages
 #   ./ci.sh release    # just the Release build + tests
@@ -60,8 +61,8 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   # The table benches run on simulated devices with seeded workloads, so
   # their stdout is deterministic: it is committed in bench/golden/ and must
   # match byte for byte. When a change moves a number on purpose, rebuild
-  # build-ci and regenerate every golden from the repository root with
-  #   for f in bench/golden/*.txt; do
+  # build-ci and regenerate every table golden from the repository root with
+  #   for f in bench/golden/bench_*.txt; do
   #     build-ci/bench/"$(basename "$f" .txt)" >"$f"; done
   # then review the diff before committing it.
   TABLE_BENCHES=(bench_props bench_table1 bench_fig1_rum_space
@@ -85,6 +86,24 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
     -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build build-ci/rumbench -j "${JOBS}"
   run_ctest "release" build-ci/rumbench "-L bench"
+  echo "=== release: rumbench exact counts vs bench/golden ==="
+  # Every workload at seed 1 and 1% scale (about 1 s for all four): its
+  # exact counts (pins, blocks, cache hits, compactions, result digest)
+  # are deterministic, printed as sorted "workload key value" lines and
+  # committed in bench/golden/rumbench_exact.txt. When a change moves a
+  # count on purpose, regenerate it from the repository root with
+  #   python3 bench/rumbench_exact.py build-ci/rumbench/rumbench \
+  #     >bench/golden/rumbench_exact.txt
+  # and review the diff before committing it.
+  python3 bench/rumbench_exact.py build-ci/rumbench/rumbench \
+    >build-ci/rumbench/rumbench_exact.txt
+  if ! diff -u bench/golden/rumbench_exact.txt \
+    build-ci/rumbench/rumbench_exact.txt; then
+    echo "release: rumbench exact counts differ from" \
+      "bench/golden/rumbench_exact.txt" >&2
+    exit 1
+  fi
+  echo "rumbench exact counts match bench/golden/rumbench_exact.txt"
   echo "=== release: machine-readable bench smoke ==="
   # The two JSON-emitting benches must run and produce parseable output; no
   # thresholds are enforced here (wall-clock is not comparable across CI

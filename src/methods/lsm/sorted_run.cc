@@ -21,24 +21,6 @@ constexpr size_t kRecordTail = sizeof(Value) + 1;  // Value, then op byte.
 constexpr size_t kMinCompressedRecord = 1 + kRecordTail;
 constexpr size_t kMaxCompressedRecord = 10 + kRecordTail;
 
-/// The one record binary search every lookup path shares: first index in
-/// [lo, n) whose key under `key_at` is >= `key` (n when none is). `key_at`
-/// reads a slot's key off the lookup walk's PageView or a cursor's decoded
-/// page.
-template <typename KeyAt>
-size_t LowerBoundSlot(size_t lo, size_t n, Key key, const KeyAt& key_at) {
-  size_t hi = n;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (key_at(mid) < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 /// Bytes `r` takes on a page right after a record keyed `prev`.
 size_t EncodedSize(const LogRecord& r, Key prev, bool compressed) {
   return (compressed ? VarintLength(r.key - prev) : sizeof(Key)) +
@@ -72,8 +54,8 @@ const uint8_t* FixedRecord(const uint8_t* block, size_t i) {
 }
 
 /// The page's record count, bounded by what the block holds at the
-/// smallest record encoding so a corrupt header can never index, or size
-/// a buffer, past the block.
+/// smallest record encoding so a corrupt header can never index past the
+/// block.
 Status CheckedRunCount(std::span<const uint8_t> block, bool compressed,
                        size_t* count) {
   if (block.size() < kRunHeaderSize) {
@@ -88,64 +70,17 @@ Status CheckedRunCount(std::span<const uint8_t> block, bool compressed,
   return Status::OK();
 }
 
-/// Decodes every record of a run page, in either format, into `out`; the
-/// count is checked before anything is read or reserved.
-Status DecodeRunPage(std::span<const uint8_t> block, bool compressed,
-                     std::vector<LogRecord>* out) {
-  size_t n = 0;
-  Status s = CheckedRunCount(block, compressed, &n);
-  if (!s.ok()) return s;
-  out->clear();
-  out->reserve(n);
-  size_t offset = kRunHeaderSize;
-  Key key = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (compressed) {
-      key += DecodeVarint64(block.data(), block.size(), &offset);
-      if (offset + kRecordTail > block.size()) {
-        return Status::Corruption("compressed record truncated");
-      }
-    } else {
-      key = DecodeU64(block.data() + offset);
-      offset += sizeof(Key);
-    }
-    out->push_back(DecodeRecord(key, block.data() + offset));
-    offset += kRecordTail;
-  }
-  return Status::OK();
+/// Adds the key delta of the compressed record at `*at` to `*key` and moves
+/// `*at` to the record's value bytes; false when those would run past the
+/// block.
+bool ReadDelta(const uint8_t* block, size_t size, size_t* at, Key* key) {
+  *key += DecodeVarint64(block, size, at);
+  return *at + kRecordTail <= size;
 }
 
-/// A pinned run page as the lookup walk reads it: fixed-width records in
-/// place on the block, compressed records from their decoded copy.
-class PageView {
- public:
-  Status Open(std::span<const uint8_t> block, bool compressed,
-              std::vector<LogRecord>* decoded) {
-    if (!compressed) {
-      block_ = block.data();
-      return CheckedRunCount(block, compressed, &size_);
-    }
-    Status s = DecodeRunPage(block, compressed, decoded);
-    decoded_ = decoded->data();
-    size_ = s.ok() ? decoded->size() : 0;
-    return s;
-  }
-  size_t size() const { return size_; }
-  Key key(size_t i) const {
-    return block_ != nullptr ? DecodeU64(FixedRecord(block_, i))
-                             : decoded_[i].key;
-  }
-  LogRecord record(size_t i) const {
-    return block_ != nullptr
-               ? DecodeRecord(key(i), FixedRecord(block_, i) + sizeof(Key))
-               : decoded_[i];
-  }
-
- private:
-  const uint8_t* block_ = nullptr;  // Fixed-width: the pinned block.
-  const LogRecord* decoded_ = nullptr;
-  size_t size_ = 0;
-};
+Status TruncatedRecord() {
+  return Status::Corruption("compressed record truncated");
+}
 
 }  // namespace
 
@@ -269,12 +204,96 @@ Status SortedRun::Destroy() {
   return first_failure;
 }
 
-Status SortedRun::LoadPage(size_t page_index, std::vector<LogRecord>* out) {
-  assert(page_index < pages_.size());
-  PageReadGuard guard;
-  Status s = device_->PinForRead(pages_[page_index], &guard);
+Status SortedRun::PageReader::Open(std::span<const uint8_t> block,
+                                   bool compressed) {
+  block_ = block.data();
+  block_size_ = block.size();
+  compressed_ = compressed;
+  truncated_ = false;
+  slot_ = 0;
+  size_ = 0;
+  Status s = CheckedRunCount(block, compressed, &size_);
   if (!s.ok()) return s;
-  return DecodeRunPage(guard.bytes(), compressed_, out);
+  if (compressed_ && size_ > 0) {
+    key_ = 0;  // The page's first record stores its full key.
+    tail_ = kRunHeaderSize;
+    if (!ReadDelta(block_, block_size_, &tail_, &key_)) Truncate();
+  }
+  return Status::OK();
+}
+
+void SortedRun::PageReader::Skip(size_t slot, Key key) {
+  // Locals, so the loop runs in registers.
+  size_t at = tail_;
+  Key k = key_;
+  size_t i = slot_;
+  while (i < size_ && (i < slot || k < key)) {
+    if (++i == size_) break;
+    at += kRecordTail;
+    if (!ReadDelta(block_, block_size_, &at, &k)) {
+      Truncate();
+      return;
+    }
+  }
+  tail_ = at;
+  key_ = k;
+  slot_ = i;
+}
+
+Key SortedRun::PageReader::KeyAt(size_t slot) const {
+  return DecodeU64(FixedRecord(block_, slot));
+}
+
+Key SortedRun::PageReader::key() const {
+  assert(valid());
+  return compressed_ ? key_ : KeyAt(slot_);
+}
+
+LogRecord SortedRun::PageReader::record() const {
+  assert(valid());
+  return compressed_ ? DecodeRecord(key_, block_ + tail_)
+                     : DecodeRecord(KeyAt(slot_),
+                                    FixedRecord(block_, slot_) + sizeof(Key));
+}
+
+void SortedRun::PageReader::Next() {
+  assert(valid());
+  if (compressed_) {
+    Skip(slot_ + 1, 0);
+  } else {
+    ++slot_;
+  }
+}
+
+void SortedRun::PageReader::SeekSlot(size_t slot) {
+  assert(!valid() || slot >= slot_);
+  if (compressed_) {
+    Skip(slot, 0);
+  } else {
+    slot_ = std::min(slot, size_);
+  }
+}
+
+void SortedRun::PageReader::SeekAtLeast(Key key) {
+  if (compressed_) {
+    Skip(0, key);
+    return;
+  }
+  // Keys past the page's last record are not on this page.
+  if (!valid() || KeyAt(size_ - 1) < key) {
+    slot_ = size_;
+    return;
+  }
+  // Binary search over [slot_, size_ - 1], whose last key is >= `key`.
+  size_t hi = size_ - 1;
+  while (slot_ < hi) {
+    size_t mid = slot_ + (hi - slot_) / 2;
+    if (KeyAt(mid) < key) {
+      slot_ = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
 }
 
 size_t SortedRun::FenceSearch(Key key) const {
@@ -299,30 +318,28 @@ Status SortedRun::WalkGroup(size_t group, std::span<const Key> keys,
   const size_t end_page =
       std::min(first_page + pages_per_fence_, pages_.size());
   size_t next = 0;  // First waiting key not yet resolved.
+  PageReader page;
   for (size_t p = first_page; p < end_page && next < waiting.size(); ++p) {
     PageReadGuard guard;
     Status s = device_->PinForRead(pages_[p], &guard);
     if (!s.ok()) return s;
-    PageView page;
-    s = page.Open(guard.bytes(), compressed_, &walk_records_);
+    s = page.Open(guard.bytes(), compressed_);
     if (!s.ok()) return s;
     // Each waiting key would have pinned this page in its own Get.
     if (waiting.size() - next > 1) {
       counters_->OnBatchedPageHits(waiting.size() - next - 1);
     }
-    const size_t n = page.size();
-    if (n == 0) continue;
-    // Keys past the page's last record wait for the next page.
-    const Key last = page.key(n - 1);
-    size_t slot = 0;
-    for (; next < waiting.size() && keys[waiting[next]] <= last; ++next) {
+    // One forward pass over the page for all the ascending keys; keys past
+    // its last record wait for the next page.
+    for (; next < waiting.size(); ++next) {
       const Key key = keys[waiting[next]];
-      slot = LowerBoundSlot(slot, n, key,
-                            [&](size_t i) { return page.key(i); });
-      const bool found = slot < n && page.key(slot) == key;
-      if (found) hits->push_back({waiting[next], page.record(slot)});
+      page.SeekAtLeast(key);
+      if (!page.valid()) break;
+      const bool found = page.key() == key;
+      if (found) hits->push_back({waiting[next], page.record()});
       NoteFilterOutcome(found);
     }
+    if (page.truncated()) return TruncatedRecord();
   }
   // Keys past the group's last record: their Get walks the same pages and
   // finds nothing.
@@ -418,33 +435,49 @@ Status SortedRun::MultiGet(std::span<const Key> keys, ProbeHashCache* cache,
   return Status::OK();
 }
 
-Status SortedRun::Cursor::LoadCurrent() {
-  while (page_ < run_->pages_.size()) {
-    Status s = run_->LoadPage(page_, &records_);
+Status SortedRun::Cursor::LoadCurrent(size_t slot) {
+  // Off the old page first, so a re-pin of it charges like any other pin.
+  guard_.Release();
+  for (; page_ < run_->pages_.size(); ++page_, slot = 0) {
+    Status s = run_->device_->PinForRead(run_->pages_[page_], &guard_);
     if (!s.ok()) return s;
-    if (slot_ < records_.size()) return Status::OK();
+    s = page_reader_.Open(guard_.bytes(), run_->compressed_);
+    if (!s.ok()) return s;
+    page_reader_.SeekSlot(slot);
+    if (page_reader_.valid()) {
+      record_ = page_reader_.record();
+      return Status::OK();
+    }
+    if (page_reader_.truncated()) return TruncatedRecord();
     // Empty page, or a stored slot past this page's record count (possible
     // after crash recovery truncated page contents): clamp forward.
-    ++page_;
-    slot_ = 0;
+    guard_.Release();
   }
-  records_.clear();
   return Status::OK();
+}
+
+Status SortedRun::Cursor::Land() {
+  if (page_reader_.valid()) {
+    record_ = page_reader_.record();
+    return Status::OK();
+  }
+  if (page_reader_.truncated()) return TruncatedRecord();
+  ++page_;
+  return LoadCurrent(0);
 }
 
 Status SortedRun::Cursor::SeekTo(size_t page, size_t slot) {
   assert(run_ != nullptr);
   page_ = page;
-  slot_ = slot;
-  return LoadCurrent();
+  return LoadCurrent(slot);
 }
 
 Status SortedRun::Cursor::SeekFirstAtLeast(Key key) {
   assert(run_ != nullptr);
   if (key <= run_->min_key_) return SeekTo(0, 0);
   if (key > run_->max_key_) {
+    guard_.Release();
     page_ = run_->pages_.size();
-    slot_ = 0;
     return Status::OK();
   }
   // FenceSearch lands on the last group whose fence is <= key; the first
@@ -458,14 +491,12 @@ Status SortedRun::Cursor::SeekFirstAtLeast(Key key) {
 Status SortedRun::Cursor::AdvanceToAtLeast(Key key) {
   assert(run_ != nullptr);
   while (Valid()) {
-    if (records_.back().key >= key) {
-      slot_ = LowerBoundSlot(slot_, records_.size(), key,
-                             [&](size_t i) { return records_[i].key; });
-      if (slot_ < records_.size()) return Status::OK();
+    page_reader_.SeekAtLeast(key);
+    if (page_reader_.valid()) {
+      record_ = page_reader_.record();
+      return Status::OK();
     }
-    ++page_;
-    slot_ = 0;
-    Status s = LoadCurrent();
+    Status s = Land();  // The page ran out: on to the next one.
     if (!s.ok()) return s;
   }
   return Status::OK();
@@ -473,26 +504,26 @@ Status SortedRun::Cursor::AdvanceToAtLeast(Key key) {
 
 Status SortedRun::Cursor::Next() {
   assert(Valid());
-  ++slot_;
-  if (slot_ >= records_.size()) {
-    ++page_;
-    slot_ = 0;
-    return LoadCurrent();
-  }
-  return Status::OK();
+  page_reader_.Next();
+  return Land();
 }
 
 Status SortedRun::VisitFrom(
     size_t first_page, Key lo, Key hi,
     const std::function<void(const LogRecord&)>& visit) {
-  std::vector<LogRecord> records;
+  PageReader page;
   for (size_t p = first_page; p < pages_.size(); ++p) {
-    Status s = LoadPage(p, &records);
+    PageReadGuard guard;
+    Status s = device_->PinForRead(pages_[p], &guard);
     if (!s.ok()) return s;
-    for (const LogRecord& r : records) {
-      if (r.key > hi) return Status::OK();
-      if (r.key >= lo) visit(r);
+    s = page.Open(guard.bytes(), compressed_);
+    if (!s.ok()) return s;
+    for (; page.valid(); page.Next()) {
+      const Key key = page.key();
+      if (key > hi) return Status::OK();
+      if (key >= lo) visit(page.record());
     }
+    if (page.truncated()) return TruncatedRecord();
   }
   return Status::OK();
 }

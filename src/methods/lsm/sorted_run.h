@@ -55,6 +55,52 @@ struct ProbeHashCache {
 ///  - an optional Bloom filter over the run's keys, probed before any page
 ///    is read (0 bits/key disables it).
 class SortedRun {
+  /// One pinned run page, read in place in either format. Open checks the
+  /// record count and lands on the first record; after that the reader
+  /// only moves forward. Fixed-width records are read, and binary-searched,
+  /// where they lie; compressed ones are stepped through by adding each key
+  /// delta. Only record() builds a LogRecord. A compressed record that
+  /// would run past the block ends the page early and sets truncated(),
+  /// which each walk checks once, when the page runs out.
+  class PageReader {
+   public:
+    Status Open(std::span<const uint8_t> block, bool compressed);
+    /// False once the reader is past the page's last readable record.
+    bool valid() const { return slot_ < size_; }
+    size_t slot() const { return slot_; }
+    bool truncated() const { return truncated_; }
+    /// The key and the record at the reader (requires valid()).
+    Key key() const;
+    LogRecord record() const;
+    /// Steps to the next record.
+    void Next();
+    /// Moves forward to record `slot`.
+    void SeekSlot(size_t slot);
+    /// Moves forward to the first record keyed >= `key`.
+    void SeekAtLeast(Key key);
+
+   private:
+    /// Compressed pages: steps forward while the reader is before record
+    /// `slot` or on a key below `key`.
+    void Skip(size_t slot, Key key);
+    void Truncate() {
+      truncated_ = true;
+      slot_ = size_;
+    }
+    Key KeyAt(size_t slot) const;  // Fixed-width only.
+
+    const uint8_t* block_ = nullptr;
+    size_t block_size_ = 0;
+    size_t size_ = 0;  // Record count, checked against the block.
+    size_t slot_ = 0;
+    // Compressed pages: the current record's key and the offset of its
+    // value bytes.
+    Key key_ = 0;
+    size_t tail_ = 0;
+    bool compressed_ = false;
+    bool truncated_ = false;
+  };
+
  public:
   /// Builds a run from key-ascending records (duplicates not allowed).
   /// All accounting (page writes, filter space) is charged to `counters`
@@ -101,13 +147,17 @@ class SortedRun {
                   Hits* hits);
 
   /// A forward iterator over the run's records, positioned by (page, slot)
-  /// and advanced one record at a time. Page loads are charged exactly like
-  /// Get/VisitRange reads; fence searches (SeekFirstAtLeast) charge the
-  /// usual auxiliary probe bytes. Offsets are stable for the run's lifetime
-  /// (runs are immutable), which is what lets the cross-run index persist
-  /// them across scans. A cursor whose stored offset points past a page's
-  /// record count (possible only when crash recovery lost page contents)
-  /// clamps forward to the next readable record instead of failing.
+  /// and advanced one record at a time. It reads through a read pin of the
+  /// page it is on, held across calls and released when it steps off the
+  /// page or is destroyed; so, like any guard, a cursor must not be held
+  /// across Allocate, Free or FlushAll on the run's device. Page pins are
+  /// charged exactly like Get/VisitRange reads; fence searches
+  /// (SeekFirstAtLeast) charge the usual auxiliary probe bytes. Offsets are
+  /// stable for the run's lifetime (runs are immutable), which is what lets
+  /// the cross-run index persist them across scans. A cursor whose stored
+  /// offset points past a page's record count (possible only when crash
+  /// recovery lost page contents) clamps forward to the next readable
+  /// record instead of failing.
   class Cursor {
    public:
     Cursor() = default;
@@ -126,19 +176,24 @@ class SortedRun {
     Status Next();
 
     bool Valid() const { return run_ != nullptr && page_ < run_->pages_.size(); }
-    const LogRecord& record() const { return records_[slot_]; }
+    const LogRecord& record() const { return record_; }
     size_t page_index() const { return page_; }
-    size_t slot_index() const { return slot_; }
+    size_t slot_index() const { return page_reader_.slot(); }
     const SortedRun* run() const { return run_; }
 
    private:
-    /// Loads page `page_` into records_, skipping forward past empty pages.
-    Status LoadCurrent();
+    /// Steps off the current page, then pins page `page_` and lands on
+    /// record `slot`, skipping forward past short or empty pages.
+    Status LoadCurrent(size_t slot);
+    /// Lands on the reader's record, or, when the page ran out, pins the
+    /// next one (Corruption when it ran out at a truncated record).
+    Status Land();
 
     SortedRun* run_ = nullptr;
     size_t page_ = 0;
-    size_t slot_ = 0;
-    std::vector<LogRecord> records_;  // Decoded records of page `page_`.
+    PageReadGuard guard_;     // The pin of page `page_` while Valid().
+    PageReader page_reader_;  // Reads page `page_` through `guard_`.
+    LogRecord record_;        // The record at the cursor.
   };
 
   /// Visits records with lo <= key <= hi in ascending order.
@@ -177,8 +232,6 @@ class SortedRun {
  private:
   SortedRun(Device* device, RumCounters* counters);
 
-  /// Pins page `page_index` and decodes its records into `out`.
-  Status LoadPage(size_t page_index, std::vector<LogRecord>* out);
   /// Charged binary search over the in-memory fence keys; returns the
   /// index of the *page group* the key may live in (first page =
   /// group * pages_per_fence_).
@@ -197,7 +250,8 @@ class SortedRun {
     (found ? filter_stats_->true_positives : filter_stats_->false_positives)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  /// Visits the records with lo <= key <= hi from page `first_page` on.
+  /// Visits the records with lo <= key <= hi from page `first_page` on,
+  /// each under the pin of its page.
   Status VisitFrom(size_t first_page, Key lo, Key hi,
                    const std::function<void(const LogRecord&)>& visit);
 
@@ -222,7 +276,6 @@ class SortedRun {
   std::vector<uint32_t> mg_live_;
   std::vector<size_t> mg_groups_;
   Hits get_hits_;
-  std::vector<LogRecord> walk_records_;  // A compressed page, decoded.
 };
 
 /// Merges sorted record streams (newest first) into one; drops shadowed

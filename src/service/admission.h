@@ -27,8 +27,6 @@ class CoDelController {
   /// shed this request instead of serving it.
   bool ShouldShed(uint64_t sojourn_us, uint64_t now_us);
 
-  bool dropping() const { return dropping_; }
-
  private:
   /// True when the sojourn signal has stayed above target for an interval.
   bool OkToDrop(uint64_t sojourn_us, uint64_t now_us);

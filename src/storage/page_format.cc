@@ -22,18 +22,6 @@ uint8_t* EncodeVarint64(uint64_t v, uint8_t* dst) {
   return dst;
 }
 
-uint64_t DecodeVarint64(const uint8_t* src, size_t limit, size_t* offset) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*offset < limit && shift <= 63) {
-    uint8_t byte = src[(*offset)++];
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
-    shift += 7;
-  }
-  return v;  // Malformed input: best-effort value, offset at limit.
-}
-
 Status PageFormat::PackInto(std::span<const Entry> entries,
                             std::span<uint8_t> block) {
   if (entries.size() > CapacityFor(block.size())) {

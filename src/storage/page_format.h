@@ -127,11 +127,24 @@ inline void PageFormat::SetEntryAt(std::span<uint8_t> block, size_t index,
 /// LEB128 varint helpers (used by compressed run pages). EncodeVarint64
 /// writes VarintLength(v) bytes at `dst` and returns the byte past them;
 /// DecodeVarint64 reads from `src`, advances `*offset`, and returns the
-/// value (offset clamped to `limit` on malformed input).
+/// value (offset clamped to `limit` on malformed input). The decoder is
+/// inline, like the scalar helpers above: a compressed page walk runs it
+/// once per record.
 uint8_t* EncodeVarint64(uint64_t v, uint8_t* dst);
 /// Bytes EncodeVarint64 would emit for `v`.
 size_t VarintLength(uint64_t v);
-uint64_t DecodeVarint64(const uint8_t* src, size_t limit, size_t* offset);
+inline uint64_t DecodeVarint64(const uint8_t* src, size_t limit,
+                               size_t* offset) {
+  uint64_t v = 0;
+  int shift = 0;
+  while (*offset < limit && shift <= 63) {
+    uint8_t byte = src[(*offset)++];
+    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+    shift += 7;
+  }
+  return v;  // Malformed input: best-effort value, offset at limit.
+}
 
 }  // namespace rum
 

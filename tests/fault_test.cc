@@ -189,6 +189,52 @@ TEST(FaultTest, LsmReadPathPropagates) {
   EXPECT_TRUE(tree.Get(500).ok());
 }
 
+// A Scan's run cursors each hold a read pin across calls. Failing the
+// scan's k-th charged I/O, for every k until the Scan succeeds, must return
+// the injected error and leave no page pinned at either rung, with the
+// cross-run index on (segment build, then positioning) and off.
+TEST(FaultTest, FailedLsmScanReleasesEveryPin) {
+  for (bool index : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "cross_run_index=" << index);
+    RumCounters counters;
+    BlockDevice base(512, &counters);
+    FaultyDevice device(&base);
+    Options options = SmallOptions();
+    options.lsm.policy = LsmPolicy::kTiered;
+    options.lsm.compress_runs = true;
+    options.lsm.cross_run_index = index;
+    LsmTree tree(options, &device);
+    // Shuffled keys, so every run spans the key domain.
+    std::vector<Key> keys;
+    for (Key k = 0; k < 2000; k += 2) keys.push_back(k);
+    Rng rng(3);
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.NextBelow(i)]);
+    }
+    for (Key k : keys) ASSERT_TRUE(tree.Insert(k, ValueFor(k)).ok());
+    ASSERT_TRUE(tree.Flush().ok());
+    ASSERT_GT(tree.total_runs(), 1u);
+    std::vector<Entry> rows;
+    Status s;
+    uint64_t k = 0;
+    for (;; ++k) {
+      device.InjectFailureAfter(k);
+      rows.clear();
+      s = tree.Scan(500, 1500, &rows);
+      EXPECT_EQ(device.pinned_pages(), 0u) << k;
+      EXPECT_EQ(base.pinned_pages(), 0u) << k;
+      if (s.ok()) break;
+      ASSERT_EQ(s.code(), Code::kIOError) << k << " " << s.ToString();
+    }
+    EXPECT_GT(k, tree.total_runs());  // At least one pin per run failed.
+    device.ClearFaults();
+    ASSERT_EQ(rows.size(), 501u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].key, 500 + 2 * i);
+    }
+  }
+}
+
 TEST(FaultTest, MidBulkLoadFailureSurfaces) {
   RumCounters counters;
   BlockDevice base(512, &counters);

@@ -1,10 +1,13 @@
 // Structural tests for the LSM-tree: run layout, compaction policies,
 // Bloom-filter effect, tombstone GC, space accounting.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "methods/lsm/lsm_tree.h"
 #include "methods/lsm/sorted_run.h"
 #include "storage/block_device.h"
+#include "storage/page_format.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
 
@@ -112,10 +115,8 @@ TEST(SortedRunTest, SparseFencesTradeSpaceForPageReads) {
   EXPECT_GT(sparse_blocks, dense_blocks);
 }
 
-TEST(SortedRunTest, CompressedRunsRoundTripExactly) {
-  RumCounters counters;
-  BlockDevice device(512, &counters);
-  // Irregular deltas, tombstones, and big jumps all survive the codec.
+// Irregular deltas (one- to three-byte varints), tombstones and big jumps.
+std::vector<LogRecord> RandomDeltaRecords() {
   std::vector<LogRecord> records;
   Rng rng(61);
   Key k = 0;
@@ -125,6 +126,14 @@ TEST(SortedRunTest, CompressedRunsRoundTripExactly) {
                                 rng.NextBelow(5) == 0 ? LogOp::kDelete
                                                       : LogOp::kPut});
   }
+  return records;
+}
+
+TEST(SortedRunTest, CompressedRunsRoundTripExactly) {
+  RumCounters counters;
+  BlockDevice device(512, &counters);
+  // Irregular deltas, tombstones, and big jumps all survive the codec.
+  const std::vector<LogRecord> records = RandomDeltaRecords();
   std::unique_ptr<SortedRun> run;
   ASSERT_TRUE(SortedRun::Build(&device, &counters, records, 0, &run, 0,
                                /*compress=*/true)
@@ -457,90 +466,218 @@ TEST(LsmTreeTest, BulkLoadLandsInOneDeepRun) {
 
 // ------------------------------------------------------ SortedRun::Cursor
 
-TEST(SortedRunCursorTest, WalksEveryRecordInOrder) {
-  RumCounters counters;
-  BlockDevice device(512, &counters);
+// The cursor cases run on both page formats. On 512-byte blocks a page
+// holds 29 fixed-width records, or 50 compressed ones when each key is one
+// or two past the last (PagesHoldEveryRecordThatFits).
+struct RunFormat {
+  bool compress;
+  size_t per_page;
+};
+constexpr RunFormat kRunFormats[] = {{false, 29}, {true, 50}};
+
+std::unique_ptr<SortedRun> BuildRun(Device* device, RumCounters* counters,
+                                    const std::vector<LogRecord>& records,
+                                    bool compress) {
   std::unique_ptr<SortedRun> run;
-  ASSERT_TRUE(
-      SortedRun::Build(&device, &counters, MakeRecords(1000, 0, 2), 0, &run)
-          .ok());
-  SortedRun::Cursor cursor(run.get());
-  ASSERT_TRUE(cursor.SeekTo(0, 0).ok());
-  Key expected = 0;
-  size_t seen = 0;
-  while (cursor.Valid()) {
-    EXPECT_EQ(cursor.record().key, expected);
-    expected += 2;
-    ++seen;
-    ASSERT_TRUE(cursor.Next().ok());
+  Status s =
+      SortedRun::Build(device, counters, records, 0, &run, 0, compress);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return run;
+}
+
+TEST(SortedRunCursorTest, WalksEveryRecordInOrder) {
+  for (const RunFormat f : kRunFormats) {
+    SCOPED_TRACE(testing::Message() << "compress=" << f.compress);
+    RumCounters counters;
+    BlockDevice device(512, &counters);
+    auto run = BuildRun(&device, &counters, MakeRecords(1000, 0, 2),
+                        f.compress);
+    ASSERT_EQ(run->page_count(), (1000 + f.per_page - 1) / f.per_page);
+    SortedRun::Cursor cursor(run.get());
+    ASSERT_TRUE(cursor.SeekTo(0, 0).ok());
+    Key expected = 0;
+    size_t seen = 0;
+    while (cursor.Valid()) {
+      EXPECT_EQ(cursor.record().key, expected);
+      EXPECT_EQ(cursor.record().value, ValueFor(expected));
+      expected += 2;
+      ++seen;
+      ASSERT_TRUE(cursor.Next().ok());
+    }
+    EXPECT_EQ(seen, 1000u);
   }
-  EXPECT_EQ(seen, 1000u);
 }
 
 TEST(SortedRunCursorTest, SeekFirstAtLeastLandsOnLowerBound) {
-  RumCounters counters;
-  BlockDevice device(512, &counters);
-  std::unique_ptr<SortedRun> run;
-  ASSERT_TRUE(
-      SortedRun::Build(&device, &counters, MakeRecords(1000, 0, 2), 0, &run)
-          .ok());
-  SortedRun::Cursor cursor(run.get());
-  // Absent odd key: the next even key answers.
-  ASSERT_TRUE(cursor.SeekFirstAtLeast(1001).ok());
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.record().key, 1002u);
-  // Present key: exact hit.
-  ASSERT_TRUE(cursor.SeekFirstAtLeast(500).ok());
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.record().key, 500u);
-  // Below min: first record.
-  ASSERT_TRUE(cursor.SeekFirstAtLeast(0).ok());
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.record().key, 0u);
-  // Beyond max: invalid, not an error.
-  ASSERT_TRUE(cursor.SeekFirstAtLeast(5000).ok());
-  EXPECT_FALSE(cursor.Valid());
+  for (const RunFormat f : kRunFormats) {
+    SCOPED_TRACE(testing::Message() << "compress=" << f.compress);
+    RumCounters counters;
+    BlockDevice device(512, &counters);
+    auto run = BuildRun(&device, &counters, MakeRecords(1000, 0, 2),
+                        f.compress);
+    SortedRun::Cursor cursor(run.get());
+    // Absent odd key: the next even key answers.
+    ASSERT_TRUE(cursor.SeekFirstAtLeast(1001).ok());
+    ASSERT_TRUE(cursor.Valid());
+    EXPECT_EQ(cursor.record().key, 1002u);
+    // Present key: exact hit.
+    ASSERT_TRUE(cursor.SeekFirstAtLeast(500).ok());
+    ASSERT_TRUE(cursor.Valid());
+    EXPECT_EQ(cursor.record().key, 500u);
+    // Below min: first record.
+    ASSERT_TRUE(cursor.SeekFirstAtLeast(0).ok());
+    ASSERT_TRUE(cursor.Valid());
+    EXPECT_EQ(cursor.record().key, 0u);
+    // Beyond max: invalid, not an error.
+    ASSERT_TRUE(cursor.SeekFirstAtLeast(5000).ok());
+    EXPECT_FALSE(cursor.Valid());
+  }
 }
 
 TEST(SortedRunCursorTest, AdvanceToAtLeastMovesForwardAcrossPages) {
-  RumCounters counters;
-  BlockDevice device(512, &counters);  // 29 records per page.
-  std::unique_ptr<SortedRun> run;
-  ASSERT_TRUE(
-      SortedRun::Build(&device, &counters, MakeRecords(1000, 0, 2), 0, &run)
-          .ok());
-  SortedRun::Cursor cursor(run.get());
-  ASSERT_TRUE(cursor.SeekTo(0, 0).ok());
-  // Same page first, then a multi-page jump.
-  ASSERT_TRUE(cursor.AdvanceToAtLeast(20).ok());
-  EXPECT_EQ(cursor.record().key, 20u);
-  ASSERT_TRUE(cursor.AdvanceToAtLeast(1500).ok());
-  EXPECT_EQ(cursor.record().key, 1500u);
-  // Advancing to a key already behind the cursor is a no-op.
-  ASSERT_TRUE(cursor.AdvanceToAtLeast(10).ok());
-  EXPECT_EQ(cursor.record().key, 1500u);
-  ASSERT_TRUE(cursor.AdvanceToAtLeast(99999).ok());
-  EXPECT_FALSE(cursor.Valid());
+  for (const RunFormat f : kRunFormats) {
+    SCOPED_TRACE(testing::Message() << "compress=" << f.compress);
+    RumCounters counters;
+    BlockDevice device(512, &counters);
+    auto run = BuildRun(&device, &counters, MakeRecords(1000, 0, 2),
+                        f.compress);
+    SortedRun::Cursor cursor(run.get());
+    ASSERT_TRUE(cursor.SeekTo(0, 0).ok());
+    // Same page first, then a multi-page jump.
+    ASSERT_TRUE(cursor.AdvanceToAtLeast(20).ok());
+    EXPECT_EQ(cursor.record().key, 20u);
+    EXPECT_EQ(cursor.page_index(), 0u);
+    ASSERT_TRUE(cursor.AdvanceToAtLeast(1500).ok());
+    EXPECT_EQ(cursor.record().key, 1500u);
+    EXPECT_EQ(cursor.page_index(), 750 / f.per_page);
+    EXPECT_EQ(cursor.slot_index(), 750 % f.per_page);
+    // Advancing to a key already behind the cursor is a no-op.
+    ASSERT_TRUE(cursor.AdvanceToAtLeast(10).ok());
+    EXPECT_EQ(cursor.record().key, 1500u);
+    ASSERT_TRUE(cursor.AdvanceToAtLeast(99999).ok());
+    EXPECT_FALSE(cursor.Valid());
+  }
 }
 
 TEST(SortedRunCursorTest, SeekToClampsPastShortPositions) {
+  for (const RunFormat f : kRunFormats) {
+    SCOPED_TRACE(testing::Message() << "compress=" << f.compress);
+    RumCounters counters;
+    BlockDevice device(512, &counters);
+    auto run = BuildRun(&device, &counters, MakeRecords(100), f.compress);
+    SortedRun::Cursor cursor(run.get());
+    // Slot past the last page's record count clamps forward to the end.
+    size_t last_page = run->page_count() - 1;
+    ASSERT_TRUE(cursor.SeekTo(last_page, 1000).ok());
+    EXPECT_FALSE(cursor.Valid());
+    // Slot past a middle page's count clamps to the next page's first
+    // record.
+    ASSERT_TRUE(cursor.SeekTo(0, 1000).ok());
+    ASSERT_TRUE(cursor.Valid());
+    EXPECT_EQ(cursor.record().key, f.per_page);
+    // Page past the end is simply invalid.
+    ASSERT_TRUE(cursor.SeekTo(run->page_count(), 0).ok());
+    EXPECT_FALSE(cursor.Valid());
+  }
+}
+
+// Random deltas make one- to three-byte varints, so compressed records
+// vary in size: every cursor move must still land where std::lower_bound
+// over the record vector does, and its (page, slot) offset must lead back
+// to the same record.
+TEST(SortedRunCursorTest, CompressedRandomDeltasAgreeWithLowerBound) {
   RumCounters counters;
-  BlockDevice device(512, &counters);  // 29 records per page.
-  std::unique_ptr<SortedRun> run;
-  ASSERT_TRUE(
-      SortedRun::Build(&device, &counters, MakeRecords(100), 0, &run).ok());
+  BlockDevice device(512, &counters);
+  const std::vector<LogRecord> records = RandomDeltaRecords();
+  auto run = BuildRun(&device, &counters, records, /*compress=*/true);
+  ASSERT_TRUE(run->compressed());
+  auto lower_bound = [&](Key key) {
+    return static_cast<size_t>(
+        std::lower_bound(records.begin(), records.end(), key,
+                         [](const LogRecord& r, Key k) { return r.key < k; }) -
+        records.begin());
+  };
+  auto expect_at = [&](const SortedRun::Cursor& cursor, size_t i) {
+    if (i == records.size()) {
+      EXPECT_FALSE(cursor.Valid());
+      return;
+    }
+    ASSERT_TRUE(cursor.Valid()) << i;
+    EXPECT_EQ(cursor.record().key, records[i].key) << i;
+    EXPECT_EQ(cursor.record().value, records[i].value) << i;
+    EXPECT_EQ(cursor.record().op, records[i].op) << i;
+  };
+  // A full walk by Next.
+  SortedRun::Cursor walk(run.get());
+  ASSERT_TRUE(walk.SeekTo(0, 0).ok());
+  for (size_t i = 0; i <= records.size(); ++i) {
+    expect_at(walk, i);
+    if (walk.Valid()) {
+      ASSERT_TRUE(walk.Next().ok());
+    }
+  }
+  // Seeks to present and absent keys, then forward advances and steps.
+  Rng rng(7);
+  const Key max = records.back().key;
+  for (int probe = 0; probe < 300; ++probe) {
+    Key key = rng.NextBelow(max + 2);
+    if (probe % 3 == 0) key = records[rng.NextBelow(records.size())].key;
+    SortedRun::Cursor cursor(run.get());
+    ASSERT_TRUE(cursor.SeekFirstAtLeast(key).ok());
+    size_t i = lower_bound(key);
+    expect_at(cursor, i);
+    if (!cursor.Valid()) continue;
+    SortedRun::Cursor again(run.get());
+    ASSERT_TRUE(again.SeekTo(cursor.page_index(), cursor.slot_index()).ok());
+    expect_at(again, i);
+    const Key ahead = key + rng.NextBelow(1u << 22);
+    ASSERT_TRUE(cursor.AdvanceToAtLeast(ahead).ok());
+    i = lower_bound(ahead);
+    expect_at(cursor, i);
+    for (int step = 0; step < 5 && cursor.Valid(); ++step) {
+      ASSERT_TRUE(cursor.Next().ok());
+      expect_at(cursor, ++i);
+    }
+  }
+}
+
+// A compressed record whose bytes run past the block is found where a walk
+// reaches it: reads that stop before it still answer, and every read that
+// needs it -- a Get, a cursor walk, VisitAll (so compaction) -- returns
+// kCorruption instead of merging around it.
+TEST(SortedRunTest, TruncatedCompressedRecordIsCorruptionWhereAWalkReachesIt) {
+  RumCounters counters;
+  BlockDevice device(512, &counters);
+  auto run = BuildRun(&device, &counters, MakeRecords(100), /*compress=*/true);
+  ASSERT_EQ(run->page_count(), 2u);
+  // Page 0 holds keys 0..49 at 10 bytes each; the last starts at 8 + 49 *
+  // 10. All-0x80 bytes make a 10-byte varint whose value and op byte would
+  // end past the block.
+  std::vector<uint8_t>* page = device.mutable_page_unaccounted(0);
+  ASSERT_NE(page, nullptr);
+  ASSERT_EQ(DecodeU64(page->data()), 50u);
+  std::fill(page->begin() + 8 + 49 * 10, page->end(), uint8_t{0x80});
+
+  Result<std::optional<LogRecord>> first = run->Get(0);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().has_value());
+  EXPECT_EQ(first.value()->value, ValueFor(0));
+  EXPECT_EQ(run->Get(49).code(), Code::kCorruption);
+  EXPECT_TRUE(run->Get(50).ok());  // Page 1 is intact.
+
   SortedRun::Cursor cursor(run.get());
-  // Slot past the last page's record count clamps forward to the end.
-  size_t last_page = run->page_count() - 1;
-  ASSERT_TRUE(cursor.SeekTo(last_page, 1000).ok());
-  EXPECT_FALSE(cursor.Valid());
-  // Slot past a middle page's count clamps to the next page's first record.
-  ASSERT_TRUE(cursor.SeekTo(0, 1000).ok());
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.record().key, 29u);
-  // Page past the end is simply invalid.
-  ASSERT_TRUE(cursor.SeekTo(run->page_count(), 0).ok());
-  EXPECT_FALSE(cursor.Valid());
+  ASSERT_TRUE(cursor.SeekTo(0, 0).ok());
+  Status s = Status::OK();
+  for (Key expected = 0; s.ok() && cursor.Valid(); ++expected) {
+    EXPECT_EQ(cursor.record().key, expected);
+    s = cursor.Next();
+  }
+  EXPECT_EQ(s.code(), Code::kCorruption);
+
+  size_t visited = 0;
+  EXPECT_EQ(run->VisitAll([&](const LogRecord&) { ++visited; }).code(),
+            Code::kCorruption);
+  EXPECT_EQ(visited, 49u);
 }
 
 // --------------------------------------------------- Run bounds skipping
