@@ -4,6 +4,9 @@
 #include <bit>
 #include <cassert>
 
+#include "methods/lsm/sorted_run.h"
+#include "methods/newest_wins_merge.h"
+
 namespace rum {
 
 UpdateAbsorber::UpdateAbsorber(std::unique_ptr<AccessMethod> base,
@@ -122,30 +125,30 @@ Status UpdateAbsorber::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   if (!s.ok()) return s;
   own_.OnRead(DataClass::kAux,
               static_cast<uint64_t>(delta_.size()) * kDeltaRecordSize);
-  std::vector<Entry> merged;
-  merged.reserve(base_hits.size());
-  std::unordered_map<Key, const DeltaRecord*> pending;
+  // The delta is newer than the base; its tombstones shadow base entries.
+  std::vector<LogRecord> pending;
   for (const auto& [key, record] : delta_) {
-    if (key >= lo && key <= hi) pending[key] = &record;
-  }
-  for (const Entry& e : base_hits) {
-    auto it = pending.find(e.key);
-    if (it == pending.end()) {
-      merged.push_back(e);
-    } else if (!it->second->tombstone) {
-      merged.push_back(Entry{e.key, it->second->value});
-      pending.erase(it);
-    } else {
-      pending.erase(it);
+    if (key >= lo && key <= hi) {
+      pending.push_back(LogRecord{
+          key, record.value, record.tombstone ? LogOp::kDelete : LogOp::kPut});
     }
   }
-  for (const auto& [key, record] : pending) {
-    if (!record->tombstone) merged.push_back(Entry{key, record->value});
+  std::ranges::sort(pending, {}, &LogRecord::key);
+  std::vector<LogRecord> base;
+  base.reserve(base_hits.size());
+  for (const Entry& e : base_hits) {
+    base.push_back(LogRecord{e.key, e.value, LogOp::kPut});
   }
-  std::sort(merged.begin(), merged.end());
-  counters().OnLogicalRead(static_cast<uint64_t>(merged.size()) *
-                           kEntrySize);
-  out->insert(out->end(), merged.begin(), merged.end());
+  SpanSource<LogRecord> sources[] = {SpanSource<LogRecord>(pending),
+                                     SpanSource<LogRecord>(base)};
+  uint64_t hits = 0;
+  s = MergeNewestWins(std::span(sources), hi, [&](const LogRecord& r) {
+    if (r.op == LogOp::kDelete) return;
+    out->push_back(Entry{r.key, r.value});
+    ++hits;
+  });
+  if (!s.ok()) return s;
+  counters().OnLogicalRead(hits * kEntrySize);
   return Status::OK();
 }
 

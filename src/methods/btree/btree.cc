@@ -429,9 +429,8 @@ Status BTree::MultiGetLeafParts(
       __builtin_prefetch(p + 7, /*rw=*/0, /*locality=*/3);
     }
   };
-  // Points `t` at the next unclaimed part: pin, validate the header (the
-  // same checks LowerBoundInBlock makes), credit the shared node read, and
-  // open the first key's whole-leaf bisect.
+  // Points `t` at the next unclaimed part: pin, check the header, credit
+  // the shared node read, and open the first key's whole-leaf bisect.
   auto start_next = [&](LeafTask* t) -> bool {
     if (!status.ok() || next_part >= parts.size()) return false;
     const BTreeInner::ChildRange& part = parts[next_part++];
@@ -442,14 +441,10 @@ Status BTree::MultiGetLeafParts(
       return false;
     }
     std::span<const uint8_t> block = t->guard.bytes();
-    if (block.size() < BTreeLeaf::kHeaderBytes ||
-        block[0] != BTreeLeaf::kTypeByte) {
-      status = Status::Corruption("not a leaf block");
-      return false;
-    }
-    size_t n = DecodeU32(block.data() + 1);
-    if (BTreeLeaf::kHeaderBytes + n * kEntrySize > block.size()) {
-      status = Status::Corruption("leaf count exceeds block");
+    size_t n = 0;
+    s = BTreeLeaf::CheckHeader(block, &n);
+    if (!s.ok()) {
+      status = s;
       return false;
     }
     if (part.end - part.begin > 1) {

@@ -11,9 +11,34 @@ namespace rum {
 namespace {
 constexpr size_t kLeafHeader = BTreeLeaf::kHeaderBytes;
 constexpr size_t kInnerHeader = 1 + 4;
-constexpr uint8_t kLeafType = BTreeLeaf::kTypeByte;
+constexpr uint8_t kLeafType = 0;
 constexpr uint8_t kInnerType = 1;
+
+// BTreeLeaf::CheckHeader for an inner node: `*count` is its separator
+// count, and its children and separators must fit the block.
+Status CheckInnerHeader(std::span<const uint8_t> block, size_t* count) {
+  if (block.size() < kInnerHeader || block[0] != kInnerType) {
+    return Status::Corruption("not an inner block");
+  }
+  *count = DecodeU32(block.data() + 1);
+  if (kInnerHeader + (*count + 1) * 4 + *count * 8 > block.size()) {
+    return Status::Corruption("inner count exceeds block");
+  }
+  return Status::OK();
+}
 }  // namespace
+
+Status BTreeLeaf::CheckHeader(std::span<const uint8_t> block,
+                              size_t* count) {
+  if (block.size() < kLeafHeader || block[0] != kLeafType) {
+    return Status::Corruption("not a leaf block");
+  }
+  *count = DecodeU32(block.data() + 1);
+  if (kLeafHeader + *count * kEntrySize > block.size()) {
+    return Status::Corruption("leaf count exceeds block");
+  }
+  return Status::OK();
+}
 
 size_t BTreeLeaf::CapacityFor(size_t node_size) {
   return (node_size - kLeafHeader) / kEntrySize;
@@ -48,13 +73,9 @@ Status BTreeLeaf::FindInBlock(std::span<const uint8_t> block, Key key,
 
 Status BTreeLeaf::LowerBoundInBlock(std::span<const uint8_t> block, Key key,
                                     size_t* slot, bool* found) {
-  if (block.size() < kLeafHeader || block[0] != kLeafType) {
-    return Status::Corruption("not a leaf block");
-  }
-  uint32_t n = DecodeU32(block.data() + 1);
-  if (kLeafHeader + static_cast<size_t>(n) * kEntrySize > block.size()) {
-    return Status::Corruption("leaf count exceeds block");
-  }
+  size_t n = 0;
+  Status s = CheckHeader(block, &n);
+  if (!s.ok()) return s;
   const uint8_t* base = block.data() + kLeafHeader;
   size_t lo = 0;
   size_t hi = n;
@@ -78,18 +99,14 @@ void BTreeLeaf::SetValueInBlock(std::span<uint8_t> block, size_t slot,
 }
 
 Status BTreeLeaf::DecodeFrom(std::span<const uint8_t> block, BTreeLeaf* out) {
-  if (block.size() < kLeafHeader || block[0] != kLeafType) {
-    return Status::Corruption("not a leaf block");
-  }
-  uint32_t n = DecodeU32(block.data() + 1);
-  if (kLeafHeader + static_cast<size_t>(n) * kEntrySize > block.size()) {
-    return Status::Corruption("leaf count exceeds block");
-  }
+  size_t n = 0;
+  Status s = CheckHeader(block, &n);
+  if (!s.ok()) return s;
   out->next = DecodeU32(block.data() + 5);
   out->entries.clear();
   out->entries.reserve(n);
   const uint8_t* cursor = block.data() + kLeafHeader;
-  for (uint32_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     out->entries.push_back(Entry{DecodeU64(cursor), DecodeU64(cursor + 8)});
     cursor += kEntrySize;
   }
@@ -123,15 +140,9 @@ Status BTreeInner::EncodeInto(std::span<uint8_t> block) const {
 
 Status BTreeInner::ChildForKey(std::span<const uint8_t> block, Key key,
                                PageId* child, size_t* index) {
-  if (block.size() < kInnerHeader || block[0] != kInnerType) {
-    return Status::Corruption("not an inner block");
-  }
-  uint32_t n = DecodeU32(block.data() + 1);
-  if (kInnerHeader + (static_cast<size_t>(n) + 1) * 4 +
-          static_cast<size_t>(n) * 8 >
-      block.size()) {
-    return Status::Corruption("inner count exceeds block");
-  }
+  size_t n = 0;
+  Status s = CheckInnerHeader(block, &n);
+  if (!s.ok()) return s;
   // upper_bound over the separators, decoded lazily in place.
   const uint8_t* keys_base = block.data() + kInnerHeader + (n + 1) * 4;
   size_t lo = 0;
@@ -154,15 +165,9 @@ Status BTreeInner::PartitionBatch(
     std::span<const std::pair<Key, uint32_t>> batch,
     std::vector<ChildRange>* parts) {
   parts->clear();
-  if (block.size() < kInnerHeader || block[0] != kInnerType) {
-    return Status::Corruption("not an inner block");
-  }
-  uint32_t n = DecodeU32(block.data() + 1);
-  if (kInnerHeader + (static_cast<size_t>(n) + 1) * 4 +
-          static_cast<size_t>(n) * 8 >
-      block.size()) {
-    return Status::Corruption("inner count exceeds block");
-  }
+  size_t n = 0;
+  Status s = CheckInnerHeader(block, &n);
+  if (!s.ok()) return s;
   const uint8_t* children_base = block.data() + kInnerHeader;
   const uint8_t* keys_base = children_base + (n + 1) * 4;
   auto sep_at = [&](size_t i) { return DecodeU64(keys_base + i * 8); };
@@ -225,25 +230,19 @@ Status BTreeInner::PartitionBatch(
 
 Status BTreeInner::DecodeFrom(std::span<const uint8_t> block,
                               BTreeInner* out) {
-  if (block.size() < kInnerHeader || block[0] != kInnerType) {
-    return Status::Corruption("not an inner block");
-  }
-  uint32_t n = DecodeU32(block.data() + 1);
-  if (kInnerHeader + (static_cast<size_t>(n) + 1) * 4 +
-          static_cast<size_t>(n) * 8 >
-      block.size()) {
-    return Status::Corruption("inner count exceeds block");
-  }
+  size_t n = 0;
+  Status s = CheckInnerHeader(block, &n);
+  if (!s.ok()) return s;
   out->children.clear();
   out->children.reserve(n + 1);
   out->keys.clear();
   out->keys.reserve(n);
   const uint8_t* cursor = block.data() + kInnerHeader;
-  for (uint32_t i = 0; i <= n; ++i) {
+  for (size_t i = 0; i <= n; ++i) {
     out->children.push_back(DecodeU32(cursor));
     cursor += 4;
   }
-  for (uint32_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     out->keys.push_back(DecodeU64(cursor));
     cursor += 8;
   }

@@ -27,9 +27,8 @@ namespace rum {
 /// Child i holds keys < separator i; child n holds the rest (separators are
 /// lower bounds of the following child: keys in child i+1 are >= key i).
 struct BTreeLeaf {
-  /// Wire-format facts of the leaf layout above, shared with the
-  /// interleaved leaf search in btree.cc.
-  static constexpr uint8_t kTypeByte = 0;
+  /// Bytes before the first entry, shared with the interleaved leaf search
+  /// in btree.cc.
   static constexpr size_t kHeaderBytes = 1 + 4 + 4;
 
   std::vector<Entry> entries;  // Sorted by key.
@@ -41,6 +40,10 @@ struct BTreeLeaf {
   /// the remainder. Fails with kResourceExhausted if the entries do not fit.
   Status EncodeInto(std::span<uint8_t> block) const;
   static Status DecodeFrom(std::span<const uint8_t> block, BTreeLeaf* out);
+  /// Checks an encoded leaf's type byte and that its entry count fits the
+  /// block (Corruption otherwise), and sets `*count`. Every reader of an
+  /// encoded leaf starts here.
+  static Status CheckHeader(std::span<const uint8_t> block, size_t* count);
 
   /// Zero-copy point lookup straight off an encoded leaf block: binary
   /// search without materializing the entries. Sets `*found` and, when

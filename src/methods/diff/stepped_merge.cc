@@ -1,9 +1,25 @@
 #include "methods/diff/stepped_merge.h"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "methods/newest_wins_merge.h"
 
 namespace rum {
+
+namespace {
+
+// Sorts buffered records (newest last) by key, keeping each key's newest
+// version: reversed, it comes first among equal keys, a stable sort keeps
+// it there, and unique keeps the first.
+std::vector<LogRecord> NewestPerKey(std::vector<LogRecord> records) {
+  std::ranges::reverse(records);
+  std::ranges::stable_sort(records, {}, &LogRecord::key);
+  records.erase(std::ranges::unique(records, {}, &LogRecord::key).begin(),
+                records.end());
+  return records;
+}
+
+}  // namespace
 
 SteppedMergeTree::SteppedMergeTree(const Options& options, Device* device)
     : options_(options), device_(device, options.block_size, &counters()) {}
@@ -52,23 +68,10 @@ Status SteppedMergeTree::Delete(Key key) {
 
 Status SteppedMergeTree::SealBuffer() {
   if (buffer_.empty()) return Status::OK();
-  // Sort the buffer, newest occurrence of a key winning.
-  std::stable_sort(buffer_.begin(), buffer_.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
-                     return a.key < b.key;
-                   });
-  std::vector<LogRecord> records;
-  records.reserve(buffer_.size());
-  for (size_t i = 0; i < buffer_.size(); ++i) {
-    // Stable sort keeps the newest version last within equal keys.
-    if (i + 1 < buffer_.size() && buffer_[i + 1].key == buffer_[i].key) {
-      continue;
-    }
-    records.push_back(buffer_[i]);
-  }
   counters().AdjustSpace(
       DataClass::kAux,
       -static_cast<int64_t>(buffer_.size() * LogRecord::kWireSize));
+  std::vector<LogRecord> records = NewestPerKey(buffer_);
   buffer_.clear();
 
   if (levels_.empty()) levels_.resize(1);
@@ -95,7 +98,7 @@ Status SteppedMergeTree::SealBuffer() {
       inputs.push_back(levels_[level][i].get());
     }
     std::vector<LogRecord> merged;
-    Status m = MergeSortedRuns(inputs, IsLastPopulated(level), &merged);
+    Status m = MergeSortedRuns({}, inputs, IsLastPopulated(level), &merged);
     if (!m.ok()) return m;
     for (auto& run : levels_[level]) {
       Status d = run->Destroy();
@@ -144,31 +147,33 @@ Result<Value> SteppedMergeTree::Get(Key key) {
 Status SteppedMergeTree::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   if (lo > hi) return Status::InvalidArgument("lo > hi");
   counters().OnRangeQuery();
-  std::unordered_map<Key, std::pair<Value, bool>> newest;
   counters().OnRead(DataClass::kAux,
                     static_cast<uint64_t>(buffer_.size()) *
                         LogRecord::kWireSize);
-  for (size_t i = buffer_.size(); i-- > 0;) {
-    const LogRecord& r = buffer_[i];
-    if (r.key < lo || r.key > hi) continue;
-    newest.emplace(r.key, std::make_pair(r.value, r.op == LogOp::kDelete));
+  // Sources newest first: the buffer's window, then every run, levels top
+  // down and newest first within a level.
+  std::vector<std::vector<LogRecord>> windows(1);
+  for (const LogRecord& r : buffer_) {
+    if (r.key >= lo && r.key <= hi) windows[0].push_back(r);
   }
+  windows[0] = NewestPerKey(std::move(windows[0]));
   for (const auto& level : levels_) {
     for (size_t i = level.size(); i-- > 0;) {
-      Status s = level[i]->VisitRange(lo, hi, [&](const LogRecord& r) {
-        newest.emplace(r.key,
-                       std::make_pair(r.value, r.op == LogOp::kDelete));
-      });
+      std::vector<LogRecord>& window = windows.emplace_back();
+      Status s = level[i]->VisitRange(
+          lo, hi, [&](const LogRecord& r) { window.push_back(r); });
       if (!s.ok()) return s;
     }
   }
-  std::vector<Entry> hits;
-  for (const auto& [k, vt] : newest) {
-    if (!vt.second) hits.push_back(Entry{k, vt.first});
-  }
-  std::sort(hits.begin(), hits.end());
-  counters().OnLogicalRead(static_cast<uint64_t>(hits.size()) * kEntrySize);
-  out->insert(out->end(), hits.begin(), hits.end());
+  std::vector<SpanSource<LogRecord>> sources(windows.begin(), windows.end());
+  uint64_t hits = 0;
+  Status s = MergeNewestWins(std::span(sources), hi, [&](const LogRecord& r) {
+    if (r.op == LogOp::kDelete) return;
+    out->push_back(Entry{r.key, r.value});
+    ++hits;
+  });
+  if (!s.ok()) return s;
+  counters().OnLogicalRead(hits * kEntrySize);
   return Status::OK();
 }
 

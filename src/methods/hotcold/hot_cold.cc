@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "methods/lsm/lsm_tree.h"
+#include "methods/newest_wins_merge.h"
 
 namespace rum {
 
@@ -131,32 +132,25 @@ Status HotColdStore::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   std::vector<Entry> cold_hits;
   Status s = cold_->Scan(lo, hi, &cold_hits);
   if (!s.ok()) return s;
-  // Overlay dirty hot entries (clean ones agree with the cold copy) and
-  // add hot-only keys.
+  // Dirty hot entries are newer than the cold copy (clean ones agree with
+  // it), and some keys are hot only.
   own_.OnRead(DataClass::kAux,
               static_cast<uint64_t>(hot_.size()) * kHotEntrySize);
-  std::unordered_map<Key, Value> overlay;
+  std::vector<Entry> dirty;
   for (const auto& [key, entry] : hot_) {
-    if (key >= lo && key <= hi && entry.dirty) overlay[key] = entry.value;
-  }
-  std::vector<Entry> merged;
-  merged.reserve(cold_hits.size());
-  for (const Entry& e : cold_hits) {
-    auto it = overlay.find(e.key);
-    if (it != overlay.end()) {
-      merged.push_back(Entry{e.key, it->second});
-      overlay.erase(it);
-    } else {
-      merged.push_back(e);
+    if (key >= lo && key <= hi && entry.dirty) {
+      dirty.push_back(Entry{key, entry.value});
     }
   }
-  for (const auto& [key, value] : overlay) {
-    merged.push_back(Entry{key, value});
-  }
-  std::sort(merged.begin(), merged.end());
-  counters().OnLogicalRead(static_cast<uint64_t>(merged.size()) *
+  std::sort(dirty.begin(), dirty.end());
+  SpanSource<Entry> sources[] = {SpanSource<Entry>(dirty),
+                                 SpanSource<Entry>(cold_hits)};
+  const size_t before = out->size();
+  s = MergeNewestWins(std::span(sources), hi,
+                      [&](const Entry& e) { out->push_back(e); });
+  if (!s.ok()) return s;
+  counters().OnLogicalRead(static_cast<uint64_t>(out->size() - before) *
                            kEntrySize);
-  out->insert(out->end(), merged.begin(), merged.end());
   return Status::OK();
 }
 

@@ -62,7 +62,10 @@ void CrossRunIndex::MaybeRelayout(uint64_t total_records, Key global_min,
   uint64_t nseg =
       std::max<uint64_t>(1, total_records / segment_entries_);
   // step >= 1 and anchor_lo + step * nseg > global_max: every key in
-  // [global_min, global_max] maps to a segment below nseg.
+  // [global_min, global_max] maps to a segment below nseg. The step wraps
+  // to 0 if one segment would span all 2^64 keys (0 to kMaxKey, under 2 *
+  // segment_entries records), so that grid gets two segments instead.
+  if ((global_max - global_min) / nseg == kMaxKey) nseg = 2;
   step_ = (global_max - global_min) / nseg + 1;
   anchor_lo_ = global_min;
   layout_records_ = total_records;

@@ -1,7 +1,6 @@
 #ifndef RUMLAB_METHODS_LSM_CROSS_RUN_INDEX_H_
 #define RUMLAB_METHODS_LSM_CROSS_RUN_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -12,80 +11,6 @@
 
 namespace rum {
 
-/// Merges positioned cursors (newest source first) into one ascending
-/// stream of records with key <= `hi`, newest-wins per key: when several
-/// sources hold the same key, only the lowest-index source's record is
-/// emitted and every source steps past the key. Tombstones ARE emitted
-/// (the newest version of a key may be a delete that must shadow older
-/// puts); the caller filters them. Shared by the cross-run-index scan path
-/// and the disabled-index k-way fallback, which is what makes the two
-/// paths differentially identical by construction. A template so the
-/// caller's visitor inlines -- this runs once per emitted record, the
-/// hottest loop on the scan path.
-template <typename Visit>
-Status MergeCursorSources(std::vector<SortedRun::Cursor>* sources, Key hi,
-                          Visit&& visit) {
-  std::vector<SortedRun::Cursor>& cur = *sources;
-  // Single source (one run, or a leveled tree): no merge state at all,
-  // just stream the cursor.
-  if (cur.size() == 1) {
-    SortedRun::Cursor& c = cur[0];
-    while (c.Valid() && c.record().key <= hi) {
-      visit(c.record());
-      Status s = c.Next();
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-  // Heap of source indices, min by (key, source index): ties break toward
-  // the lower index, which the caller ordered newest-first.
-  auto greater = [&cur](size_t a, size_t b) {
-    Key ka = cur[a].record().key;
-    Key kb = cur[b].record().key;
-    if (ka != kb) return ka > kb;
-    return a > b;
-  };
-  std::vector<size_t> heap;
-  heap.reserve(cur.size());
-  for (size_t i = 0; i < cur.size(); ++i) {
-    if (cur[i].Valid() && cur[i].record().key <= hi) heap.push_back(i);
-  }
-  std::make_heap(heap.begin(), heap.end(), greater);
-
-  auto step = [&](size_t src) -> Status {
-    Status s = cur[src].Next();
-    if (!s.ok()) return s;
-    if (cur[src].Valid() && cur[src].record().key <= hi) {
-      heap.push_back(src);
-      std::push_heap(heap.begin(), heap.end(), greater);
-    }
-    return Status::OK();
-  };
-
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    size_t winner = heap.back();
-    heap.pop_back();
-    Key key = cur[winner].record().key;
-    visit(cur[winner].record());
-    Status s = step(winner);
-    if (!s.ok()) return s;
-    // Step every older source holding the same (shadowed) key.
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), greater);
-      size_t dup = heap.back();
-      if (cur[dup].record().key != key) {
-        std::push_heap(heap.begin(), heap.end(), greater);
-        break;
-      }
-      heap.pop_back();
-      s = step(dup);
-      if (!s.ok()) return s;
-    }
-  }
-  return Status::OK();
-}
-
 /// A REMIX-style cross-run sorted view: the space-for-read RUM trade that
 /// makes an LSM range scan one segment lookup plus a sequential walk
 /// instead of a per-run fence search.
@@ -94,7 +19,7 @@ Status MergeCursorSources(std::vector<SortedRun::Cursor>* sources, Key hi,
 /// segments (~`segment_entries` records each at layout time). A *built*
 /// segment stores, for every run overlapping its span, the (page, slot)
 /// cursor offset of the first record >= the segment's anchor key. A scan
-/// (PositionCursors + the shared MergeCursorSources template) then
+/// (PositionCursors, then MergeNewestWins in methods/newest_wins_merge.h)
 /// locates lo's segment with one charged binary search, opens one
 /// cursor per run overlapping [lo, hi] (disjoint runs are skipped without
 /// any I/O), positions each cursor O(1) from the stored offset plus a
@@ -140,9 +65,9 @@ class CrossRunIndex {
 
   /// Positions one cursor per run overlapping [lo, hi] (recency order
   /// preserved from `runs_newest_first`; see class comment), filling
-  /// `out` ready for MergeCursorSources. Lazily (re)builds the layout and
-  /// the one segment the scan starts in. The merge stays with the caller
-  /// so its visitor inlines.
+  /// `out` ready for the merge. Lazily (re)builds the layout and the one
+  /// segment the scan starts in. The merge stays with the caller so its
+  /// visitor inlines.
   Status PositionCursors(const std::vector<SortedRun*>& runs_newest_first,
                          Key lo, Key hi,
                          std::vector<SortedRun::Cursor>* out);

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "core/trace.h"
+#include "methods/newest_wins_merge.h"
 #include "methods/sketch/bloom_filter.h"
 
 namespace rum {
@@ -150,26 +151,24 @@ Status LsmTree::MergeLevel(size_t level, size_t dest, bool with_memtable,
     merge_bytes_.fetch_add(input_records * kEntrySize,
                            std::memory_order_relaxed);
   }
-  std::vector<std::vector<LogRecord>> streams;
-  if (with_memtable) streams.push_back(std::move(sealed_));
-  for (SortedRun* run : inputs) {
-    streams.emplace_back();
-    Status s = GatherSortedRun(run, &streams.back());
-    if (!s.ok()) return s;
-  }
+  std::vector<LogRecord> merged;
+  Status s = MergeSortedRuns(
+      with_memtable ? std::move(sealed_) : std::vector<LogRecord>(), inputs,
+      drop_tombstones, &merged);
+  if (!s.ok()) return s;
   // Retire before building: the level's runs oldest first, then the
   // absorbed one.
   for (auto& run : levels_[level]) {
-    Status s = RetireRun(run.get());
+    s = RetireRun(run.get());
     if (!s.ok()) return s;
   }
   levels_[level].clear();
   if (absorb) {
-    Status s = RetireRun(levels_[level + 1].back().get());
+    s = RetireRun(levels_[level + 1].back().get());
     if (!s.ok()) return s;
     levels_[level + 1].pop_back();
   }
-  return BuildRun(dest, MergeLogStreams(std::move(streams), drop_tombstones));
+  return BuildRun(dest, std::move(merged));
 }
 
 void LsmTree::MoveRunDown(size_t level) {
@@ -351,52 +350,55 @@ Status LsmTree::PositionRunsFallback(const std::vector<SortedRun*>& runs,
   return Status::OK();
 }
 
+namespace {
+
+// A Scan source: a run's cursor, or, with none, the memtable's window.
+struct ScanSource {
+  SortedRun::Cursor* cursor;
+  SpanSource<LogRecord> window;
+
+  bool Valid() const { return cursor ? cursor->Valid() : window.Valid(); }
+  const LogRecord& record() const {
+    return cursor ? cursor->record() : window.record();
+  }
+  Status Next() { return cursor ? cursor->Next() : window.Next(); }
+};
+
+}  // namespace
+
 Status LsmTree::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   if (lo > hi) return Status::InvalidArgument("lo > hi");
   TickRegistrar();
   counters().OnRangeQuery();
-  // The memtable is the newest stream of all; gather its window (charged
-  // skiplist reads) and two-way merge it against the ordered run stream.
-  std::vector<SkipListMap::Record> mem;
+  // The memtable is the newest source of all; gather its window (charged
+  // skiplist reads) before positioning the run cursors.
+  std::vector<LogRecord> mem;
   memtable_->VisitRange(lo, hi, [&](const SkipListMap::Record& r) {
-    mem.push_back(r);
+    mem.push_back(LogRecord{r.key, r.value,
+                            r.tombstone ? LogOp::kDelete : LogOp::kPut});
   });
-  size_t mem_pos = 0;
-  uint64_t hits = 0;
-  auto emit = [&](Key key, Value value, bool tombstone) {
-    if (tombstone) return;
-    out->push_back(Entry{key, value});
-    ++hits;
-  };
-  // The run stream arrives ascending with the newest version per key
-  // (tombstones included, so a delete shadows older puts). Memtable
-  // entries interleave by key and win ties.
-  auto on_run_record = [&](const LogRecord& r) {
-    while (mem_pos < mem.size() && mem[mem_pos].key <= r.key) {
-      const SkipListMap::Record& m = mem[mem_pos++];
-      bool shadows = m.key == r.key;
-      emit(m.key, m.value, m.tombstone);
-      if (shadows) return;
-    }
-    emit(r.key, r.value, r.op == LogOp::kDelete);
-  };
   // Positioning (index segment lookup or per-run fence search) stays
-  // behind a call; the per-record merge runs here so `on_run_record`
-  // inlines instead of paying a std::function dispatch per record.
+  // behind a call; the per-record merge runs here so its visitor inlines
+  // instead of paying a std::function dispatch per record.
   std::vector<SortedRun*> runs = RunsNewestFirst();
   std::vector<SortedRun::Cursor> cursors;
   Status s = index_ != nullptr
                  ? index_->PositionCursors(runs, lo, hi, &cursors)
                  : PositionRunsFallback(runs, lo, hi, &cursors);
   if (!s.ok()) return s;
-  if (!cursors.empty()) {
-    s = MergeCursorSources(&cursors, hi, on_run_record);
-    if (!s.ok()) return s;
+  std::vector<ScanSource> sources;
+  sources.reserve(cursors.size() + 1);
+  sources.push_back(ScanSource{nullptr, SpanSource<LogRecord>(mem)});
+  for (SortedRun::Cursor& cursor : cursors) {
+    sources.push_back(ScanSource{&cursor, SpanSource<LogRecord>({})});
   }
-  // Memtable entries beyond the last run record.
-  for (; mem_pos < mem.size(); ++mem_pos) {
-    emit(mem[mem_pos].key, mem[mem_pos].value, mem[mem_pos].tombstone);
-  }
+  uint64_t hits = 0;
+  s = MergeNewestWins(std::span(sources), hi, [&](const LogRecord& r) {
+    if (r.op == LogOp::kDelete) return;
+    out->push_back(Entry{r.key, r.value});
+    ++hits;
+  });
+  if (!s.ok()) return s;
   counters().OnLogicalRead(hits * kEntrySize);
   return Status::OK();
 }

@@ -267,9 +267,9 @@ class LsmTree : public AccessMethod, public CompactionContext {
   /// priority index wins" the correct newest-wins rule for scans.
   std::vector<SortedRun*> RunsNewestFirst();
   /// Disabled-index cursor positioning: per-run fence search with the
-  /// same O(1) bounds skip; fills `out` for the shared MergeCursorSources
-  /// template, which is what keeps it differentially identical to
-  /// CrossRunIndex::PositionCursors.
+  /// same O(1) bounds skip; fills `out` for the same merge as
+  /// CrossRunIndex::PositionCursors, which is what keeps the two paths
+  /// differentially identical.
   Status PositionRunsFallback(const std::vector<SortedRun*>& runs, Key lo,
                               Key hi,
                               std::vector<SortedRun::Cursor>* out);

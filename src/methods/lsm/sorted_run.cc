@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "methods/newest_wins_merge.h"
 #include "storage/page_format.h"
 
 namespace rum {
@@ -540,54 +541,26 @@ Status SortedRun::VisitAll(
   return VisitFrom(0, 0, kMaxKey, visit);
 }
 
-std::vector<LogRecord> MergeLogStreams(
-    std::vector<std::vector<LogRecord>> streams, bool drop_tombstones) {
-  // Streams are ordered newest first; a newer version of a key shadows all
-  // older ones.
-  std::vector<size_t> pos(streams.size(), 0);
-  std::vector<LogRecord> out;
-  while (true) {
-    Key best = kMaxKey;
-    size_t winner = streams.size();
-    bool any = false;
-    for (size_t i = 0; i < streams.size(); ++i) {
-      if (pos[i] >= streams[i].size()) continue;
-      Key k = streams[i][pos[i]].key;
-      if (!any || k < best) {
-        best = k;
-        winner = i;
-        any = true;
-      }
-    }
-    if (!any) break;
-    LogRecord chosen = streams[winner][pos[winner]];
-    // Skip every (older) duplicate of this key.
-    for (size_t i = 0; i < streams.size(); ++i) {
-      while (pos[i] < streams[i].size() && streams[i][pos[i]].key == best) {
-        ++pos[i];
-      }
-    }
-    if (drop_tombstones && chosen.op == LogOp::kDelete) continue;
-    out.push_back(chosen);
-  }
-  return out;
-}
-
-Status GatherSortedRun(SortedRun* run, std::vector<LogRecord>* records) {
-  records->reserve(records->size() + run->record_count());
-  // Charged: compaction reads every input page.
-  return run->VisitAll([&](const LogRecord& r) { records->push_back(r); });
-}
-
-Status MergeSortedRuns(const std::vector<SortedRun*>& inputs,
+Status MergeSortedRuns(std::vector<LogRecord> newest,
+                       const std::vector<SortedRun*>& inputs,
                        bool drop_tombstones, std::vector<LogRecord>* merged) {
-  std::vector<std::vector<LogRecord>> streams(inputs.size());
+  std::vector<std::vector<LogRecord>> streams(inputs.size() + 1);
+  streams[0] = std::move(newest);
   for (size_t i = 0; i < inputs.size(); ++i) {
-    Status s = GatherSortedRun(inputs[i], &streams[i]);
+    std::vector<LogRecord>& records = streams[i + 1];
+    records.reserve(inputs[i]->record_count());
+    Status s = inputs[i]->VisitAll(
+        [&](const LogRecord& r) { records.push_back(r); });
     if (!s.ok()) return s;
   }
-  *merged = MergeLogStreams(std::move(streams), drop_tombstones);
-  return Status::OK();
+  std::vector<SpanSource<LogRecord>> sources(streams.begin(), streams.end());
+  merged->clear();
+  return MergeNewestWins(std::span(sources), kMaxKey,
+                         [&](const LogRecord& r) {
+                           if (!drop_tombstones || r.op != LogOp::kDelete) {
+                             merged->push_back(r);
+                           }
+                         });
 }
 
 }  // namespace rum

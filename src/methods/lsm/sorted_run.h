@@ -278,17 +278,14 @@ class SortedRun {
   Hits get_hits_;
 };
 
-/// Merges sorted record streams (newest first) into one; drops shadowed
-/// versions, and tombstones too when `drop_tombstones`.
-std::vector<LogRecord> MergeLogStreams(
-    std::vector<std::vector<LogRecord>> streams, bool drop_tombstones);
-
-/// Appends one run's records to `records` (charged: compaction reads every
-/// input page). A failed page read is returned, never merged around.
-Status GatherSortedRun(SortedRun* run, std::vector<LogRecord>* records);
-
-/// Gathers `inputs` (newest first, charged reads) and merges them.
-Status MergeSortedRuns(const std::vector<SortedRun*>& inputs,
+/// A compaction's merge: gathers every record of `inputs` (newest first;
+/// charged, since compaction reads every input page, and a failed page
+/// read is returned, never merged around), then merges them under
+/// `newest` -- ascending records newer than every input, such as a sealed
+/// memtable, or none -- into `*merged`, newest version per key. Tombstones
+/// are dropped too when `drop_tombstones`.
+Status MergeSortedRuns(std::vector<LogRecord> newest,
+                       const std::vector<SortedRun*>& inputs,
                        bool drop_tombstones, std::vector<LogRecord>* merged);
 
 }  // namespace rum

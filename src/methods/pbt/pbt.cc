@@ -1,7 +1,8 @@
 #include "methods/pbt/pbt.h"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "methods/newest_wins_merge.h"
 
 namespace rum {
 
@@ -18,23 +19,22 @@ BTree* PartitionedBTree::ActivePartition() {
   return partitions_.back().get();
 }
 
-Status PartitionedBTree::MergeAll() {
-  // Gather newest-first; the first version of a key wins.
-  std::unordered_map<Key, Value> newest;
-  for (size_t i = partitions_.size(); i-- > 0;) {
-    std::vector<Entry> all;
-    Status s = partitions_[i]->Scan(kMinKey, kMaxKey, &all);
+Status PartitionedBTree::ScanPartitions(Key lo, Key hi,
+                                        std::vector<Entry>* out) {
+  std::vector<std::vector<Entry>> parts(partitions_.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    Status s = partitions_[parts.size() - 1 - i]->Scan(lo, hi, &parts[i]);
     if (!s.ok()) return s;
-    for (const Entry& e : all) {
-      newest.emplace(e.key, e.value);
-    }
   }
+  std::vector<SpanSource<Entry>> sources(parts.begin(), parts.end());
+  return MergeNewestWins(std::span(sources), hi,
+                         [&](const Entry& e) { out->push_back(e); });
+}
+
+Status PartitionedBTree::MergeAll() {
   std::vector<Entry> merged;
-  merged.reserve(newest.size());
-  for (const auto& [k, v] : newest) {
-    merged.push_back(Entry{k, v});
-  }
-  std::sort(merged.begin(), merged.end());
+  Status s = ScanPartitions(kMinKey, kMaxKey, &merged);
+  if (!s.ok()) return s;
 
   for (const auto& partition : partitions_) {
     CounterSnapshot snap = partition->stats();
@@ -44,7 +44,7 @@ Status PartitionedBTree::MergeAll() {
   }
   partitions_.clear();
   auto fresh = std::make_unique<BTree>(options_);
-  Status s = fresh->BulkLoad(merged);
+  s = fresh->BulkLoad(merged);
   if (!s.ok()) return s;
   partitions_.push_back(std::move(fresh));
   ++merges_;
@@ -91,22 +91,11 @@ Result<Value> PartitionedBTree::Get(Key key) {
 Status PartitionedBTree::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   if (lo > hi) return Status::InvalidArgument("lo > hi");
   counters().OnRangeQuery();
-  std::unordered_map<Key, Value> newest;
-  for (size_t i = partitions_.size(); i-- > 0;) {
-    std::vector<Entry> part;
-    Status s = partitions_[i]->Scan(lo, hi, &part);
-    if (!s.ok()) return s;
-    for (const Entry& e : part) {
-      newest.emplace(e.key, e.value);
-    }
-  }
-  std::vector<Entry> merged;
-  merged.reserve(newest.size());
-  for (const auto& [k, v] : newest) merged.push_back(Entry{k, v});
-  std::sort(merged.begin(), merged.end());
-  counters().OnLogicalRead(static_cast<uint64_t>(merged.size()) *
+  const size_t before = out->size();
+  Status s = ScanPartitions(lo, hi, out);
+  if (!s.ok()) return s;
+  counters().OnLogicalRead(static_cast<uint64_t>(out->size() - before) *
                            kEntrySize);
-  out->insert(out->end(), merged.begin(), merged.end());
   return Status::OK();
 }
 

@@ -53,6 +53,9 @@ class PartitionedBTree : public AccessMethod {
  private:
   /// Newest partition (the write target), opening one if needed.
   BTree* ActivePartition();
+  /// Appends the newest version of each key in [lo, hi] across the
+  /// partitions to `out`, ascending.
+  Status ScanPartitions(Key lo, Key hi, std::vector<Entry>* out);
   /// Merges every partition into a single bulk-loaded tree.
   Status MergeAll();
 

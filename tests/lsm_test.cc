@@ -1,11 +1,15 @@
 // Structural tests for the LSM-tree: run layout, compaction policies,
 // Bloom-filter effect, tombstone GC, space accounting.
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "methods/lsm/lsm_tree.h"
 #include "methods/lsm/sorted_run.h"
+#include "methods/newest_wins_merge.h"
 #include "storage/block_device.h"
 #include "storage/page_format.h"
 #include "tests/testing_util.h"
@@ -302,12 +306,32 @@ TEST(SortedRunTest, BlockTooSmallForOneRecordRejected) {
   EXPECT_EQ(device.live_pages(), 0u);
 }
 
+// A compaction's merge of in-memory streams, newest first: the first is
+// MergeSortedRuns' newest stream, the others are built into runs.
+std::vector<LogRecord> MergeStreams(std::vector<std::vector<LogRecord>> streams,
+                                    bool drop_tombstones) {
+  RumCounters counters;
+  BlockDevice device(512, &counters);
+  std::vector<std::unique_ptr<SortedRun>> runs(streams.size() - 1);
+  std::vector<SortedRun*> inputs;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_TRUE(
+        SortedRun::Build(&device, &counters, streams[i + 1], 0, &runs[i])
+            .ok());
+    inputs.push_back(runs[i].get());
+  }
+  std::vector<LogRecord> merged;
+  EXPECT_TRUE(MergeSortedRuns(std::move(streams[0]), inputs, drop_tombstones,
+                              &merged)
+                  .ok());
+  return merged;
+}
+
 TEST(MergeStreamsTest, NewestStreamShadowsOlder) {
   std::vector<std::vector<LogRecord>> streams(2);
   streams[0] = {{1, 100, LogOp::kPut}, {3, 300, LogOp::kPut}};
   streams[1] = {{1, 1, LogOp::kPut}, {2, 2, LogOp::kPut}};
-  std::vector<LogRecord> merged =
-      MergeLogStreams(std::move(streams), false);
+  std::vector<LogRecord> merged = MergeStreams(std::move(streams), false);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].key, 1u);
   EXPECT_EQ(merged[0].value, 100u);  // Newest wins.
@@ -321,14 +345,152 @@ TEST(MergeStreamsTest, TombstonesDroppedOnlyWhenAsked) {
   streams[1] = {{1, 11, LogOp::kPut}, {2, 22, LogOp::kPut}};
   std::vector<std::vector<LogRecord>> copy = streams;
 
-  std::vector<LogRecord> keep = MergeLogStreams(std::move(copy), false);
+  std::vector<LogRecord> keep = MergeStreams(std::move(copy), false);
   ASSERT_EQ(keep.size(), 2u);
   EXPECT_EQ(keep[0].op, LogOp::kDelete);
 
-  std::vector<LogRecord> drop =
-      MergeLogStreams(std::move(streams), true);
+  std::vector<LogRecord> drop = MergeStreams(std::move(streams), true);
   ASSERT_EQ(drop.size(), 1u);
   EXPECT_EQ(drop[0].key, 2u);
+}
+
+using Records = std::vector<LogRecord>;
+
+// A merge source over `records` whose step off record `fail_at` fails.
+struct FailingSource {
+  Records records;
+  size_t fail_at = SIZE_MAX;
+  size_t pos = 0;
+
+  bool Valid() const { return pos < records.size(); }
+  const LogRecord& record() const { return records[pos]; }
+  Status Next() {
+    if (pos == fail_at) return Status::IOError("step fails");
+    ++pos;
+    return Status::OK();
+  }
+};
+
+// `n` ascending sources over keys [0, 48), each holding none, a quarter,
+// half or three quarters of them, so most keys repeat across sources. One
+// record in four is a tombstone; a value names its source and key.
+std::vector<Records> RandomSources(Rng* rng, size_t n) {
+  std::vector<Records> sources(n);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t density = rng->NextBelow(4);
+    for (Key k = 0; k < 48; ++k) {
+      if (rng->NextBelow(4) >= density) continue;
+      sources[i].push_back(LogRecord{
+          k, i * 1000 + k,
+          rng->NextBelow(4) == 0 ? LogOp::kDelete : LogOp::kPut});
+    }
+  }
+  return sources;
+}
+
+// The newest-wins rule written against a std::map: per key up to `hi`, the
+// record of the newest source holding it, tombstones included.
+Records MapReference(const std::vector<Records>& sources, Key hi) {
+  std::map<Key, LogRecord> newest;
+  for (const Records& source : sources) {
+    for (const LogRecord& r : source) {
+      if (r.key <= hi) newest.emplace(r.key, r);  // Newer sources came first.
+    }
+  }
+  Records out;
+  for (const auto& [key, r] : newest) out.push_back(r);
+  return out;
+}
+
+template <typename Source>
+Status MergeInto(std::vector<Source>* sources, Key hi, Records* visited) {
+  return MergeNewestWins(std::span(*sources), hi, [&](const LogRecord& r) {
+    visited->push_back(r);
+  });
+}
+
+std::vector<std::tuple<Key, Value, LogOp>> Fields(const Records& records) {
+  std::vector<std::tuple<Key, Value, LogOp>> out;
+  for (const LogRecord& r : records) out.emplace_back(r.key, r.value, r.op);
+  return out;
+}
+
+TEST(NewestWinsMergeTest, MatchesAMapReference) {
+  Rng rng(26);
+  size_t tombstones = 0;
+  size_t shadowed = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Records> records = RandomSources(&rng, 1 + trial % 8);
+    Key hi = trial % 3 == 0 ? kMaxKey : rng.NextBelow(56);
+    std::vector<SpanSource<LogRecord>> sources(records.begin(),
+                                               records.end());
+    Records visited;
+    ASSERT_TRUE(MergeInto(&sources, hi, &visited).ok());
+    Records expected = MapReference(records, hi);
+    ASSERT_EQ(Fields(visited), Fields(expected)) << "trial " << trial;
+    for (const LogRecord& r : visited) tombstones += r.op == LogOp::kDelete;
+    for (const Records& source : records) {
+      for (const LogRecord& r : source) shadowed += r.key <= hi;
+    }
+    shadowed -= visited.size();
+  }
+  // The streams exercised both rules: tombstones reached the visitor, and
+  // older sources held keys a newer one shadowed.
+  EXPECT_GT(tombstones, 500u);
+  EXPECT_GT(shadowed, 500u);
+}
+
+TEST(NewestWinsMergeTest, EmptySourcesAndALoneSource) {
+  Records visited;
+  std::vector<SpanSource<LogRecord>> none;
+  ASSERT_TRUE(MergeInto(&none, kMaxKey, &visited).ok());
+  EXPECT_TRUE(visited.empty());
+
+  std::vector<Records> empty(3);
+  std::vector<SpanSource<LogRecord>> empties(empty.begin(), empty.end());
+  ASSERT_TRUE(MergeInto(&empties, kMaxKey, &visited).ok());
+  EXPECT_TRUE(visited.empty());
+
+  // A lone source streams whole, up to hi; among empty sources it is the
+  // same stream.
+  Records lone = {{2, 20, LogOp::kPut}, {5, 0, LogOp::kDelete},
+                  {9, 90, LogOp::kPut}};
+  for (size_t position : {0, 1, 3}) {
+    std::vector<Records> records(position);
+    records.push_back(lone);
+    records.resize(4);
+    for (Key hi : {kMaxKey, Key{5}}) {
+      std::vector<SpanSource<LogRecord>> sources(records.begin(),
+                                                 records.end());
+      visited.clear();
+      ASSERT_TRUE(MergeInto(&sources, hi, &visited).ok());
+      EXPECT_EQ(Fields(visited), Fields(MapReference(records, hi)))
+          << position << " " << hi;
+      EXPECT_EQ(visited.size(), hi == kMaxKey ? 3u : 2u);
+    }
+  }
+}
+
+// A failed step ends the merge at once with that step's status, having
+// visited every key up to the one the failing source stood on and none
+// past it.
+TEST(NewestWinsMergeTest, FailedStepReturnsAfterVisitingTheKeysBeforeIt) {
+  Rng rng(27);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Records> records = RandomSources(&rng, 1 + trial % 8);
+    size_t failing = rng.NextBelow(records.size());
+    if (records[failing].empty()) continue;
+    size_t fail_at = rng.NextBelow(records[failing].size());
+    std::vector<FailingSource> sources;
+    for (const Records& r : records) sources.push_back(FailingSource{r});
+    sources[failing].fail_at = fail_at;
+    Records visited;
+    Status s = MergeInto(&sources, kMaxKey, &visited);
+    EXPECT_EQ(s.code(), Code::kIOError) << "trial " << trial;
+    Key stood_on = records[failing][fail_at].key;
+    ASSERT_EQ(Fields(visited), Fields(MapReference(records, stood_on)))
+        << "trial " << trial;
+  }
 }
 
 TEST(LsmTreeTest, LeveledKeepsOneRunPerLevel) {

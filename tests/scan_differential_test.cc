@@ -150,5 +150,20 @@ TEST(ScanDifferentialTest, InvertedRangeIsInvalidArgumentOnBothPaths) {
   }
 }
 
+// Under 2 * cross_run_segment_entries records the index lays out one
+// segment, and keys 0 and kMaxKey made its step, (kMaxKey - 0) / 1 + 1, wrap
+// to 0: the second Scan's coverage check, or the next flush's invalidation,
+// divided by zero.
+TEST(ScanDifferentialTest, OneSegmentSpanningEveryKeyKeepsANonzeroStep) {
+  const std::string ops = Insert(0, 1) + Insert(kMaxKey - 1, 2) +
+                          Insert(kMaxKey, 3) + "F; " + Scan(1, 10) +
+                          Scan(1, 10) + Insert(5, 4) + "F";
+  for (const char* method : {"lsm-leveled", "lsm-tiered", "lsm-lazy",
+                             "lsm-hybrid", "lsm-compressed", "hot-cold"}) {
+    EXPECT_TRUE(harness::Run(method, ParseFeatures("index"), ParseOps(ops)))
+        << method;
+  }
+}
+
 }  // namespace
 }  // namespace rum
