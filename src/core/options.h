@@ -111,13 +111,15 @@ struct Options {
     /// methods/lsm/cross_run_index.h): segments of the key space store
     /// per-run cursor offsets so a range scan does one segment lookup and
     /// opens pre-positioned cursors instead of fence-searching every run.
-    /// Bought MO (charged as auxiliary space) for range RO. Segments build
-    /// lazily on first scan, so scan-free workloads pay nothing. Off, Scan
-    /// degrades to a k-way merge with per-run fence searches; results are
-    /// byte-identical either way (differential_test enforces it).
+    /// Bought MO (charged as auxiliary space) for range RO. Scans lay the
+    /// segments out and store each run's offset the first time they seek
+    /// it, so scan-free workloads pay nothing; an offset lives as long as
+    /// its run. Off, Scan degrades to a k-way merge with per-run fence
+    /// searches; results are byte-identical either way (differential_test
+    /// enforces it).
     bool cross_run_index = true;
     /// Target records per cross-run-index segment: smaller segments mean
-    /// more anchors (more auxiliary space, more invalidation granularity)
+    /// more anchors (more auxiliary space: one offset per run per segment)
     /// and a shorter in-segment advance per scan.
     size_t cross_run_segment_entries = 1024;
   } lsm;

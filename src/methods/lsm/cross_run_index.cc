@@ -21,34 +21,25 @@ void CrossRunIndex::SetCharge(uint64_t bytes) {
   charged_bytes_ = bytes;
 }
 
-void CrossRunIndex::InvalidateRange(Key min_key, Key max_key) {
-  if (segments_.empty()) return;
-  // Arithmetic only: maintenance consults no charged structure.
-  size_t last_index = segments_.size() - 1;
-  size_t first = min_key <= anchor_lo_
-                     ? 0
-                     : std::min(last_index, (min_key - anchor_lo_) / step_);
-  size_t last = max_key <= anchor_lo_
-                    ? 0
-                    : std::min(last_index, (max_key - anchor_lo_) / step_);
-  uint64_t charge = charged_bytes_;
-  for (size_t i = first; i <= last; ++i) {
-    Segment& seg = segments_[i];
-    if (!seg.built) continue;
-    charge -= seg.offsets.size() * kOffsetBytes;
-    seg.offsets.clear();
-    seg.offsets.shrink_to_fit();
-    seg.built = false;
-  }
-  SetCharge(charge);
-}
-
-void CrossRunIndex::OnRunCreated(const SortedRun* run) {
-  InvalidateRange(run->min_key(), run->max_key());
-}
-
 void CrossRunIndex::OnRunRetiring(const SortedRun* run) {
-  InvalidateRange(run->min_key(), run->max_key());
+  if (segments_.empty()) return;
+  // Arithmetic only: maintenance consults no charged structure. A run's
+  // offsets lie in the segments its [min_key, max_key] spans, and nowhere
+  // else.
+  size_t last_index = segments_.size() - 1;
+  auto segment_of = [&](Key key) {
+    return key <= anchor_lo_
+               ? 0
+               : std::min(last_index,
+                          static_cast<size_t>((key - anchor_lo_) / step_));
+  };
+  size_t erased = 0;
+  for (size_t i = segment_of(run->min_key()); i <= segment_of(run->max_key());
+       ++i) {
+    erased += std::erase_if(segments_[i].offsets,
+                            [run](const Offset& o) { return o.run == run; });
+  }
+  SetCharge(charged_bytes_ - erased * kOffsetBytes);
 }
 
 void CrossRunIndex::MaybeRelayout(uint64_t total_records, Key global_min,
@@ -93,29 +84,26 @@ size_t CrossRunIndex::SegmentFor(Key key) {
   return lo == 0 ? 0 : lo - 1;
 }
 
-Status CrossRunIndex::EnsureSegment(size_t segment,
-                                    const std::vector<SortedRun*>& all_runs) {
-  Segment& seg = segments_[segment];
-  if (!seg.built) {
-    Key anchor = AnchorOf(segment);
-    Key span_end = SpanEndOf(segment);
-    seg.offsets.clear();
-    for (SortedRun* run : all_runs) {
-      if (run->max_key() < anchor || run->min_key() > span_end) continue;
-      SortedRun::Cursor cursor(run);
-      Status s = cursor.SeekFirstAtLeast(anchor);
-      if (!s.ok()) return s;
-      if (!cursor.Valid()) continue;
-      seg.offsets.push_back(Offset{run,
-                                   static_cast<uint32_t>(cursor.page_index()),
-                                   static_cast<uint32_t>(cursor.slot_index())});
+Status CrossRunIndex::SeekFrom(size_t segment, Key lo,
+                               SortedRun::Cursor* cursor) {
+  std::vector<Offset>& offsets = segments_[segment].offsets;
+  const SortedRun* run = cursor->run();
+  auto stored = std::find_if(offsets.begin(), offsets.end(),
+                             [run](const Offset& o) { return o.run == run; });
+  Status s;
+  if (stored != offsets.end()) {
+    s = cursor->SeekTo(stored->page, stored->slot);
+  } else {
+    s = cursor->SeekFirstAtLeast(AnchorOf(segment));
+    if (s.ok() && cursor->Valid()) {
+      offsets.push_back(Offset{run,
+                               static_cast<uint32_t>(cursor->page_index()),
+                               static_cast<uint32_t>(cursor->slot_index())});
+      SetCharge(charged_bytes_ + kOffsetBytes);
     }
-    seg.built = true;
-    SetCharge(charged_bytes_ + seg.offsets.size() * kOffsetBytes);
   }
-  // Consulting the segment reads its offset entries.
-  counters_->OnRead(DataClass::kAux, seg.offsets.size() * kOffsetBytes);
-  return Status::OK();
+  if (!s.ok()) return s;
+  return cursor->AdvanceToAtLeast(lo);
 }
 
 Status CrossRunIndex::PositionCursors(
@@ -152,33 +140,16 @@ Status CrossRunIndex::PositionCursors(
   size_t segment = 0;
   if (need_segment) {
     segment = SegmentFor(lo);
-    Status s = EnsureSegment(segment, runs_newest_first);
-    if (!s.ok()) return s;
+    // Consulting the segment reads the offsets it holds.
+    counters_->OnRead(DataClass::kAux,
+                      segments_[segment].offsets.size() * kOffsetBytes);
   }
 
   out->reserve(overlapping.size());
   for (SortedRun* run : overlapping) {
     SortedRun::Cursor cursor(run);
-    Status s;
-    if (run->min_key() >= lo) {
-      s = cursor.SeekTo(0, 0);
-    } else {
-      const Offset* offset = nullptr;
-      for (const Offset& o : segments_[segment].offsets) {
-        if (o.run == run) {
-          offset = &o;
-          break;
-        }
-      }
-      if (offset != nullptr) {
-        s = cursor.SeekTo(offset->page, offset->slot);
-        if (s.ok()) s = cursor.AdvanceToAtLeast(lo);
-      } else {
-        // Defensive: an overlapping run always has a segment entry (the
-        // invalidation hooks guarantee it); fall back to a fence search.
-        s = cursor.SeekFirstAtLeast(lo);
-      }
-    }
+    Status s = run->min_key() >= lo ? cursor.SeekTo(0, 0)
+                                    : SeekFrom(segment, lo, &cursor);
     if (!s.ok()) return s;
     out->push_back(std::move(cursor));
   }

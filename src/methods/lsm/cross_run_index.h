@@ -16,24 +16,26 @@ namespace rum {
 /// instead of a per-run fence search.
 ///
 /// The key space [global_min, global_max] is partitioned into fixed-width
-/// segments (~`segment_entries` records each at layout time). A *built*
-/// segment stores, for every run overlapping its span, the (page, slot)
-/// cursor offset of the first record >= the segment's anchor key. A scan
-/// (PositionCursors, then MergeNewestWins in methods/newest_wins_merge.h)
-/// locates lo's segment with one charged binary search, opens one
-/// cursor per run overlapping [lo, hi] (disjoint runs are skipped without
-/// any I/O), positions each cursor O(1) from the stored offset plus a
-/// short in-segment advance, and k-way merges forward -- no per-run fence
-/// search, no fence-group slack pages, no hash map, no re-sort.
+/// segments (~`segment_entries` records each at layout time). A segment
+/// stores, per run, the (page, slot) cursor offset of the run's first
+/// record >= the segment's anchor key. A scan (PositionCursors, then
+/// MergeNewestWins in methods/newest_wins_merge.h) locates lo's segment
+/// with one charged binary search, opens one cursor per run overlapping
+/// [lo, hi] (disjoint runs are skipped without any I/O), positions each
+/// cursor from its stored offset plus a short in-segment advance, and
+/// k-way merges forward -- no per-run fence search, no fence-group slack
+/// pages, no hash map, no re-sort.
 ///
-/// Segments are built lazily on first touch and invalidated incrementally:
-/// when a compaction creates or retires a run, only the segments whose
-/// span overlaps that run's [min_key, max_key] are invalidated (the
-/// CompactionPolicy hooks OnRunCreated/OnRunRetiring), so a compaction
-/// confined to one key region leaves the rest of the view intact. The
-/// whole layout is recomputed only when the tree outgrows it (total
-/// records drift 2x from layout time, or the key domain escapes the
-/// anchor coverage).
+/// Offsets are filled in by the scans themselves and kept until their run
+/// retires. A run with no offset in lo's segment yet is fence-searched to
+/// the anchor by the scan's own cursor, which stores where it landed and
+/// then advances on to lo; so each run is sought once per scan, and once
+/// per segment over its life. Runs are immutable and a layout's anchors are
+/// fixed, so a stored offset never goes stale: a new run invalidates
+/// nothing, and a retiring run (OnRunRetiring) erases only its own offsets.
+/// The whole layout, offsets included, is recomputed only when the tree
+/// outgrows it (total records drift 2x from layout time, or the key domain
+/// escapes the anchor coverage).
 ///
 /// Accounting: segment structs and stored offsets are charged as auxiliary
 /// space (bought MO, visible in stats()); segment binary-search probes and
@@ -44,10 +46,23 @@ namespace rum {
 /// Run recency is NOT stored in the index: the caller passes runs in
 /// recency order (levels top-down, newest-first within a level -- Get's
 /// probe order), and merge priority is the position in that vector. A
-/// lazy-leveled relocation that moves a run between levels therefore needs
-/// no invalidation: offsets are per-run and priority is derived per scan.
+/// lazy-leveled relocation that moves a run between levels therefore
+/// keeps its offsets: they are per-run and priority is derived per scan.
 class CrossRunIndex {
+  struct Offset {
+    const SortedRun* run;
+    uint32_t page;
+    uint32_t slot;
+  };
+  struct Segment {
+    std::vector<Offset> offsets;
+  };
+
  public:
+  /// Accounting weight of one segment struct / one stored offset.
+  static constexpr uint64_t kSegmentBytes = sizeof(Segment);
+  static constexpr uint64_t kOffsetBytes = sizeof(Offset);
+
   /// `counters` receives the space/read charges; `segment_entries` sets
   /// the target records per segment (the MO-for-RO dial).
   CrossRunIndex(RumCounters* counters, size_t segment_entries);
@@ -57,16 +72,14 @@ class CrossRunIndex {
   CrossRunIndex(const CrossRunIndex&) = delete;
   CrossRunIndex& operator=(const CrossRunIndex&) = delete;
 
-  /// Incremental maintenance: a run entered the level structure.
-  /// Invalidates the segments overlapping [run->min_key, run->max_key].
-  void OnRunCreated(const SortedRun* run);
-  /// A run is about to be destroyed; its stored offsets must go.
+  /// A run is about to be destroyed: erases its stored offsets, and only
+  /// those.
   void OnRunRetiring(const SortedRun* run);
 
   /// Positions one cursor per run overlapping [lo, hi] (recency order
   /// preserved from `runs_newest_first`; see class comment), filling
-  /// `out` ready for the merge. Lazily (re)builds the layout and the one
-  /// segment the scan starts in. The merge stays with the caller so its
+  /// `out` ready for the merge. Lazily (re)builds the layout and stores the
+  /// offsets lo's segment lacks. The merge stays with the caller so its
   /// visitor inlines.
   Status PositionCursors(const std::vector<SortedRun*>& runs_newest_first,
                          Key lo, Key hi,
@@ -80,37 +93,17 @@ class CrossRunIndex {
   uint64_t relayouts() const { return relayouts_; }
 
  private:
-  struct Offset {
-    SortedRun* run;
-    uint32_t page;
-    uint32_t slot;
-  };
-  struct Segment {
-    bool built = false;
-    std::vector<Offset> offsets;
-  };
-
-  /// Accounting weight of one segment struct / one stored offset.
-  static constexpr uint64_t kSegmentBytes = sizeof(Segment);
-  static constexpr uint64_t kOffsetBytes = sizeof(Offset);
-
   Key AnchorOf(size_t segment) const { return anchor_lo_ + step_ * segment; }
-  /// Inclusive end of a segment's span.
-  Key SpanEndOf(size_t segment) const {
-    return segment + 1 < segments_.size() ? AnchorOf(segment + 1) - 1
-                                          : kMaxKey;
-  }
 
   /// Recomputes the segment layout when the run set has outgrown it;
-  /// drops every built segment.
+  /// drops every stored offset.
   void MaybeRelayout(uint64_t total_records, Key global_min, Key global_max);
   /// Segment index covering `key` (charged binary-search probes).
   size_t SegmentFor(Key key);
-  /// Builds `segment` if needed: one offset per run overlapping its span.
-  Status EnsureSegment(size_t segment,
-                       const std::vector<SortedRun*>& all_runs);
-  /// Marks segments overlapping [min_key, max_key] unbuilt.
-  void InvalidateRange(Key min_key, Key max_key);
+  /// Positions `cursor` on its run's first record >= `lo` from the run's
+  /// offset in `segment`, seeking the anchor and storing the offset first
+  /// when the segment has none for the run.
+  Status SeekFrom(size_t segment, Key lo, SortedRun::Cursor* cursor);
   /// Adjusts the charged auxiliary space to `bytes`.
   void SetCharge(uint64_t bytes);
 

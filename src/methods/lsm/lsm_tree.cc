@@ -122,7 +122,6 @@ Status LsmTree::BuildRun(size_t level, std::vector<LogRecord> records) {
                               options_.lsm.compress_runs);
   if (!s.ok()) return s;
   run->set_filter_stats(&filter_stats_);
-  if (index_ != nullptr) index_->OnRunCreated(run.get());
   levels_[level].push_back(std::move(run));
   return Status::OK();
 }

@@ -22,7 +22,7 @@ namespace rum {
 /// ledger terms. The conservation identity (pinned by lsm_test and the
 /// chaos tier): with an owned device, stats().total_space() ==
 /// total() exactly -- every resident byte is one of these five terms, and
-/// stays so after Crash() recovery, mid-compaction invalidation, and
+/// stays so after Crash() recovery, mid-compaction run retirement, and
 /// fault-aborted run builds.
 struct LsmMemoryFootprint {
   /// Memtable bytes (skiplist entries + towers), from the mem counters.
@@ -252,8 +252,8 @@ class LsmTree : public AccessMethod, public CompactionContext {
   Status MergeLevel(size_t level, size_t dest, bool with_memtable,
                     bool absorb_next) override;
   void MoveRunDown(size_t level) override;
-  /// A merge input leaves the tree: its cross-run-index segments are
-  /// invalidated, then its pages freed.
+  /// A merge input leaves the tree: its cross-run-index offsets are
+  /// erased, then its pages freed.
   Status RetireRun(SortedRun* run);
 
   /// One write-buffered record enters the tree.

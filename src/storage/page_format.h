@@ -129,12 +129,14 @@ inline void PageFormat::SetEntryAt(std::span<uint8_t> block, size_t index,
 /// DecodeVarint64 reads from `src`, advances `*offset`, and returns the
 /// value (offset clamped to `limit` on malformed input). The decoder is
 /// inline, like the scalar helpers above: a compressed page walk runs it
-/// once per record.
+/// once per record, and reads a one-byte value (a key delta below 128)
+/// before entering its loop.
 uint8_t* EncodeVarint64(uint64_t v, uint8_t* dst);
 /// Bytes EncodeVarint64 would emit for `v`.
 size_t VarintLength(uint64_t v);
 inline uint64_t DecodeVarint64(const uint8_t* src, size_t limit,
                                size_t* offset) {
+  if (*offset < limit && src[*offset] < 0x80) return src[(*offset)++];
   uint64_t v = 0;
   int shift = 0;
   while (*offset < limit && shift <= 63) {

@@ -502,9 +502,10 @@ TEST(ChaosTest, ConcurrentShardedChaosOverSharedStack) {
 // stacks with the SAME seed and Write/Allocate-only fault rates. The two
 // trees issue identical write traffic (the index changes only reads), so
 // the deterministic fault plans make every compaction fail -- or survive --
-// identically in both. After the plan clears, the index's incremental
-// invalidation must have tracked every partially-failed compaction: scans
-// from both twins must be byte-identical, and must agree with point Gets.
+// identically in both. After the plan clears, the index's retire path must
+// have erased the offsets of every run a partially-failed compaction freed:
+// scans from both twins must be byte-identical, and must agree with point
+// Gets.
 TEST(ChaosTest, CrossRunIndexSurvivesCompactionFaults) {
   auto options_for = [](bool cross_run_index) {
     Options options = SmallOptions();

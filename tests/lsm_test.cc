@@ -1,16 +1,19 @@
 // Structural tests for the LSM-tree: run layout, compaction policies,
 // Bloom-filter effect, tombstone GC, space accounting.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "core/trace.h"
 #include "methods/lsm/lsm_tree.h"
 #include "methods/lsm/sorted_run.h"
 #include "methods/newest_wins_merge.h"
 #include "storage/block_device.h"
+#include "storage/caching_device.h"
 #include "storage/page_format.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
@@ -842,6 +845,70 @@ TEST(SortedRunTest, TruncatedCompressedRecordIsCorruptionWhereAWalkReachesIt) {
   EXPECT_EQ(visited, 49u);
 }
 
+// A one-byte delta takes the decoder's fast path, and its record is still
+// checked against the block end. Keys 200, 400, ... make 11-byte records
+// (2-byte varints), 45 to a 512-byte page, ending at byte 503; with the
+// page count raised to 46, the zero byte at 503 is a one-byte delta whose
+// value and op byte would end at byte 513.
+TEST(SortedRunTest, OneByteDeltaPastTheBlockIsCorruptionWhereAWalkReachesIt) {
+  RumCounters counters;
+  BlockDevice device(512, &counters);
+  auto run = BuildRun(&device, &counters, MakeRecords(100, 200, 200),
+                      /*compress=*/true);
+  std::vector<uint8_t>* page = device.mutable_page_unaccounted(0);
+  ASSERT_NE(page, nullptr);
+  ASSERT_EQ(DecodeU64(page->data()), 45u);
+  ASSERT_EQ((*page)[8 + 45 * 11], 0u);
+  EncodeU64(46, page->data());
+
+  Result<std::optional<LogRecord>> first = run->Get(200);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().has_value());
+  EXPECT_EQ(first.value()->value, ValueFor(200));
+  // 9100 lies between page 0's last key, 9000, and page 1's first, 9200.
+  EXPECT_EQ(run->Get(9100).code(), Code::kCorruption);
+
+  SortedRun::Cursor cursor(run.get());
+  ASSERT_TRUE(cursor.SeekTo(0, 0).ok());
+  Status s = Status::OK();
+  size_t walked = 0;
+  for (; s.ok() && cursor.Valid(); ++walked) {
+    EXPECT_EQ(cursor.record().key, 200 * (walked + 1));
+    s = cursor.Next();
+  }
+  EXPECT_EQ(s.code(), Code::kCorruption);
+  EXPECT_EQ(walked, 45u);
+}
+
+// Keys 0, 200, ..., 8800, 8801, ...: a 10-byte first record, 44 records of
+// 11 bytes and the one-byte delta to 8801 fill page 0 to exactly byte 512.
+TEST(SortedRunTest, OneByteDeltaEndingAtTheBlockEndReadsBack) {
+  RumCounters counters;
+  BlockDevice device(512, &counters);
+  std::vector<LogRecord> records = MakeRecords(45, 0, 200);
+  for (const LogRecord& r : MakeRecords(55, 8801)) records.push_back(r);
+  auto run = BuildRun(&device, &counters, records, /*compress=*/true);
+  std::vector<uint8_t>* page = device.mutable_page_unaccounted(0);
+  ASSERT_NE(page, nullptr);
+  ASSERT_EQ(DecodeU64(page->data()), 46u);
+
+  for (const LogRecord& r : records) {
+    Result<std::optional<LogRecord>> got = run->Get(r.key);
+    ASSERT_TRUE(got.ok()) << r.key << ": " << got.status().ToString();
+    ASSERT_TRUE(got.value().has_value()) << r.key;
+    EXPECT_EQ(got.value()->value, r.value) << r.key;
+  }
+  SortedRun::Cursor cursor(run.get());
+  ASSERT_TRUE(cursor.SeekTo(0, 0).ok());
+  for (const LogRecord& r : records) {
+    ASSERT_TRUE(cursor.Valid()) << r.key;
+    EXPECT_EQ(cursor.record().key, r.key);
+    EXPECT_EQ(cursor.record().value, r.value);
+    ASSERT_TRUE(cursor.Next().ok()) << r.key;
+  }
+  EXPECT_FALSE(cursor.Valid());
+}
+
 // --------------------------------------------------- Run bounds skipping
 
 TEST(LsmTreeTest, DisjointRunsCostNoBlocksOnGetAndScan) {
@@ -968,6 +1035,161 @@ TEST(CrossRunIndexTest, IndexSpaceIsChargedAsAuxiliaryMo) {
 TEST(CrossRunIndexTest, DisabledTreeHasNoIndex) {
   LsmTree tree(ScanHeavyOptions(false));
   EXPECT_EQ(tree.cross_run_index(), nullptr);
+}
+
+// Kept offsets. Tiered trees whose runs each span the key domain, in both
+// page formats, with one fence per page so a run's fence search costs
+// between floor(log2 pages) and bit_width(pages) probes: one run's search
+// fits under FenceSearchBound, two runs' do not.
+Options KeptOffsetOptions(bool compress) {
+  Options options = ScanHeavyOptions(/*cross_run_index=*/true);
+  options.lsm.compress_runs = compress;
+  options.lsm.fence_entries = 0;
+  return options;
+}
+
+uint64_t FenceSearchBound(const SortedRun& run) {
+  return sizeof(Key) * std::bit_width(run.page_count());
+}
+
+// Inserts the i-th keys for i in [first, first + count) into the tree and
+// the oracle. Key 0 (i = 0) and kMaxKey (i = 1) put the domain's ends in
+// the first run, so the index's first layout covers every later key.
+void InsertScrambled(LsmTree* tree, std::map<Key, Value>* oracle,
+                     uint64_t first, uint64_t count) {
+  for (uint64_t i = first; i < first + count; ++i) {
+    const Key k = i == 1 ? kMaxKey : ScrambledKey(i);
+    ASSERT_TRUE(tree->Insert(k, ValueFor(k)).ok());
+    (*oracle)[k] = ValueFor(k);
+  }
+}
+
+// Scans [lo, hi], checks the rows against the oracle, and returns what the
+// scan charged the tree.
+CounterSnapshot CheckedScan(LsmTree* tree, const std::map<Key, Value>& oracle,
+                            Key lo, Key hi) {
+  const CounterSnapshot before = tree->stats();
+  std::vector<Entry> out;
+  EXPECT_TRUE(tree->Scan(lo, hi, &out).ok());
+  const CounterSnapshot delta = tree->stats() - before;
+  std::vector<Entry> expected;
+  for (auto it = oracle.lower_bound(lo); it != oracle.end() && it->first <= hi;
+       ++it) {
+    expected.push_back(Entry{it->first, it->second});
+  }
+  EXPECT_EQ(out, expected) << "[" << lo << ", " << hi << "]";
+  return delta;
+}
+
+// A window of ~16 records starting mid-domain, where every run has records
+// below lo and so is positioned through lo's segment.
+constexpr Key kMidLo = kMaxKey / 2 + 12345;
+Key MidHi(uint64_t entries) { return kMidLo + (kMaxKey / entries) * 16; }
+
+struct TraceGuard {
+  ~TraceGuard() {
+    Trace::Disable();
+    Trace::Drain();
+  }
+};
+
+// A new run invalidates no stored offset: the rescan after a flush
+// fence-searches only the new run, and no page is pinned twice -- the
+// seek that stores an offset is the one the scan's cursor goes on from.
+TEST(CrossRunIndexTest, AFlushSeeksOnlyTheNewRun) {
+  for (const bool compress : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "compress=" << compress);
+    RumCounters device_counters;
+    BlockDevice base(512, &device_counters);
+    CachingDevice cache(&base, /*capacity_pages=*/1 << 12);
+    LsmTree tree(KeptOffsetOptions(compress), &cache);
+    std::map<Key, Value> oracle;
+    InsertScrambled(&tree, &oracle, 0, 4 * 256);
+    ASSERT_EQ(tree.total_runs(), 4u);
+    const Key hi = MidHi(5 * 256);
+    CheckedScan(&tree, oracle, kMidLo, hi);
+    const CrossRunIndex& index = *tree.cross_run_index();
+    const uint64_t relayouts = index.relayouts();
+
+    InsertScrambled(&tree, &oracle, 4 * 256, 256);  // One more flush.
+    ASSERT_EQ(tree.total_runs(), 5u);
+    const SortedRun& fresh = *tree.levels()[0].back();
+    ASSERT_LT(fresh.min_key(), kMidLo);
+    TraceGuard trace_guard;
+    Trace::Enable(1 << 12);
+    const CounterSnapshot rescan = CheckedScan(&tree, oracle, kMidLo, hi);
+    Trace::Disable();
+    ASSERT_EQ(Trace::dropped_events(), 0u);
+    std::map<PageId, int> pins;
+    for (const TraceEvent& e : Trace::Drain()) {
+      if (e.kind == TraceKind::kPinAcquire) ++pins[e.page];
+    }
+    EXPECT_GE(pins.size(), tree.total_runs());
+    for (const auto& [page, count] : pins) {
+      EXPECT_EQ(count, 1) << "page " << page;
+    }
+
+    // The same scan again seeks nothing: what the rescan read beyond it is
+    // the new run's fence search, less the offset it stored (read by this
+    // scan's consult, not the rescan's).
+    const CounterSnapshot again = CheckedScan(&tree, oracle, kMidLo, hi);
+    EXPECT_EQ(index.relayouts(), relayouts);
+    const uint64_t probes = rescan.bytes_read_aux + CrossRunIndex::kOffsetBytes -
+                            again.bytes_read_aux;
+    EXPECT_GT(probes, 0u);
+    EXPECT_LE(probes, FenceSearchBound(fresh));
+  }
+}
+
+// A compaction erases exactly its retired runs' offsets; the surviving run
+// keeps its own, so the next scan of a segment seeks only the output run.
+TEST(CrossRunIndexTest, RetiringARunErasesOnlyItsOffsets) {
+  for (const bool compress : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "compress=" << compress);
+    LsmTree tree(KeptOffsetOptions(compress));
+    std::map<Key, Value> oracle;
+    // Eight flushes merge into one level-1 run; seven more stay at level 0.
+    InsertScrambled(&tree, &oracle, 0, 15 * 256);
+    ASSERT_EQ(tree.levels()[0].size(), 7u);
+    ASSERT_EQ(tree.levels()[1].size(), 1u);
+    const SortedRun* survivor = tree.levels()[1].front().get();
+
+    // Three segments, one offset per run in each.
+    const CrossRunIndex& index = *tree.cross_run_index();
+    const Key width = MidHi(15 * 256) - kMidLo;
+    for (const Key lo : {kMidLo / 2, kMidLo, kMidLo + kMidLo / 2}) {
+      CheckedScan(&tree, oracle, lo, lo + width);
+    }
+    const uint64_t relayouts = index.relayouts();
+    const uint64_t segments = index.segment_count() *
+                              CrossRunIndex::kSegmentBytes;
+    const uint64_t charged = index.charged_bytes();
+    EXPECT_EQ(charged, segments + 3 * 8 * CrossRunIndex::kOffsetBytes);
+
+    // The eighth level-0 flush merges level 0 into a second level-1 run:
+    // the seven scanned level-0 runs take their 3 * 7 offsets with them.
+    InsertScrambled(&tree, &oracle, 15 * 256, 256);
+    ASSERT_EQ(tree.levels()[0].size(), 0u);
+    ASSERT_EQ(tree.levels()[1].size(), 2u);
+    ASSERT_EQ(tree.levels()[1].front().get(), survivor);
+    EXPECT_EQ(charged - index.charged_bytes(),
+              3 * 7 * CrossRunIndex::kOffsetBytes);
+    EXPECT_EQ(index.charged_bytes(), segments + 3 * CrossRunIndex::kOffsetBytes);
+
+    // Rescan a used segment: only the output run is sought and stored.
+    const SortedRun& output = *tree.levels()[1].back();
+    const uint64_t kept = index.charged_bytes();
+    const CounterSnapshot rescan =
+        CheckedScan(&tree, oracle, kMidLo, kMidLo + width);
+    EXPECT_EQ(index.charged_bytes() - kept, CrossRunIndex::kOffsetBytes);
+    const CounterSnapshot again =
+        CheckedScan(&tree, oracle, kMidLo, kMidLo + width);
+    EXPECT_EQ(index.relayouts(), relayouts);
+    const uint64_t probes = rescan.bytes_read_aux + CrossRunIndex::kOffsetBytes -
+                            again.bytes_read_aux;
+    EXPECT_GT(probes, 0u);
+    EXPECT_LE(probes, FenceSearchBound(output));
+  }
 }
 
 // --------------------------------------------------- Auxiliary-MO ledger

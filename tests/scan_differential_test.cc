@@ -152,7 +152,7 @@ TEST(ScanDifferentialTest, InvertedRangeIsInvalidArgumentOnBothPaths) {
 
 // Under 2 * cross_run_segment_entries records the index lays out one
 // segment, and keys 0 and kMaxKey made its step, (kMaxKey - 0) / 1 + 1, wrap
-// to 0: the second Scan's coverage check, or the next flush's invalidation,
+// to 0: the second Scan's coverage check, and any later segment arithmetic,
 // divided by zero.
 TEST(ScanDifferentialTest, OneSegmentSpanningEveryKeyKeepsANonzeroStep) {
   const std::string ops = Insert(0, 1) + Insert(kMaxKey - 1, 2) +

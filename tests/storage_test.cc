@@ -209,6 +209,37 @@ TEST(ScalarCodecTest, RoundTrip) {
   EXPECT_EQ(DecodeU32(buf), 0xDEADBEEFu);
 }
 
+TEST(VarintTest, DecodesAtTheOneByteBoundaryAndStopsAtTheLimit) {
+  // 0x7F, the largest one-byte value, and 0x80, the smallest two-byte one.
+  const uint8_t small[] = {0x7F, 0x80, 0x01};
+  size_t at = 0;
+  EXPECT_EQ(DecodeVarint64(small, sizeof(small), &at), 0x7Fu);
+  EXPECT_EQ(at, 1u);
+  EXPECT_EQ(DecodeVarint64(small, sizeof(small), &at), 0x80u);
+  EXPECT_EQ(at, 3u);
+
+  // The largest value takes ten bytes.
+  uint8_t wide[10];
+  ASSERT_EQ(EncodeVarint64(kMaxKey, wide), wide + 10);
+  EXPECT_EQ(VarintLength(kMaxKey), 10u);
+  at = 0;
+  EXPECT_EQ(DecodeVarint64(wide, sizeof(wide), &at), kMaxKey);
+  EXPECT_EQ(at, 10u);
+
+  // At the limit nothing is read, not even a one-byte value lying there.
+  const uint8_t one[] = {0x01};
+  at = 0;
+  EXPECT_EQ(DecodeVarint64(one, 0, &at), 0u);
+  EXPECT_EQ(at, 0u);
+
+  // A continuation byte cut off by the limit: the bits read so far, and
+  // the offset stops at the limit.
+  const uint8_t cut[] = {0x85, 0x01};
+  at = 0;
+  EXPECT_EQ(DecodeVarint64(cut, 1, &at), 5u);
+  EXPECT_EQ(at, 1u);
+}
+
 TEST(CachingDeviceTest, HitsAreServedWithoutBaseTraffic) {
   RumCounters counters;
   BlockDevice device(kBlock, &counters);
