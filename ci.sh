@@ -43,16 +43,43 @@ run_ctest() {
   (cd "${build_dir}" && ctest --output-on-failure -j "${JOBS}" ${test_filter})
 }
 
-run_stage() {
-  local name="$1" build_dir="$2" sanitize="$3" test_filter="$4"
-  echo "=== ${name}: configure + build (${build_dir}) ==="
+configure_stage() {
+  local name="$1" build_dir="$2" sanitize="$3" build_type="$4"
+  echo "=== ${name}: configure (${build_dir}) ==="
   # Warnings fail the build (CMAKE_COMPILE_WARNING_AS_ERROR: CMake >= 3.24).
   cmake -B "${build_dir}" -S . \
-    -DCMAKE_BUILD_TYPE="${5}" \
+    -DCMAKE_BUILD_TYPE="${build_type}" \
     -DRUMLAB_SANITIZE="${sanitize}" \
     -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+}
+
+run_stage() {
+  local name="$1" build_dir="$2" sanitize="$3" test_filter="$4"
+  configure_stage "${name}" "${build_dir}" "${sanitize}" "${5}"
+  echo "=== ${name}: build (${build_dir}) ==="
   cmake --build "${build_dir}" -j "${JOBS}"
   run_ctest "${name}" "${build_dir}" "${test_filter}"
+}
+
+# Fails unless every test file that starts threads (std::thread, or a
+# workload spec's `concurrency =`) is a test carrying the `tsan` label: an
+# unlabelled one would drop out of the TSan stage without a sound.
+check_tsan_labels() {
+  local build_dir="$1" labelled file missing=0
+  echo "=== tsan: every threaded test carries the tsan label ==="
+  labelled="$(cd "${build_dir}" && ctest -N -L tsan)"
+  for file in $(grep -lE 'std::thread|\.concurrency[[:space:]]*=' \
+    tests/*.cc || true); do
+    if ! grep -qE "Test +#[0-9]+: $(basename "${file}" .cc)\$" \
+      <<<"${labelled}"; then
+      echo "tsan: ${file} starts threads, but ctest -N -L tsan" \
+        "does not list it (tests/CMakeLists.txt)" >&2
+      missing=1
+    fi
+  done
+  if [[ "${missing}" -ne 0 ]]; then
+    exit 1
+  fi
 }
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
@@ -191,11 +218,17 @@ fi
 if [[ "${STAGE}" == "all" || "${STAGE}" == "tsan" ]]; then
   # The `tsan` label (tests/CMakeLists.txt) marks the tests with real
   # concurrency: worker threads, sharded stacks shared across threads,
-  # per-thread trace rings.
+  # per-thread trace rings. The recorders of one RumCounters must be
+  # serialized (src/core/counters.h); this stage is what catches a pair
+  # that is not.
   TSAN_FILTER="-L tsan"
   if [[ "${RUMLAB_CI_FULL_TSAN:-0}" == "1" ]]; then
     TSAN_FILTER=""
   fi
+  # The label check needs only a configured tree, so it runs before the
+  # sanitized build.
+  configure_stage "tsan" "build-tsan" "thread" "Debug"
+  check_tsan_labels "build-tsan"
   run_stage "tsan" "build-tsan" "thread" "${TSAN_FILTER}" "Debug"
 fi
 

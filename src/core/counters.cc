@@ -1,9 +1,7 @@
 #include "core/counters.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <unordered_map>
 
 namespace rum {
 
@@ -96,102 +94,19 @@ std::string CounterSnapshot::ToString() const {
   return std::string(buf);
 }
 
-/// One thread's private accumulator. Cache-line aligned so two threads'
-/// shards never share a line (the whole point of sharding: plain adds, no
-/// coherence traffic, no atomics).
-struct alignas(64) RumCounters::Shard {
-  CounterSnapshot snap;
-};
-
-namespace {
-/// Instance ids start at 1 so 0 can mean "no cached shard" in thread-locals.
-std::atomic<uint64_t> g_next_counters_id{1};
-}  // namespace
-
-RumCounters::RumCounters()
-    : id_(g_next_counters_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-RumCounters::~RumCounters() = default;
-
-CounterSnapshot& RumCounters::local() {
-  // Fast path: the thread re-touches the counters it touched last.
-  thread_local uint64_t cached_id = 0;
-  thread_local CounterSnapshot* cached_snap = nullptr;
-  if (cached_id == id_) return *cached_snap;
-  // Slow path: find or register this thread's shard. Keyed by the unique
-  // instance id, so entries for destroyed counters are dead weight but can
-  // never be revived by a new instance at the same address.
-  thread_local std::unordered_map<uint64_t, CounterSnapshot*> registered;
-  auto it = registered.find(id_);
-  if (it == registered.end()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::make_unique<Shard>());
-    it = registered.emplace(id_, &shards_.back()->snap).first;
-  }
-  cached_id = id_;
-  cached_snap = it->second;
-  return *cached_snap;
-}
-
-void RumCounters::AdjustSpace(DataClass cls, int64_t delta) {
-  CounterSnapshot& s = local();
-  uint64_t& field = (cls == DataClass::kBase) ? s.space_base : s.space_aux;
-  // Two's-complement wrap: a shard may go "negative" when this thread frees
-  // space another thread allocated; the modular sum across shards is exact.
-  field += static_cast<uint64_t>(delta);
-}
-
-void RumCounters::SetSpace(DataClass cls, uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& shard : shards_) {
-    uint64_t& field = (cls == DataClass::kBase) ? shard->snap.space_base
-                                                : shard->snap.space_aux;
-    field = 0;
-  }
-  uint64_t& field =
-      (cls == DataClass::kBase) ? base_.space_base : base_.space_aux;
-  field = bytes;
-}
-
-void RumCounters::ReclassifyInsertAsUpdate() {
-  CounterSnapshot& s = local();
-  if (s.inserts > 0) {
-    --s.inserts;
-    ++s.updates;
-    return;
-  }
-  // The insert may have been folded into base_ by a ResetTraffic since this
-  // thread last recorded one; fix the merged residue instead.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (base_.inserts > 0) {
-    --base_.inserts;
-    ++base_.updates;
-  }
-}
-
 CounterSnapshot RumCounters::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  CounterSnapshot out = base_;
-  for (const auto& shard : shards_) {
-    out += shard->snap;
-  }
-  // Merged space must be a real level; a set top bit means frees outran
-  // allocations somewhere (the old single-threaded assert, at merge time).
-  assert(!(out.space_base >> 63) && "base space accounting went negative");
-  assert(!(out.space_aux >> 63) && "aux space accounting went negative");
-  return out;
+  // Space must be a real level; a set top bit means frees outran
+  // allocations.
+  assert(!(totals_.space_base >> 63) && "base space accounting went negative");
+  assert(!(totals_.space_aux >> 63) && "aux space accounting went negative");
+  return totals_;
 }
 
 void RumCounters::ResetTraffic() {
-  std::lock_guard<std::mutex> lock(mu_);
-  CounterSnapshot merged = base_;
-  for (auto& shard : shards_) {
-    merged += shard->snap;
-    shard->snap = CounterSnapshot();
-  }
-  base_ = CounterSnapshot();
-  base_.space_base = merged.space_base;
-  base_.space_aux = merged.space_aux;
+  CounterSnapshot reset;
+  reset.space_base = totals_.space_base;
+  reset.space_aux = totals_.space_aux;
+  totals_ = reset;
 }
 
 }  // namespace rum

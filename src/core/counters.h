@@ -2,10 +2,7 @@
 #define RUMLAB_CORE_COUNTERS_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace rum {
 
@@ -107,9 +104,10 @@ struct CounterSnapshot {
 /// charge, no locks, no merging. This is the cheap sampling path the
 /// workload runner uses for per-op cost deltas: on a serial run every
 /// charge lands on the sampling thread, so deltas of this tally equal
-/// deltas of a full `stats()` merge across every counters instance in the
-/// stack -- without locking and merging N shards per operation (the
-/// ShardedMethod pathology trace_test's sampling-regression check pins).
+/// deltas of a full `stats()` across every counters instance in the stack
+/// -- without locking every ShardedMethod partition and summing its inner
+/// stats per operation (the pathology trace_test's sampling-regression
+/// check pins).
 struct ThreadIoTally {
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
@@ -121,28 +119,20 @@ inline ThreadIoTally& ThisThreadIo() {
   return tally;
 }
 
-/// Mutable accumulator fed by devices, memory trackers, and access methods.
+/// Mutable accumulator fed by devices, memory trackers, and access methods:
+/// one plain CounterSnapshot, read and written in place.
 ///
-/// Threading model (see DESIGN.md "Threading model"): traffic is recorded
-/// into *per-thread shards* -- every thread that touches a RumCounters gets
-/// its own cache-line-aligned accumulator, so the hot path is a plain
-/// (non-atomic, uncontended) integer add. `snapshot()` merges the shards
-/// under a registry mutex; because every increment lands in exactly one
-/// shard, the merged totals are exact, and deltas between two quiescent
-/// snapshots are exact too.
-///
-/// Synchronization contract: concurrent threads may *record* traffic
-/// concurrently with each other, but `snapshot()`, `ResetTraffic()` and
-/// `SetSpace()` require external synchronization with recorders -- either a
-/// happens-before edge (thread join, worker-pool barrier, as WorkloadRunner
-/// establishes around a phase) or a common lock serializing all access (as
-/// ShardedMethod's per-shard mutex provides for inner-method counters).
-/// Under that contract the class is exact and data-race-free; it is *not* a
-/// linearizable concurrent counter read mid-flight.
+/// Synchronization contract (the one BlockDevice states; DESIGN.md §3b):
+/// the recorders of one instance are serialized -- one thread, a lock every
+/// recorder takes (ShardedMethod's per-shard mutex for inner methods,
+/// CachingDevice's mutex for the stack beneath it), or a join (as
+/// WorkloadRunner does around a phase) -- and `snapshot()` reads it at
+/// quiescence. Threads may charge *different* instances at once; two
+/// threads charging one instance with no common lock is a data race, which
+/// the ThreadSanitizer tier reports.
 class RumCounters {
  public:
-  RumCounters();
-  ~RumCounters();
+  RumCounters() = default;
 
   RumCounters(const RumCounters&) = delete;
   RumCounters& operator=(const RumCounters&) = delete;
@@ -150,65 +140,66 @@ class RumCounters {
   /// Records `bytes` physically read from data of class `cls`.
   void OnRead(DataClass cls, uint64_t bytes) {
     ThisThreadIo().bytes_read += bytes;
-    CounterSnapshot& s = local();
     if (cls == DataClass::kBase) {
-      s.bytes_read_base += bytes;
+      totals_.bytes_read_base += bytes;
     } else {
-      s.bytes_read_aux += bytes;
+      totals_.bytes_read_aux += bytes;
     }
   }
 
   /// Records `bytes` physically written to data of class `cls`.
   void OnWrite(DataClass cls, uint64_t bytes) {
     ThisThreadIo().bytes_written += bytes;
-    CounterSnapshot& s = local();
     if (cls == DataClass::kBase) {
-      s.bytes_written_base += bytes;
+      totals_.bytes_written_base += bytes;
     } else {
-      s.bytes_written_aux += bytes;
+      totals_.bytes_written_aux += bytes;
     }
   }
 
   /// Records a whole-block device read/write (granularity accounting).
-  void OnBlockRead() { ++local().blocks_read; }
-  void OnBlockWrite() { ++local().blocks_written; }
+  void OnBlockRead() { ++totals_.blocks_read; }
+  void OnBlockWrite() { ++totals_.blocks_written; }
 
   /// Adjusts resident space of class `cls` by `delta` bytes (may shrink).
-  /// A shard's level may go transiently "negative" (two's-complement wrap)
-  /// when one thread frees what another allocated; the merged sum is exact.
-  void AdjustSpace(DataClass cls, int64_t delta);
-  /// Sets resident space of class `cls` to an absolute level (requires the
-  /// external-synchronization contract above: no concurrent recorders).
-  void SetSpace(DataClass cls, uint64_t bytes);
+  void AdjustSpace(DataClass cls, int64_t delta) {
+    // A two's-complement add; snapshot() asserts the level stays real.
+    space(cls) += static_cast<uint64_t>(delta);
+  }
+  /// Sets resident space of class `cls` to an absolute level.
+  void SetSpace(DataClass cls, uint64_t bytes) { space(cls) = bytes; }
 
   /// Records that the caller logically retrieved `bytes` of base data.
-  void OnLogicalRead(uint64_t bytes) { local().logical_bytes_read += bytes; }
+  void OnLogicalRead(uint64_t bytes) { totals_.logical_bytes_read += bytes; }
   /// Records that the caller logically updated `bytes` of base data.
   void OnLogicalWrite(uint64_t bytes) {
-    local().logical_bytes_written += bytes;
+    totals_.logical_bytes_written += bytes;
   }
 
   /// Rebooks the most recent insert as an update (used by the default
-  /// AccessMethod::Update, which delegates to Insert). The insert being
-  /// reclassified always happened on the calling thread, so this touches
-  /// only the local shard.
-  void ReclassifyInsertAsUpdate();
+  /// AccessMethod::Update, which delegates to Insert). A no-op when no
+  /// insert is on the books (a ResetTraffic came in between).
+  void ReclassifyInsertAsUpdate() {
+    if (totals_.inserts == 0) return;
+    --totals_.inserts;
+    ++totals_.updates;
+  }
 
-  void OnPointQuery() { ++local().point_queries; }
-  void OnRangeQuery() { ++local().range_queries; }
-  void OnInsert() { ++local().inserts; }
-  void OnUpdate() { ++local().updates; }
-  void OnDelete() { ++local().deletes; }
+  void OnPointQuery() { ++totals_.point_queries; }
+  void OnRangeQuery() { ++totals_.range_queries; }
+  void OnInsert() { ++totals_.inserts; }
+  void OnUpdate() { ++totals_.updates; }
+  void OnDelete() { ++totals_.deletes; }
 
   /// Records page pins a batched read avoided versus the per-key loop.
-  void OnBatchedPageHits(uint64_t n) { local().batched_page_hits += n; }
+  void OnBatchedPageHits(uint64_t n) { totals_.batched_page_hits += n; }
 
   /// Records one device operation that failed with kIOError.
-  void OnIoError() { ++local().io_errors; }
+  void OnIoError() { ++totals_.io_errors; }
   /// Records one retry attempt issued by a retry policy.
-  void OnRetry() { ++local().retries; }
+  void OnRetry() { ++totals_.retries; }
 
-  /// Returns the accounting state merged across all per-thread shards.
+  /// Returns the accounting state.
   CounterSnapshot snapshot() const;
 
   /// Zeroes all accumulators but preserves the space levels (resident data
@@ -216,19 +207,11 @@ class RumCounters {
   void ResetTraffic();
 
  private:
-  struct Shard;
+  uint64_t& space(DataClass cls) {
+    return cls == DataClass::kBase ? totals_.space_base : totals_.space_aux;
+  }
 
-  /// The calling thread's shard, registering one on first touch.
-  CounterSnapshot& local();
-
-  /// Distinguishes instances in thread-local caches; never reused, so a
-  /// destroyed RumCounters can never alias a live cache entry.
-  const uint64_t id_;
-  /// Guards shard registration and merged reads; recorders do not take it.
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Residue of ResetTraffic/SetSpace (space levels folded out of shards).
-  CounterSnapshot base_;
+  CounterSnapshot totals_;
 };
 
 }  // namespace rum

@@ -21,7 +21,7 @@ namespace rum {
 ///
 /// Threading: a histogram instance is single-writer (one worker records into
 /// its own copy); Merge() combines per-worker histograms after a
-/// happens-before edge (thread join), exactly like RumCounters shards.
+/// happens-before edge (thread join).
 class LatencyHistogram {
  public:
   static constexpr size_t kSubBits = 4;

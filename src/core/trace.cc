@@ -48,8 +48,8 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-/// One thread's private ring. Aligned like a counters shard so two threads'
-/// hot fields never share a cache line.
+/// One thread's private ring. Cache-line aligned so two threads' hot fields
+/// never share a line.
 struct alignas(64) Ring {
   std::vector<TraceEvent> slots;
   size_t head = 0;          ///< Next slot to write.
@@ -70,9 +70,9 @@ TraceState& State() {
 }
 
 Ring& LocalRing() {
-  // Same shape as RumCounters::local(), minus the instance-id key: the trace
-  // is a process singleton, so one cached pointer per thread suffices. Rings
-  // are never destroyed, so the cache can never dangle.
+  // The trace is a process singleton, so one cached pointer per thread
+  // finds the ring. Rings are never destroyed, so the cache can never
+  // dangle.
   thread_local Ring* cached = nullptr;
   if (cached != nullptr) return *cached;
   TraceState& state = State();

@@ -76,20 +76,22 @@ extern std::atomic<bool> g_enabled;
 }  // namespace trace_internal
 
 /// Process-wide structured trace: fixed-capacity per-thread ring buffers
-/// behind a global registry (the RumCounters shard pattern). When disabled
-/// -- the default -- Emit() is a single relaxed load and branch; no ring is
-/// touched, no sequence number is drawn. When enabled, each thread appends
-/// to its own ring (plain stores, no locks after first-touch registration)
-/// and draws a global sequence number with one relaxed fetch_add, the only
-/// cross-thread traffic on the hot path.
+/// behind a global registry, because a ShardedMethod's shards (their LSM
+/// flushes, say) emit from several threads under no common lock. When
+/// disabled -- the default -- Emit() is a single relaxed load and branch; no
+/// ring is touched, no sequence number is drawn. When enabled, each thread
+/// appends to its own ring (plain stores, no locks after first-touch
+/// registration) and draws a global sequence number with one relaxed
+/// fetch_add, the only cross-thread traffic on the hot path.
 ///
 /// Rings hold the *newest* `events_per_thread` events per thread: wraparound
 /// overwrites the oldest slot and bumps the dropped-event count.
 ///
-/// Synchronization contract (same as RumCounters): threads may Emit
-/// concurrently with each other, but Enable/Disable/Drain require external
-/// synchronization with emitters (a join or barrier). Drain() merges every
-/// ring by sequence number and clears them.
+/// Synchronization contract: threads may Emit concurrently with each other
+/// (unlike RumCounters recorders, which are serialized), but
+/// Enable/Disable/Drain require external synchronization with emitters (a
+/// join or barrier). Drain() merges every ring by sequence number and clears
+/// them.
 class Trace {
  public:
   /// True when tracing is on. Inline relaxed load: this is the whole

@@ -225,13 +225,16 @@ Status SortedRun::PageReader::Open(std::span<const uint8_t> block,
 
 void SortedRun::PageReader::Skip(size_t slot, Key key) {
   // Locals, so the loop runs in registers.
+  const uint8_t* block = block_;
+  const size_t block_size = block_size_;
+  const size_t size = size_;
   size_t at = tail_;
   Key k = key_;
   size_t i = slot_;
-  while (i < size_ && (i < slot || k < key)) {
-    if (++i == size_) break;
+  while (i < size && (i < slot || k < key)) {
+    if (++i == size) break;
     at += kRecordTail;
-    if (!ReadDelta(block_, block_size_, &at, &k)) {
+    if (!ReadDelta(block, block_size, &at, &k)) {
       Truncate();
       return;
     }

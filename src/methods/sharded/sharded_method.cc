@@ -88,7 +88,7 @@ Status ShardedMethod::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   if (lo > hi) {
     return Status::InvalidArgument("Scan range is inverted");
   }
-  own_.OnRangeQuery();
+  scans_.fetch_add(1, std::memory_order_relaxed);
   std::vector<Entry> merged;
   for (auto& shard : shards_) {
     std::vector<Entry> part;
@@ -154,12 +154,12 @@ CounterSnapshot ShardedMethod::stats() const {
     std::lock_guard<std::mutex> lock(shard->mu);
     out += shard->method->stats();
   }
-  out.range_queries = own_.snapshot().range_queries;
+  out.range_queries = scans_.load(std::memory_order_relaxed);
   return out;
 }
 
 void ShardedMethod::ResetStats() {
-  own_.ResetTraffic();
+  scans_.store(0, std::memory_order_relaxed);
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->method->ResetStats();

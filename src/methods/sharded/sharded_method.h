@@ -1,6 +1,8 @@
 #ifndef RUMLAB_METHODS_SHARDED_SHARDED_METHOD_H_
 #define RUMLAB_METHODS_SHARDED_SHARDED_METHOD_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,9 +73,9 @@ class ShardedMethod : public AccessMethod, public KeyPartitioned {
 
   std::string name_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Wrapper-level op accounting written concurrently by caller threads
-  /// without a shard lock -- the thread-sharded RumCounters handles that.
-  RumCounters own_;
+  /// Logical Scans, counted by caller threads that hold no common lock, so
+  /// an atomic rather than a RumCounters (whose recorders are serialized).
+  std::atomic<uint64_t> scans_{0};
 };
 
 }  // namespace rum

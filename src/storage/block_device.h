@@ -20,7 +20,8 @@ namespace rum {
 /// data has a minimum access granularity holds for all storage mediums").
 /// Every read or write touches whole blocks and is charged -- in bytes and
 /// blocks, tagged base vs auxiliary -- to the RumCounters supplied at
-/// construction.
+/// construction. Those counters need serialized callers, as RumCounters
+/// does; a CachingDevice above this one provides that with its mutex.
 ///
 /// Pages are allocated with a DataClass tag so space amplification can be
 /// derived exactly: resident space is (#allocated pages of class) x

@@ -29,7 +29,9 @@ namespace rum {
 /// number of operations that ultimately failed with kIOError, and wrapping
 /// a FaultyDevice directly makes io_errors equal its faults_injected());
 /// non-kIOError failures charge nothing here. Failed attempts never charge
-/// traffic (the device contract: a faulted op moves no bytes).
+/// traffic (the device contract: a faulted op moves no bytes). Those
+/// counters need serialized callers, as RumCounters does; a CachingDevice
+/// above this one provides that with its mutex.
 ///
 /// Backoff is simulated, not slept: before retry k (1-based) the decorator
 /// adds `backoff_base_us << (k-1)` to an accumulated virtual wait readable

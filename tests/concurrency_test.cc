@@ -217,6 +217,39 @@ TEST_P(ConcurrencyTest, ReadersSeeConsistentStateUnderWrites) {
   for (auto& thread : threads) thread.join();
 }
 
+// A Scan fans out to every shard but counts once, on the wrapper, and
+// caller threads count it holding no common lock: no count may be lost.
+TEST_P(ConcurrencyTest, ShardedScansCountOnceUnderThreads) {
+  auto method = MakeSharded();
+  ASSERT_NE(method, nullptr);
+  constexpr Key kRange = 4096;
+  constexpr Key kWidth = 64;
+  constexpr int kScansPerThread = 200;
+  std::vector<Entry> entries;
+  for (Key k = 0; k < kRange; ++k) entries.push_back({k, ValueFor(k)});
+  ASSERT_TRUE(method->BulkLoad(entries).ok());
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0xE000 + t);
+      for (int i = 0; i < kScansPerThread; ++i) {
+        Key lo = rng.NextBelow(kRange - kWidth);
+        std::vector<Entry> out;
+        ASSERT_TRUE(method->Scan(lo, lo + kWidth - 1, &out).ok());
+        ASSERT_EQ(out.size(), kWidth);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(method->stats().range_queries,
+            uint64_t{kThreads} * kScansPerThread)
+      << GetParam();
+  method->ResetStats();
+  EXPECT_EQ(method->stats().range_queries, 0u) << GetParam();
+}
+
 // Merged counter snapshots after a concurrent phase must satisfy the same
 // invariants stats_invariants_test.cc checks for serial phases -- and the
 // operation counts must be *exact*, proving no increments were lost.

@@ -96,9 +96,15 @@ TEST(CountersTest, ResetTrafficPreservesSpace) {
   RumCounters counters;
   counters.OnRead(DataClass::kAux, 10);
   counters.SetSpace(DataClass::kAux, 123);
+  // Adjusted levels survive too, with or without a SetSpace under them.
+  counters.AdjustSpace(DataClass::kAux, 7);
+  counters.AdjustSpace(DataClass::kBase, 50);
   counters.ResetTraffic();
   EXPECT_EQ(counters.snapshot().bytes_read_aux, 0u);
-  EXPECT_EQ(counters.snapshot().space_aux, 123u);
+  EXPECT_EQ(counters.snapshot().space_aux, 130u);
+  EXPECT_EQ(counters.snapshot().space_base, 50u);
+  counters.AdjustSpace(DataClass::kBase, -20);
+  EXPECT_EQ(counters.snapshot().space_base, 30u);
 }
 
 TEST(CountersTest, AdjustSpaceMovesBothWays) {
@@ -106,6 +112,17 @@ TEST(CountersTest, AdjustSpaceMovesBothWays) {
   counters.AdjustSpace(DataClass::kBase, 100);
   counters.AdjustSpace(DataClass::kBase, -40);
   EXPECT_EQ(counters.snapshot().space_base, 60u);
+  // SetSpace replaces an adjusted level; AdjustSpace adds to a set one.
+  counters.SetSpace(DataClass::kBase, 1000);
+  EXPECT_EQ(counters.snapshot().space_base, 1000u);
+  counters.AdjustSpace(DataClass::kBase, 24);
+  EXPECT_EQ(counters.snapshot().space_base, 1024u);
+  counters.AdjustSpace(DataClass::kBase, -1024);
+  EXPECT_EQ(counters.snapshot().space_base, 0u);
+  // The classes are separate levels.
+  counters.AdjustSpace(DataClass::kAux, 8);
+  EXPECT_EQ(counters.snapshot().space_aux, 8u);
+  EXPECT_EQ(counters.snapshot().space_base, 0u);
 }
 
 TEST(CountersTest, ReclassifyInsertAsUpdate) {
@@ -117,6 +134,12 @@ TEST(CountersTest, ReclassifyInsertAsUpdate) {
   // No-op when there is no insert to rebook.
   counters.ReclassifyInsertAsUpdate();
   EXPECT_EQ(counters.snapshot().updates, 1u);
+  // Also when a ResetTraffic zeroed the insert it would rebook.
+  counters.OnInsert();
+  counters.ResetTraffic();
+  counters.ReclassifyInsertAsUpdate();
+  EXPECT_EQ(counters.snapshot().inserts, 0u);
+  EXPECT_EQ(counters.snapshot().updates, 0u);
 }
 
 TEST(RumPointTest, PerfectPointSitsAtCentroid) {
