@@ -3,11 +3,11 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/options.h"
+#include "methods/key_set.h"
 #include "methods/sketch/quotient_filter.h"
 
 namespace rum {
@@ -76,7 +76,7 @@ class UpdateAbsorber : public AccessMethod {
   std::unordered_map<Key, DeltaRecord> delta_;
   // Simulator-side bookkeeping (unaccounted): every mutation flows through
   // this wrapper, so the live-key set is tracked exactly for size().
-  std::unordered_set<Key> live_keys_;
+  KeySet live_keys_;
 };
 
 }  // namespace rum

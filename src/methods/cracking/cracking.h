@@ -7,6 +7,7 @@
 
 #include "core/access_method.h"
 #include "core/options.h"
+#include "methods/key_set.h"
 
 namespace rum {
 
@@ -72,7 +73,7 @@ class CrackedColumn : public AccessMethod {
   std::unordered_set<Key> deleted_;  // Unmerged deletes.
   // Simulator-side bookkeeping (unaccounted): exact live-key set for
   // size() and the stats() base/aux space split.
-  std::unordered_set<Key> live_keys_;
+  KeySet live_keys_;
 };
 
 }  // namespace rum

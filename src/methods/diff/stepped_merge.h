@@ -2,11 +2,11 @@
 #define RUMLAB_METHODS_DIFF_STEPPED_MERGE_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/options.h"
+#include "methods/key_set.h"
 #include "methods/lsm/sorted_run.h"
 #include "methods/method_device.h"
 
@@ -55,7 +55,7 @@ class SteppedMergeTree : public AccessMethod {
 
   std::vector<LogRecord> buffer_;  // Unsorted, newest last.
   std::vector<std::vector<std::unique_ptr<SortedRun>>> levels_;
-  std::unordered_set<Key> live_keys_;  // Simulator-side bookkeeping.
+  KeySet live_keys_;  // Simulator-side bookkeeping.
 };
 
 }  // namespace rum

@@ -3,11 +3,11 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/options.h"
+#include "methods/key_set.h"
 #include "methods/sketch/count_min.h"
 
 namespace rum {
@@ -85,7 +85,7 @@ class HotColdStore : public AccessMethod {
   uint64_t evictions_ = 0;
   uint64_t evict_cursor_ = 0;  // Deterministic sampling state.
   // Simulator-side bookkeeping (unaccounted): exact live-key set.
-  std::unordered_set<Key> live_keys_;
+  KeySet live_keys_;
 };
 
 }  // namespace rum

@@ -3,13 +3,13 @@
 
 #include <atomic>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/memory_budget.h"
 #include "core/metrics.h"
 #include "core/options.h"
+#include "methods/key_set.h"
 #include "methods/lsm/compaction_policy.h"
 #include "methods/lsm/cross_run_index.h"
 #include "methods/lsm/sorted_run.h"
@@ -291,7 +291,7 @@ class LsmTree : public AccessMethod, public CompactionContext {
 
   // Simulator-side bookkeeping (unaccounted): exact live-key set for size()
   // and the stats() base/aux space split.
-  std::unordered_set<Key> live_keys_;
+  KeySet live_keys_;
 
   // ------------------------------------------------ Memory arbitration
   // Live knobs and signals (all relaxed atomics: replans fire from

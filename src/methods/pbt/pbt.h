@@ -2,12 +2,12 @@
 #define RUMLAB_METHODS_PBT_PBT_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/access_method.h"
 #include "core/options.h"
 #include "methods/btree/btree.h"
+#include "methods/key_set.h"
 
 namespace rum {
 
@@ -65,7 +65,7 @@ class PartitionedBTree : public AccessMethod {
   CounterSnapshot retired_;  // Traffic of merged-away partitions.
   uint64_t merges_ = 0;
   // Simulator-side bookkeeping (unaccounted): exact live-key set.
-  std::unordered_set<Key> live_keys_;
+  KeySet live_keys_;
 };
 
 }  // namespace rum

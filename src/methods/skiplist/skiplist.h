@@ -1,6 +1,8 @@
 #ifndef RUMLAB_METHODS_SKIPLIST_SKIPLIST_H_
 #define RUMLAB_METHODS_SKIPLIST_SKIPLIST_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -21,6 +23,11 @@ namespace rum {
 /// plus a tower of forward pointers (auxiliary, 8 bytes per level).
 /// Traversal charges one pointer read per hop and one key read per
 /// comparison.
+///
+/// Nodes live in a bump arena of 64 KiB chunks owned by the map: a node's
+/// header and its tower share one slot, so writes allocate nothing but an
+/// occasional chunk. Heights are capped at 64, the bound ValidateOptions
+/// enforces; the constructor clamps `max_height` into [1, 64].
 class SkipListMap {
  public:
   /// One record as stored in the list.
@@ -44,7 +51,8 @@ class SkipListMap {
   bool Find(Key key, Record* out);
 
   /// Physically removes a key's node (used by the standalone access method,
-  /// which does not need tombstones).
+  /// which does not need tombstones). The node's slot is reused by the next
+  /// node of the same height.
   void Erase(Key key);
 
   /// Visits records with lo <= key <= hi in ascending order, charging reads.
@@ -56,7 +64,8 @@ class SkipListMap {
   void VisitAllUnaccounted(
       const std::function<void(const Record&)>& visit) const;
 
-  /// Removes every node; space accounting drops to zero.
+  /// Removes every node, keeping the arena chunk that holds the head and
+  /// freeing the rest; space drops to the head's tower.
   void Clear();
 
   /// Records currently stored (including tombstones).
@@ -74,14 +83,27 @@ class SkipListMap {
  private:
   struct Node;
 
+  static constexpr size_t kMaxHeight = 64;
+
   /// Deterministic tower-height generator (xorshift on a seeded state).
   size_t RandomHeight();
-  /// Descends toward `key`, charging reads; fills `prev` per level when
-  /// non-null. Returns the first node with node->key >= key (may be null).
-  Node* FindGreaterOrEqual(Key key, std::vector<Node*>* prev);
+  /// Descends toward `key`, charging its reads once; fills `prev[level]`
+  /// for every level below height_ when non-null. Returns the first node
+  /// with node->key >= key (may be null).
+  Node* FindGreaterOrEqual(Key key, Node** prev);
+  /// A node of `height`: an erased one of that height if any, else a slot
+  /// carved from the arena.
+  Node* NewNode(Key key, Value value, bool tombstone, size_t height);
+  /// Carves `bytes` from the current chunk, starting a new one when full.
+  std::byte* Carve(size_t bytes);
 
   Options::SkipList options_;
   RumCounters* counters_;  // Not owned.
+  /// The arena; chunks_[0] holds the head, chunks_.back() is carved from.
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  size_t chunk_used_ = 0;  // Bytes carved from chunks_.back().
+  /// Erased nodes by height - 1, linked through their first tower slot.
+  std::array<Node*, kMaxHeight> free_{};
   Node* head_;
   size_t height_ = 1;
   size_t record_count_ = 0;

@@ -1,5 +1,12 @@
 // Structure-specific tests: the Proposition 1-3 extremes, zone maps, the
-// hash directory, cracking convergence, the trie, columns, bloom-zones.
+// hash directory, cracking convergence, the trie, columns, bloom-zones,
+// the live-key set and the skiplist map's charges.
+#include <algorithm>
+#include <map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "methods/approx/bloom_column.h"
@@ -10,7 +17,9 @@
 #include "methods/extremes/magic_array.h"
 #include "methods/extremes/pure_log.h"
 #include "methods/hash/hash_index.h"
+#include "methods/key_set.h"
 #include "methods/pbt/pbt.h"
+#include "methods/skiplist/skiplist.h"
 #include "methods/trie/trie.h"
 #include "methods/zonemap/zonemap.h"
 #include "tests/testing_util.h"
@@ -554,6 +563,215 @@ TEST(BloomZoneTest, DeletesTriggerRebuildAndReclaim) {
   EXPECT_EQ(column.size(), 1500u);
   for (Key k = 500; k < 520; ++k) {
     EXPECT_EQ(column.Get(k).value(), ValueFor(k));
+  }
+}
+
+// ---------------------------------------------------------------- KeySet
+
+TEST(KeySetTest, MatchesUnorderedSetUnderChurn) {
+  // 4K keys: small ones, ones that differ only in high bits, and the two
+  // ends of the key range. Inserts lead for the first half (the table
+  // doubles from 16 slots to 4K), erases lead for the second (every erase
+  // shifts a probe run back).
+  std::vector<Key> domain = {0, kMaxKey, kMaxKey - 1, 1};
+  for (Key k = 2; domain.size() < 2048; ++k) domain.push_back(k);
+  for (Key k = 1; domain.size() < 4096; ++k) domain.push_back(k << 40);
+  KeySet set;
+  std::unordered_set<Key> model;
+  Rng rng(0x6b5e);
+  constexpr int kOps = 200000;
+  for (int i = 0; i < kOps; ++i) {
+    Key key = domain[rng.NextBelow(domain.size())];
+    uint64_t roll = rng.NextBelow(10);
+    uint64_t insert_share = i < kOps / 2 ? 6 : 3;
+    if (roll < insert_share) {
+      ASSERT_EQ(set.insert(key), model.insert(key).second) << "op " << i;
+    } else if (roll < 9) {
+      ASSERT_EQ(set.erase(key), model.erase(key) == 1) << "op " << i;
+    }
+    ASSERT_EQ(set.size(), model.size()) << "op " << i;
+    ASSERT_EQ(set.contains(key), model.contains(key)) << "op " << i;
+  }
+  for (Key key : domain) {
+    EXPECT_EQ(set.contains(key), model.contains(key)) << key;
+  }
+}
+
+// --------------------------------------------------------------- Skiplist
+
+// What a seeded op stream leaves behind in a bare SkipListMap.
+struct SkipListRun {
+  CounterSnapshot snap;
+  size_t records = 0;
+  size_t live = 0;
+};
+
+// Drives a bare map with `ops` seeded Put/Find/Erase/VisitRange/Clear ops
+// over 512 keys, 0 and kMaxKey among them, checking every answer against a
+// std::map model.
+void DriveSkipList(size_t max_height, int ops, SkipListRun* run) {
+  Options::SkipList options;
+  options.max_height = max_height;
+  RumCounters counters;
+  SkipListMap map(options, &counters);
+  std::map<Key, SkipListMap::Record> model;
+  Rng rng(0x5c1b);
+  auto pick = [&] {
+    Key key = rng.NextBelow(512);
+    return key == 511 ? kMaxKey : key;
+  };
+  for (int i = 0; i < ops; ++i) {
+    uint64_t roll = rng.NextBelow(1000);
+    Key key = pick();
+    if (roll < 450) {
+      SkipListMap::Record record{key, rng.Next(), rng.NextBelow(5) == 0};
+      map.Put(key, record.value, record.tombstone);
+      model[key] = record;
+    } else if (roll < 700) {
+      SkipListMap::Record got{};
+      auto it = model.find(key);
+      ASSERT_EQ(map.Find(key, &got), it != model.end()) << "op " << i;
+      if (it != model.end()) {
+        EXPECT_EQ(got.value, it->second.value) << "op " << i;
+        EXPECT_EQ(got.tombstone, it->second.tombstone) << "op " << i;
+      }
+    } else if (roll < 850) {
+      map.Erase(key);
+      model.erase(key);
+    } else if (roll < 999) {
+      Key hi = rng.NextBelow(8) == 0 ? kMaxKey
+                                     : std::min<Key>(key, 510) +
+                                           rng.NextBelow(64);
+      std::vector<Key> seen;
+      map.VisitRange(key, hi, [&](const SkipListMap::Record& r) {
+        seen.push_back(r.key);
+      });
+      std::vector<Key> expected;
+      for (auto it = model.lower_bound(key);
+           it != model.end() && it->first <= hi; ++it) {
+        expected.push_back(it->first);
+      }
+      EXPECT_EQ(seen, expected) << "op " << i;
+    } else {
+      map.Clear();
+      model.clear();
+    }
+    ASSERT_EQ(map.record_count(), model.size()) << "op " << i;
+  }
+  *run = {counters.snapshot(), map.record_count(), map.live_count()};
+}
+
+TEST(SkipListMapTest, ChargesOfASeededStream) {
+  // Where a node lives in memory must not move a charge, a space level or
+  // a count: these values are pinned.
+  struct Expected {
+    size_t max_height;
+    CounterSnapshot snap;
+  };
+  const Expected cases[] = {
+      {1,
+       {.bytes_read_base = 4675320,
+        .bytes_read_aux = 4506328,
+        .bytes_written_base = 29552,
+        .bytes_written_aux = 32128,
+        .space_base = 1440,
+        .space_aux = 1064}},
+      {16,
+       {.bytes_read_base = 808008,
+        .bytes_read_aux = 660088,
+        .bytes_written_base = 29552,
+        .bytes_written_aux = 40672,
+        .space_base = 1440,
+        .space_aux = 1416}},
+      {64,
+       {.bytes_read_base = 808008,
+        .bytes_read_aux = 660088,
+        .bytes_written_base = 29552,
+        .bytes_written_aux = 40672,
+        .space_base = 1440,
+        .space_aux = 1800}},
+  };
+  for (const Expected& expected : cases) {
+    SCOPED_TRACE(expected.max_height);
+    SkipListRun run;
+    DriveSkipList(expected.max_height, 5000, &run);
+    testing_util::ExpectSnapshotsEqual(run.snap, expected.snap);
+    EXPECT_EQ(run.records, 104u);
+    EXPECT_EQ(run.live, 90u);
+  }
+}
+
+TEST(SkipListMapTest, ConstructorClampsMaxHeight) {
+  // A promote probability of 1 gives every node a full tower, so a cap the
+  // constructor failed to clamp would show in the tower bytes (and, under
+  // AddressSanitizer, as an overrun of the node's slots).
+  for (auto [asked, clamped] : {std::pair<size_t, size_t>{0, 1},
+                                {65, 64},
+                                {1000, 64}}) {
+    SCOPED_TRACE(asked);
+    Options::SkipList options;
+    options.max_height = asked;
+    options.promote_probability = 1.0;
+    RumCounters counters;
+    SkipListMap map(options, &counters);
+    EXPECT_EQ(map.aux_bytes(), clamped * sizeof(void*));
+    constexpr Key kKeys = 300;
+    for (Key k = kKeys; k-- > 0;) map.Put(k * 2, ValueFor(k), false);
+    EXPECT_EQ(map.aux_bytes(), (kKeys + 1) * clamped * sizeof(void*));
+    for (Key k = 0; k < kKeys; k += 7) map.Erase(k * 2);
+    for (Key k = 0; k < kKeys; ++k) {
+      SkipListMap::Record record{};
+      ASSERT_EQ(map.Find(k * 2, &record), k % 7 != 0) << k;
+      ASSERT_FALSE(map.Find(k * 2 + 1, &record)) << k;
+    }
+    size_t visited = 0;
+    map.VisitRange(0, kMaxKey, [&](const SkipListMap::Record&) {
+      ++visited;
+    });
+    EXPECT_EQ(visited, map.record_count());
+  }
+}
+
+// Puts, overwrites, finds, scans and erases a fixed key set; returns the
+// traffic it charged and the space it left.
+CounterSnapshot RefillCharges(SkipListMap& map, RumCounters& counters) {
+  CounterSnapshot before = counters.snapshot();
+  for (Key k = 0; k < 400; ++k) map.Put((k * 7919) % 1000, k, k % 9 == 0);
+  for (Key k = 0; k < 400; k += 3) map.Put((k * 7919) % 1000, k + 1, false);
+  SkipListMap::Record record{};
+  for (Key k = 0; k < 1000; k += 5) map.Find(k, &record);
+  map.VisitRange(100, 700, [](const SkipListMap::Record&) {});
+  for (Key k = 0; k < 1000; k += 4) map.Erase(k);
+  return counters.snapshot() - before;
+}
+
+TEST(SkipListMapTest, ClearThenRefillChargesLikeAFreshMap) {
+  // Heights come from one generator that Clear does not rewind, so these
+  // cases pin them: a cap of 1, or a promote probability of 1.
+  for (auto [max_height, promote] :
+       {std::pair<size_t, double>{1, 0.25}, {16, 1.0}, {64, 1.0}}) {
+    SCOPED_TRACE(max_height);
+    Options::SkipList options;
+    options.max_height = max_height;
+    options.promote_probability = promote;
+    RumCounters fresh_counters;
+    SkipListMap fresh(options, &fresh_counters);
+    RumCounters reused_counters;
+    SkipListMap reused(options, &reused_counters);
+    // Fill past one arena chunk, free some nodes, then clear. (Descending
+    // puts keep full-tower descents short.)
+    for (Key k = 5000; k-- > 0;) reused.Put(k, k, k % 5 == 0);
+    for (Key k = 0; k < 600; k += 3) reused.Erase(k);
+    reused.Clear();
+    EXPECT_EQ(reused.record_count(), 0u);
+    EXPECT_EQ(reused.live_count(), 0u);
+    EXPECT_EQ(reused.aux_bytes(), fresh.aux_bytes());
+    EXPECT_EQ(reused.base_bytes(), 0u);
+    testing_util::ExpectSnapshotsEqual(
+        RefillCharges(reused, reused_counters),
+        RefillCharges(fresh, fresh_counters));
+    EXPECT_EQ(reused.record_count(), fresh.record_count());
+    EXPECT_EQ(reused.live_count(), fresh.live_count());
   }
 }
 

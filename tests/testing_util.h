@@ -74,6 +74,29 @@ inline Options SmallOptions() {
   return options;
 }
 
+/// Expects every field of two snapshots to be equal.
+inline void ExpectSnapshotsEqual(const CounterSnapshot& a,
+                                 const CounterSnapshot& b) {
+  EXPECT_EQ(a.bytes_read_base, b.bytes_read_base);
+  EXPECT_EQ(a.bytes_read_aux, b.bytes_read_aux);
+  EXPECT_EQ(a.bytes_written_base, b.bytes_written_base);
+  EXPECT_EQ(a.bytes_written_aux, b.bytes_written_aux);
+  EXPECT_EQ(a.blocks_read, b.blocks_read);
+  EXPECT_EQ(a.blocks_written, b.blocks_written);
+  EXPECT_EQ(a.space_base, b.space_base);
+  EXPECT_EQ(a.space_aux, b.space_aux);
+  EXPECT_EQ(a.logical_bytes_read, b.logical_bytes_read);
+  EXPECT_EQ(a.logical_bytes_written, b.logical_bytes_written);
+  EXPECT_EQ(a.point_queries, b.point_queries);
+  EXPECT_EQ(a.range_queries, b.range_queries);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.updates, b.updates);
+  EXPECT_EQ(a.deletes, b.deletes);
+  EXPECT_EQ(a.batched_page_hits, b.batched_page_hits);
+  EXPECT_EQ(a.io_errors, b.io_errors);
+  EXPECT_EQ(a.retries, b.retries);
+}
+
 /// An exact reference model with the same semantics as AccessMethod.
 class ReferenceModel {
  public:

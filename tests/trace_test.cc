@@ -71,26 +71,6 @@ FaultPlan ChaosPlan() {
       .WithRate(FaultOp::kAllocate, 0.05);
 }
 
-void ExpectSnapshotsEqual(const CounterSnapshot& a, const CounterSnapshot& b) {
-  EXPECT_EQ(a.bytes_read_base, b.bytes_read_base);
-  EXPECT_EQ(a.bytes_read_aux, b.bytes_read_aux);
-  EXPECT_EQ(a.bytes_written_base, b.bytes_written_base);
-  EXPECT_EQ(a.bytes_written_aux, b.bytes_written_aux);
-  EXPECT_EQ(a.blocks_read, b.blocks_read);
-  EXPECT_EQ(a.blocks_written, b.blocks_written);
-  EXPECT_EQ(a.space_base, b.space_base);
-  EXPECT_EQ(a.space_aux, b.space_aux);
-  EXPECT_EQ(a.logical_bytes_read, b.logical_bytes_read);
-  EXPECT_EQ(a.logical_bytes_written, b.logical_bytes_written);
-  EXPECT_EQ(a.point_queries, b.point_queries);
-  EXPECT_EQ(a.range_queries, b.range_queries);
-  EXPECT_EQ(a.inserts, b.inserts);
-  EXPECT_EQ(a.updates, b.updates);
-  EXPECT_EQ(a.deletes, b.deletes);
-  EXPECT_EQ(a.io_errors, b.io_errors);
-  EXPECT_EQ(a.retries, b.retries);
-}
-
 // ------------------------------------------------------- LatencyHistogram
 
 TEST(LatencyHistogramTest, SmallValuesAreExact) {
@@ -448,7 +428,7 @@ TEST(TraceTest, DisabledTraceLeavesRumCountersByteIdentical) {
   CounterSnapshot off = run_once(false);
   EXPECT_TRUE(Trace::Drain().empty());  // Nothing emitted while disabled.
   CounterSnapshot on = run_once(true);
-  ExpectSnapshotsEqual(off, on);
+  testing_util::ExpectSnapshotsEqual(off, on);
 }
 
 // Concurrent emission: four workers over one shared stack, rings drained
