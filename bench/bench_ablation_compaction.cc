@@ -6,11 +6,11 @@
 // across size ratios: write amplification and read amplification cross
 // over -- the same structure sliding along the R/U tradeoff curve, with
 // lazy leveling and the hybrid occupying the middle. The stepped-merge
-// tree (no filters) is included as the PBT/MaSM-style baseline.
+// preset (tiered, an append-buffer memtable, no filters) is included as the
+// PBT/MaSM-style baseline.
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "methods/diff/stepped_merge.h"
 #include "methods/lsm/lsm_tree.h"
 #include "workload/distribution.h"
 
@@ -26,8 +26,7 @@ constexpr size_t kInserts = 60000;
 constexpr Key kRange = 1u << 18;
 constexpr int kQueries = 3000;
 
-template <typename Method>
-void Measure(Method* method, double* uo, double* read_blocks,
+void Measure(LsmTree* method, double* uo, double* read_blocks,
              size_t* runs) {
   Rng rng(6);
   for (size_t i = 0; i < kInserts; ++i) {
@@ -68,12 +67,13 @@ void Sweep() {
       table.AddRow({label, FmtU(ratio), Fmt("%.2f", uo),
                     Fmt("%.2f", read_blocks), FmtU(runs)});
     }
-    // Stepped-merge with runs_per_level = T as the differential baseline.
+    // Stepped-merge, merging T runs per level, as the differential
+    // baseline.
     Options options;
     options.block_size = 4096;
-    options.stepped.buffer_entries = 2048;
-    options.stepped.runs_per_level = ratio;
-    SteppedMergeTree stepped(options);
+    options.lsm.memtable_entries = 2048;
+    options.lsm.size_ratio = ratio;
+    LsmTree stepped(SteppedMergeOptions(options));
     double uo, read_blocks;
     size_t runs;
     Measure(&stepped, &uo, &read_blocks, &runs);

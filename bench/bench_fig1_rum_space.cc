@@ -96,7 +96,6 @@ void RunPopulation(const char* title, const WorkloadSpec& base_spec) {
   options.block_size = 4096;
   options.lsm.memtable_entries = 4096;
   options.zonemap.zone_entries = 4096;
-  options.stepped.buffer_entries = 4096;
   options.bitmap.key_domain = 1u << 16;
   // A key domain much larger than N, so the direct-address structure's
   // unbounded MO is visible (Prop 1).

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "methods/btree/btree.h"
-#include "methods/diff/stepped_merge.h"
 #include "methods/lsm/lsm_tree.h"
 #include "methods/zonemap/zonemap.h"
 
@@ -48,8 +47,8 @@ std::unique_ptr<AccessMethod> MorphingAccessMethod::MakeDelegate(
   Options opts = options_;
   switch (shape) {
     case MorphShape::kWriteLog: {
-      opts.stepped.buffer_entries = kBatchEntries;
-      return std::make_unique<SteppedMergeTree>(opts);
+      opts.lsm.memtable_entries = kBatchEntries;
+      return std::make_unique<LsmTree>(SteppedMergeOptions(opts));
     }
     case MorphShape::kBalanced: {
       opts.lsm.policy = LsmPolicy::kLeveled;

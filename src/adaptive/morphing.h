@@ -66,8 +66,8 @@ class MorphingAccessMethod : public AccessMethod {
   static MorphShape ChooseShape(double read, double write, double space);
 
  private:
-  /// Entries per internal batch: the stepped shape's buffer and the
-  /// leveled shape's memtable.
+  /// Entries per internal batch: the memtable of both LSM shapes (the
+  /// stepped shape's append buffer and the leveled shape's skip list).
   static constexpr size_t kBatchEntries = 4096;
 
   std::unique_ptr<AccessMethod> MakeDelegate(MorphShape shape) const;

@@ -103,8 +103,7 @@ Recommendation RumWizard::Predict(std::string_view method,
     rec.space_blocks = blocks * 1.45;
     rec.rationale = "tiered shallow levels, leveled deep: tunable midpoint";
   } else if (method == "stepped-merge") {
-    double runs =
-        static_cast<double>(options_.stepped.runs_per_level) * levels;
+    double runs = static_cast<double>(options_.lsm.size_ratio) * levels;
     rec.read_cost = runs;
     rec.scan_cost = runs + m / B;
     rec.write_cost = levels / B;

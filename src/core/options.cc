@@ -70,12 +70,6 @@ Status ValidateOptions(const Options& options) {
         "segment than a page holds buys no read savings, only anchor "
         "space)");
   }
-  if (options.stepped.buffer_entries < 1) {
-    return Status::InvalidArgument("stepped.buffer_entries must be >= 1");
-  }
-  if (options.stepped.runs_per_level < 2) {
-    return Status::InvalidArgument("stepped.runs_per_level must be >= 2");
-  }
   if (options.bitmap.cardinality < 1) {
     return Status::InvalidArgument("bitmap.cardinality must be >= 1");
   }

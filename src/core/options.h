@@ -30,6 +30,17 @@ enum class LsmPolicy {
   kHybrid,
 };
 
+/// The LSM-tree's in-memory write buffer, a RUM knob of its own:
+///  - kSkipList: sorted (methods/skiplist). Point reads descend its towers,
+///    bought with pointer MO and a descent per write;
+///  - kAppendBuffer: unsorted (methods/lsm/append_buffer.h). A write is one
+///    append with no tower, and every point read reads the whole buffer.
+///    It is the stepped-merge tree's buffer.
+enum class LsmMemtable {
+  kSkipList,
+  kAppendBuffer,
+};
+
 /// Tuning knobs shared by every access method plus per-method sections.
 ///
 /// Every knob here is one of the paper's RUM dials: block size and node size
@@ -91,6 +102,8 @@ struct Options {
   struct Lsm {
     /// Entries buffered in the in-memory memtable before a flush.
     size_t memtable_entries = 4096;
+    /// The memtable's kind (see LsmMemtable above).
+    LsmMemtable memtable = LsmMemtable::kSkipList;
     /// Size ratio T between adjacent levels.
     size_t size_ratio = 4;
     /// Merge policy (see LsmPolicy above).
@@ -139,14 +152,6 @@ struct Options {
     /// Partitions tolerated before they merge into one.
     size_t max_partitions = 4;
   } pbt;
-
-  // ------------------------------------------------- Stepped-merge (diff/)
-  struct SteppedMerge {
-    /// Entries buffered before sealing an L0 run.
-    size_t buffer_entries = 4096;
-    /// Runs per level before they are merged into the next level.
-    size_t runs_per_level = 4;
-  } stepped;
 
   // ---------------------------------------------------------- Bitmap index
   struct Bitmap {

@@ -13,6 +13,7 @@ UpdateAbsorber::UpdateAbsorber(std::unique_ptr<AccessMethod> base,
                                const Options& options)
     : options_(options), base_(std::move(base)) {
   assert(base_ != nullptr);
+  name_ = "absorbed-" + std::string(base_->name());
   // Size the filter for the delta capacity at a comfortable load (< 0.6).
   size_t quotient_bits = std::max<size_t>(
       6, std::bit_width(options_.absorber.delta_entries * 2));
@@ -153,13 +154,17 @@ Status UpdateAbsorber::Scan(Key lo, Key hi, std::vector<Entry>* out) {
 }
 
 Status UpdateAbsorber::BulkLoad(std::span<const Entry> entries) {
-  if (!delta_.empty() || size() != 0) {
+  if (!delta_.empty()) {
     return Status::InvalidArgument("BulkLoad requires an empty structure");
   }
+  Status s = CheckBulkLoadPreconditions(entries);
+  if (!s.ok()) return s;
+  s = base_->BulkLoad(entries);
+  if (!s.ok()) return s;
+  for (const Entry& e : entries) live_keys_.insert(e.key);
   counters().OnLogicalWrite(static_cast<uint64_t>(entries.size()) *
                             kEntrySize);
-  for (const Entry& e : entries) live_keys_.insert(e.key);
-  return base_->BulkLoad(entries);
+  return Status::OK();
 }
 
 Status UpdateAbsorber::Flush() {

@@ -2,6 +2,7 @@
 #define RUMLAB_METHODS_APPROX_UPDATE_ABSORBER_H_
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -34,9 +35,8 @@ class UpdateAbsorber : public AccessMethod {
 
   ~UpdateAbsorber() override;
 
-  std::string_view name() const override { return "update-absorber"; }
-  /// The wrapped structure's name.
-  std::string_view base_name() const { return base_->name(); }
+  /// "absorbed-" and the wrapped structure's name.
+  std::string_view name() const override { return name_; }
 
   Status Insert(Key key, Value value) override;
   Status Update(Key key, Value value) override;
@@ -71,6 +71,7 @@ class UpdateAbsorber : public AccessMethod {
 
   Options options_;
   std::unique_ptr<AccessMethod> base_;
+  std::string name_;
   RumCounters own_;  // Delta + filter traffic (filter charges into this).
   std::unique_ptr<QuotientFilter> filter_;
   std::unordered_map<Key, DeltaRecord> delta_;

@@ -7,7 +7,6 @@
 #include "methods/column/sorted_column.h"
 #include "methods/column/unsorted_column.h"
 #include "methods/cracking/cracking.h"
-#include "methods/diff/stepped_merge.h"
 #include "methods/extremes/dense_array.h"
 #include "methods/extremes/magic_array.h"
 #include "methods/extremes/pure_log.h"
@@ -100,7 +99,7 @@ std::unique_ptr<AccessMethod> MakeAccessMethod(std::string_view name,
   }
   if (name == "cracking") return std::make_unique<CrackedColumn>(options);
   if (name == "stepped-merge") {
-    return std::make_unique<SteppedMergeTree>(options, device);
+    return std::make_unique<LsmTree>(SteppedMergeOptions(options), device);
   }
   if (name == "bloom-zones") {
     return std::make_unique<BloomZoneColumn>(options, device);

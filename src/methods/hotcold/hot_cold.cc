@@ -51,19 +51,12 @@ Status HotColdStore::EvictOne() {
   return Status::OK();
 }
 
-Status HotColdStore::Track(Key key, bool have_value, Value known_value) {
+Status HotColdStore::Track(Key key, Value value) {
   sketch_->Add(key);
   if (sketch_->Estimate(key) < options_.hot_cold.promote_estimate) {
     return Status::OK();
   }
   if (hot_.find(key) != hot_.end()) return Status::OK();
-  if (!live_keys_.contains(key)) return Status::OK();
-  Value value = known_value;
-  if (!have_value) {
-    Result<Value> from_cold = cold_->Get(key);
-    if (!from_cold.ok()) return Status::OK();  // Raced with delete; skip.
-    value = from_cold.value();
-  }
   // A clean promotion: the cold copy stays authoritative until the hot
   // entry is dirtied.
   hot_.emplace(key, HotEntry{value, /*dirty=*/false});
@@ -79,7 +72,6 @@ Status HotColdStore::Track(Key key, bool have_value, Value known_value) {
 Status HotColdStore::Insert(Key key, Value value) {
   counters().OnInsert();
   counters().OnLogicalWrite(kEntrySize);
-  live_keys_.insert(key);
   own_.OnRead(DataClass::kAux, kHotEntrySize);  // Hot-table probe.
   auto it = hot_.find(key);
   if (it != hot_.end()) {
@@ -91,13 +83,12 @@ Status HotColdStore::Insert(Key key, Value value) {
   }
   Status s = cold_->Insert(key, value);
   if (!s.ok()) return s;
-  return Track(key, /*have_value=*/true, value);
+  return Track(key, value);
 }
 
 Status HotColdStore::Delete(Key key) {
   counters().OnDelete();
   counters().OnLogicalWrite(kEntrySize);
-  live_keys_.erase(key);
   own_.OnRead(DataClass::kAux, kHotEntrySize);
   auto it = hot_.find(key);
   if (it != hot_.end()) {
@@ -120,7 +111,7 @@ Result<Value> HotColdStore::Get(Key key) {
   Result<Value> result = cold_->Get(key);
   if (result.ok()) {
     counters().OnLogicalRead(kEntrySize);
-    Status s = Track(key, /*have_value=*/true, result.value());
+    Status s = Track(key, result.value());
     if (!s.ok()) return s;
   }
   return result;
@@ -155,13 +146,13 @@ Status HotColdStore::Scan(Key lo, Key hi, std::vector<Entry>* out) {
 }
 
 Status HotColdStore::BulkLoad(std::span<const Entry> entries) {
-  if (size() != 0) {
-    return Status::InvalidArgument("BulkLoad requires an empty structure");
-  }
+  Status s = CheckBulkLoadPreconditions(entries);
+  if (!s.ok()) return s;
+  s = cold_->BulkLoad(entries);
+  if (!s.ok()) return s;
   counters().OnLogicalWrite(static_cast<uint64_t>(entries.size()) *
                             kEntrySize);
-  for (const Entry& e : entries) live_keys_.insert(e.key);
-  return cold_->BulkLoad(entries);
+  return Status::OK();
 }
 
 Status HotColdStore::Flush() {

@@ -7,7 +7,6 @@
 
 #include "core/access_method.h"
 #include "core/options.h"
-#include "methods/key_set.h"
 #include "methods/sketch/count_min.h"
 
 namespace rum {
@@ -47,7 +46,7 @@ class HotColdStore : public AccessMethod {
   Status Scan(Key lo, Key hi, std::vector<Entry>* out) override;
   Status BulkLoad(std::span<const Entry> entries) override;
   Status Flush() override;
-  size_t size() const override { return live_keys_.size(); }
+  size_t size() const override { return cold_->size(); }
 
   CounterSnapshot stats() const override;
   void ResetStats() override;
@@ -69,9 +68,9 @@ class HotColdStore : public AccessMethod {
   static constexpr size_t kSketchWidth = 1024;
   static constexpr size_t kSketchDepth = 4;
 
-  /// Records one access and promotes the key if it is hot enough.
-  /// `known_value`/`have_value` let callers promote without a re-read.
-  Status Track(Key key, bool have_value, Value known_value);
+  /// Records one access to `key`, which the cold LSM just wrote or
+  /// returned as `value`, and promotes it if it is hot enough.
+  Status Track(Key key, Value value);
   /// Moves the sampled-coldest hot entry back to the LSM.
   Status EvictOne();
   void RepublishHotSpace();
@@ -84,8 +83,6 @@ class HotColdStore : public AccessMethod {
   uint64_t promotions_ = 0;
   uint64_t evictions_ = 0;
   uint64_t evict_cursor_ = 0;  // Deterministic sampling state.
-  // Simulator-side bookkeeping (unaccounted): exact live-key set.
-  KeySet live_keys_;
 };
 
 }  // namespace rum

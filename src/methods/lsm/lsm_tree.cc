@@ -12,9 +12,12 @@ namespace rum {
 LsmTree::LsmTree(const Options& options, Device* device)
     : options_(options),
       policy_(CompactionPolicy::Make(options.lsm.policy)),
-      device_(device, options.block_size, &counters()),
-      memtable_(
-          std::make_unique<SkipListMap>(options.skiplist, &mem_counters_)) {
+      device_(device, options.block_size, &counters()) {
+  if (options_.lsm.memtable == LsmMemtable::kAppendBuffer) {
+    append_buffer_ = std::make_unique<AppendBuffer>(&mem_counters_);
+  } else {
+    skiplist_ = std::make_unique<SkipListMap>(options.skiplist, &mem_counters_);
+  }
   if (options_.lsm.cross_run_index) {
     index_ = std::make_unique<CrossRunIndex>(
         &counters(), options_.lsm.cross_run_segment_entries);
@@ -81,7 +84,7 @@ size_t LsmTree::total_runs() const {
 
 Status LsmTree::Put(Key key, Value value, bool tombstone) {
   counters().OnLogicalWrite(kEntrySize);
-  memtable_->Put(key, value, tombstone);
+  WithMemtable([&](auto& m) { m.Put(key, value, tombstone); });
   if (tombstone) {
     live_keys_.erase(key);
   } else {
@@ -90,7 +93,8 @@ Status LsmTree::Put(Key key, Value value, bool tombstone) {
   approx_keys_.store(live_keys_.size(), std::memory_order_relaxed);
   // The *live* limit, not the configured one: a replan shrink flushes on
   // the very next write, a growth lets the memtable keep filling.
-  if (memtable_->record_count() >= memtable_entry_limit()) {
+  if (WithMemtable([](auto& m) { return m.record_count(); }) >=
+      memtable_entry_limit()) {
     return FlushMemtable();
   }
   return Status::OK();
@@ -184,13 +188,16 @@ Status LsmTree::RetireRun(SortedRun* run) {
 }
 
 Status LsmTree::FlushMemtable() {
-  if (memtable_->record_count() == 0) return Status::OK();
-  sealed_.reserve(memtable_->record_count());
-  memtable_->VisitAllUnaccounted([&](const SkipListMap::Record& r) {
-    sealed_.push_back(LogRecord{
-        r.key, r.value, r.tombstone ? LogOp::kDelete : LogOp::kPut});
+  const size_t records = WithMemtable([](auto& m) { return m.record_count(); });
+  if (records == 0) return Status::OK();
+  sealed_.reserve(records);
+  WithMemtable([&](auto& m) {
+    m.VisitAllUnaccounted([&](const SkipListMap::Record& r) {
+      sealed_.push_back(LogRecord{
+          r.key, r.value, r.tombstone ? LogOp::kDelete : LogOp::kPut});
+    });
+    m.Clear();
   });
-  memtable_->Clear();
   Trace::Emit(TraceKind::kLsmFlush, TraceOp::kFlush, kInvalidPageId,
               DataClass::kBase, sealed_.size());
 
@@ -209,7 +216,7 @@ Result<Value> LsmTree::Get(Key key) {
   TickRegistrar();
   counters().OnPointQuery();
   SkipListMap::Record mem_record;
-  if (memtable_->Find(key, &mem_record)) {
+  if (WithMemtable([&](auto& m) { return m.Find(key, &mem_record); })) {
     if (mem_record.tombstone) return Status::NotFound();
     counters().OnLogicalRead(kEntrySize);
     return mem_record.value;
@@ -245,7 +252,7 @@ Status LsmTree::MultiGet(std::span<const Key> keys,
     TickRegistrar();
     counters().OnPointQuery();
     SkipListMap::Record mem_record;
-    if (memtable_->Find(keys[i], &mem_record)) {
+    if (WithMemtable([&](auto& m) { return m.Find(keys[i], &mem_record); })) {
       if (!mem_record.tombstone) {
         counters().OnLogicalRead(kEntrySize);
         (*out)[i] = mem_record.value;
@@ -370,11 +377,13 @@ Status LsmTree::Scan(Key lo, Key hi, std::vector<Entry>* out) {
   TickRegistrar();
   counters().OnRangeQuery();
   // The memtable is the newest source of all; gather its window (charged
-  // skiplist reads) before positioning the run cursors.
+  // memtable reads) before positioning the run cursors.
   std::vector<LogRecord> mem;
-  memtable_->VisitRange(lo, hi, [&](const SkipListMap::Record& r) {
-    mem.push_back(LogRecord{r.key, r.value,
-                            r.tombstone ? LogOp::kDelete : LogOp::kPut});
+  WithMemtable([&](auto& m) {
+    m.VisitRange(lo, hi, [&](const SkipListMap::Record& r) {
+      mem.push_back(LogRecord{r.key, r.value,
+                              r.tombstone ? LogOp::kDelete : LogOp::kPut});
+    });
   });
   // Positioning (index segment lookup or per-run fence search) stays
   // behind a call; the per-record merge runs here so its visitor inlines
@@ -453,12 +462,23 @@ CounterSnapshot LsmTree::stats() const {
   snap.bytes_written_aux += mem.bytes_written_aux;
   uint64_t total_space = snap.total_space() + mem.total_space();
   // Live entries are the base data; everything else (stale versions,
-  // tombstones, filters, fences, block slack, memtable towers) is overhead.
+  // tombstones, filters, fences, block slack, the memtable's towers or
+  // buffered records) is overhead.
   uint64_t base = static_cast<uint64_t>(live_keys_.size()) * kEntrySize;
   base = std::min(base, total_space);
   snap.space_base = base;
   snap.space_aux = total_space - base;
   return snap;
+}
+
+Options SteppedMergeOptions(Options options) {
+  options.lsm.policy = LsmPolicy::kTiered;
+  options.lsm.memtable = LsmMemtable::kAppendBuffer;
+  options.lsm.bloom_bits_per_key = 0;
+  options.lsm.fence_entries = 0;
+  options.lsm.cross_run_index = false;
+  options.lsm.compress_runs = false;
+  return options;
 }
 
 }  // namespace rum

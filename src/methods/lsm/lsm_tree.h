@@ -10,6 +10,7 @@
 #include "core/metrics.h"
 #include "core/options.h"
 #include "methods/key_set.h"
+#include "methods/lsm/append_buffer.h"
 #include "methods/lsm/compaction_policy.h"
 #include "methods/lsm/cross_run_index.h"
 #include "methods/lsm/sorted_run.h"
@@ -25,7 +26,8 @@ namespace rum {
 /// stays so after Crash() recovery, mid-compaction run retirement, and
 /// fault-aborted run builds.
 struct LsmMemoryFootprint {
-  /// Memtable bytes (skiplist entries + towers), from the mem counters.
+  /// Memtable bytes (skip-list entries and towers, or append-buffer
+  /// records), from the mem counters.
   uint64_t memtable_bytes = 0;
   /// Device pages held by live runs (page_count * block_size summed).
   uint64_t run_page_bytes = 0;
@@ -43,10 +45,12 @@ struct LsmMemoryFootprint {
 };
 
 /// A log-structured merge tree -- the write-optimized corner of the paper's
-/// Figure 1 and the "Levelled LSM" row of Table 1.
+/// Figure 1 and the "Levelled LSM" row of Table 1. The stepped-merge tree of
+/// the same corner is one of its configurations (SteppedMergeOptions).
 ///
-/// Writes buffer in a skiplist memtable; flushes produce immutable sorted
-/// runs that cascade through exponentially growing levels (size ratio T =
+/// Writes buffer in a memtable, a skip list or an append buffer
+/// (`lsm.memtable`); flushes produce immutable sorted runs that cascade
+/// through exponentially growing levels (size ratio T =
 /// `lsm.size_ratio`). The merge discipline is a pluggable CompactionPolicy
 /// strategy (Section 5's "dynamic merge depth" knob, selected by
 /// `lsm.policy`): leveled, tiered, lazy-leveled, or per-level hybrid --
@@ -74,6 +78,7 @@ class LsmTree : public AccessMethod, public CompactionContext {
   ~LsmTree() override;
 
   std::string_view name() const override {
+    if (append_buffer_ != nullptr) return "stepped-merge";
     if (options_.lsm.compress_runs) return "lsm-compressed";
     switch (options_.lsm.policy) {
       case LsmPolicy::kLeveled:
@@ -256,6 +261,11 @@ class LsmTree : public AccessMethod, public CompactionContext {
   /// erased, then its pages freed.
   Status RetireRun(SortedRun* run);
 
+  /// Calls `fn` on the memtable, whichever kind `lsm.memtable` chose.
+  template <typename Fn>
+  decltype(auto) WithMemtable(Fn&& fn) {
+    return append_buffer_ != nullptr ? fn(*append_buffer_) : fn(*skiplist_);
+  }
   /// One write-buffered record enters the tree.
   Status Put(Key key, Value value, bool tombstone);
   /// Seals the memtable and hands it to the policy.
@@ -279,7 +289,9 @@ class LsmTree : public AccessMethod, public CompactionContext {
   MethodDevice device_;
 
   RumCounters mem_counters_;  // The memtable's separate accounting.
-  std::unique_ptr<SkipListMap> memtable_;
+  // The memtable: exactly one of the two is set.
+  std::unique_ptr<SkipListMap> skiplist_;
+  std::unique_ptr<AppendBuffer> append_buffer_;
   // The sealed memtable while the policy runs; its first move consumes it.
   std::vector<LogRecord> sealed_;
   // The REMIX-style cross-run sorted view (nullptr when disabled). Charges
@@ -321,6 +333,15 @@ class LsmTree : public AccessMethod, public CompactionContext {
   MetricsRegistry::Counter* compaction_records_counter_ = nullptr;
   MetricsGroup metrics_;  // Last member: unregisters before state dies.
 };
+
+/// The stepped-merge tree (Jagadish et al., VLDB 1997) as an LsmTree
+/// configuration: `options` with a tiered cascade (a level holding
+/// `lsm.size_ratio` runs merges them one level down), an append-buffer
+/// memtable of `lsm.memtable_entries` records, no Bloom filters, one fence
+/// per page, no cross-run index and uncompressed runs. Without filters a
+/// point query probes every run whose key range covers it, which is the
+/// read price of consolidating updates lazily (compare lsm-tiered).
+Options SteppedMergeOptions(Options options);
 
 }  // namespace rum
 

@@ -512,36 +512,19 @@ Status SortedRun::Cursor::Next() {
   return Land();
 }
 
-Status SortedRun::VisitFrom(
-    size_t first_page, Key lo, Key hi,
+Status SortedRun::VisitAll(
     const std::function<void(const LogRecord&)>& visit) {
   PageReader page;
-  for (size_t p = first_page; p < pages_.size(); ++p) {
+  for (PageId id : pages_) {
     PageReadGuard guard;
-    Status s = device_->PinForRead(pages_[p], &guard);
+    Status s = device_->PinForRead(id, &guard);
     if (!s.ok()) return s;
     s = page.Open(guard.bytes(), compressed_);
     if (!s.ok()) return s;
-    for (; page.valid(); page.Next()) {
-      const Key key = page.key();
-      if (key > hi) return Status::OK();
-      if (key >= lo) visit(page.record());
-    }
+    for (; page.valid(); page.Next()) visit(page.record());
     if (page.truncated()) return TruncatedRecord();
   }
   return Status::OK();
-}
-
-Status SortedRun::VisitRange(Key lo, Key hi,
-                             const std::function<void(const LogRecord&)>&
-                                 visit) {
-  if (hi < min_key_ || lo > max_key_) return Status::OK();
-  return VisitFrom(FenceSearch(lo) * pages_per_fence_, lo, hi, visit);
-}
-
-Status SortedRun::VisitAll(
-    const std::function<void(const LogRecord&)>& visit) {
-  return VisitFrom(0, 0, kMaxKey, visit);
 }
 
 Status MergeSortedRuns(std::vector<LogRecord> newest,

@@ -151,7 +151,7 @@ class SortedRun {
   /// page it is on, held across calls and released when it steps off the
   /// page or is destroyed; so, like any guard, a cursor must not be held
   /// across Allocate, Free or FlushAll on the run's device. Page pins are
-  /// charged exactly like Get/VisitRange reads; fence searches
+  /// charged exactly like Get/VisitAll reads; fence searches
   /// (SeekFirstAtLeast) charge the usual auxiliary probe bytes. Offsets are
   /// stable for the run's lifetime (runs are immutable), which is what lets
   /// the cross-run index persist them across scans. A cursor whose stored
@@ -196,11 +196,8 @@ class SortedRun {
     LogRecord record_;        // The record at the cursor.
   };
 
-  /// Visits records with lo <= key <= hi in ascending order.
-  Status VisitRange(Key lo, Key hi,
-                    const std::function<void(const LogRecord&)>& visit);
-
-  /// Visits every record in order (compaction input); fully charged.
+  /// Visits every record in order (compaction input), each under the pin
+  /// of its page; fully charged.
   Status VisitAll(const std::function<void(const LogRecord&)>& visit);
 
   /// Frees all pages and releases auxiliary space. Called by the
@@ -250,11 +247,6 @@ class SortedRun {
     (found ? filter_stats_->true_positives : filter_stats_->false_positives)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  /// Visits the records with lo <= key <= hi from page `first_page` on,
-  /// each under the pin of its page.
-  Status VisitFrom(size_t first_page, Key lo, Key hi,
-                   const std::function<void(const LogRecord&)>& visit);
-
   Device* device_;         // Not owned.
   RumCounters* counters_;  // Not owned.
   std::vector<PageId> pages_;

@@ -13,11 +13,10 @@
 
 namespace rum {
 
-/// The read rule of every layered structure -- an LSM's memtable over its
-/// runs and a compaction's inputs, a stepped-merge buffer over its levels,
-/// newer pbt partitions over older ones, a hot table or update delta over
-/// its base: sources are taken newest first, and the newest version of
-/// each key wins.
+/// The read rule of every layered structure -- an LSM's memtable (skip list
+/// or append buffer) over its runs and a compaction's inputs, newer pbt
+/// partitions over older ones, a hot table or update delta over its base:
+/// sources are taken newest first, and the newest version of each key wins.
 ///
 /// Each source is ascending, holds a key at most once, and has
 /// `bool Valid() const`, `const R& record() const` (R has a `key`) and

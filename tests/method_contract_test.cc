@@ -46,6 +46,10 @@ class MethodContractTest : public ::testing::TestWithParam<std::string> {
   }
 };
 
+TEST_P(MethodContractTest, NameIsTheFactoryName) {
+  EXPECT_EQ(method_->name(), GetParam());
+}
+
 TEST_P(MethodContractTest, EmptyStructure) {
   EXPECT_EQ(method_->size(), 0u);
   Result<Value> got = method_->Get(123);
@@ -81,10 +85,23 @@ TEST_P(MethodContractTest, BulkLoadAndPointQueries) {
 }
 
 TEST_P(MethodContractTest, BulkLoadRejectsUnsortedInput) {
+  // A rejected load leaves nothing behind: no entries, no charge.
   std::vector<Entry> bad = {{10, 1}, {5, 2}};
   EXPECT_EQ(method_->BulkLoad(bad).code(), Code::kInvalidArgument);
+  EXPECT_EQ(method_->size(), 0u);
+  EXPECT_EQ(method_->stats().logical_bytes_written, 0u);
   std::vector<Entry> dup = {{10, 1}, {10, 2}};
   EXPECT_EQ(method_->BulkLoad(dup).code(), Code::kInvalidArgument);
+  EXPECT_EQ(method_->size(), 0u);
+  EXPECT_EQ(method_->stats().logical_bytes_written, 0u);
+  // So a valid load is still accepted.
+  std::vector<Entry> good = {{5, 2}, {10, 1}};
+  ASSERT_TRUE(method_->BulkLoad(good).ok());
+  EXPECT_EQ(method_->size(), 2u);
+  reference_.Insert(5, 2);
+  reference_.Insert(10, 1);
+  CheckGet(5);
+  CheckGet(10);
 }
 
 TEST_P(MethodContractTest, BulkLoadRejectsNonEmptyTarget) {

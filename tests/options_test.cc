@@ -40,9 +40,6 @@ TEST(OptionsTest, RejectsDegenerateStructureSizes) {
   options.lsm.size_ratio = 1;
   EXPECT_FALSE(ValidateOptions(options).ok());
   options = Options();
-  options.stepped.runs_per_level = 1;
-  EXPECT_FALSE(ValidateOptions(options).ok());
-  options = Options();
   options.zonemap.zone_entries = 1;
   EXPECT_FALSE(ValidateOptions(options).ok());
   options = Options();

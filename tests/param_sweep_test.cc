@@ -82,11 +82,18 @@ std::vector<SweepConfig> MakeConfigs() {
   }
   {
     Options options = BaseOptions(512);
-    options.stepped.buffer_entries = 16;
-    options.stepped.runs_per_level = 2;
+    options.lsm.memtable_entries = 16;
+    options.lsm.size_ratio = 2;
     add("stepped_small", "stepped-merge", options);
-    options.stepped.runs_per_level = 8;
+    options.lsm.size_ratio = 8;
     add("stepped_wide", "stepped-merge", options);
+    // The append-buffer memtable under the other policies (stepped-merge is
+    // the tiered one).
+    options = BaseOptions(512);
+    options.lsm.memtable = LsmMemtable::kAppendBuffer;
+    add("appendbuf_leveled", "lsm-leveled", options);
+    add("appendbuf_lazy", "lsm-lazy", options);
+    add("appendbuf_hybrid", "lsm-hybrid", options);
   }
   {
     Options options = BaseOptions(512);

@@ -60,8 +60,6 @@ inline Options SmallOptions() {
   options.lsm.size_ratio = 3;
   options.lsm.bloom_bits_per_key = 8;
   options.zonemap.zone_entries = 128;
-  options.stepped.buffer_entries = 64;
-  options.stepped.runs_per_level = 3;
   options.bitmap.cardinality = 16;
   options.bitmap.key_domain = 1u << 16;
   options.bitmap.delta_merge_threshold = 128;
